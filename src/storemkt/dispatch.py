@@ -3,12 +3,27 @@
 The outer stage enumerates quantized dispatch vectors; the inner stage
 prices each one by solving the storage MDP.  ``beta_bar(g)`` is that
 price: dispatch cost plus the optimal expected recourse value from the
-initial state.  The exhaustive search shares inner-DP suffixes across the
-whole grid (the value at layer t depends only on the dispatch tail), so
-the grid costs little more than one DP per distinct tail.
+initial state.
 
-The winning plan is re-solved by the plain reference recursion and the
-two values must agree; disagreement is a bug, not a tolerance question.
+Grid and beam plans are priced by one batched backward pass whose columns
+are dispatch tails; the value at layer t depends only on the tail, so
+tails shared by many plans are priced once.  Each slot is a post-decision
+step.  The zero-action expectation runs once over the value array, in
+place, one EV axis at a time (the product-form kernel never becomes a
+dense matrix).  An action's continuation is then the row of its
+post-decision state.  The stage cost depends only on the action's charge
+sum, so the kernel takes the min over actions of equal sum first and
+adds each sum's reserve cost once per dispatch level.  Slot 1 forms only
+the initial state's row.
+
+The exhaustive search prices the whole grid in one such pass.  Beam
+search prices every extended prefix of a depth in one pass: the columns
+are the prefixes, completed by the greedy tail they all share.  Explicit
+candidate lists are priced one plan at a time by the reference recursion.
+
+The winning plan is re-solved by the plain reference recursion
+(``mdp.solve_dp``), which also yields its policy, and the two values must
+agree; disagreement is a bug, not a tolerance question.
 """
 from __future__ import annotations
 
@@ -41,6 +56,8 @@ INF_PROXY = 1e30
 INF_THRESHOLD = 1e20
 CROSS_CHECK_TOL = 1e-6
 ORACLE_POLICY_GUARD = 500_000
+#: values per column chunk of the batched kernel's min over actions
+CHUNK_ELEMS = 16_384
 
 
 class GridTooLarge(ValueError):
@@ -163,59 +180,120 @@ def _greedy_tail(market: MarketModel, levels: list[list[float]], start_slot: int
     return tail
 
 
-def _batched_inner_values(
-    market: MarketModel,
-    specs: Sequence[EVSpec],
-    bids: Sequence[DeadlineDistribution],
-    levels: list[list[float]],
-    space: StateSpace,
-) -> np.ndarray:
-    """Inner DP value v0 for every grid plan at once, suffix-shared.
+#: slot t's column blocks: (dispatch g, parent layer-t columns or None for all)
+Stage = list[tuple[float, np.ndarray | None]]
 
-    Returns a flat array over plans in lexicographic product order.
-    Entries at or above INF_THRESHOLD mean no finite-cost policy exists.
+
+def _grid_stages(levels: list[list[float]]) -> list[Stage]:
+    """Every level of every slot ahead of every tail: the exhaustive grid."""
+    return [[(g, None) for g in lt] for lt in levels]
+
+
+def _prefix_stages(
+    prefixes: Sequence[tuple[float, ...]], tail: Sequence[float]
+) -> tuple[list[Stage], list[int]]:
+    """Stages pricing each prefix completed by the shared ``tail``, plus the
+    layer-0 column of each prefix.  Suffixes shared by several prefixes
+    are priced once."""
+    stages: list[Stage] = [[(g, None)] for g in tail]
+    cols: dict[tuple[float, ...], int] = {(): 0}
+    head: list[Stage] = []
+    for t in range(len(prefixes[0]), 0, -1):
+        by_g: dict[float, list[tuple[float, ...]]] = {}
+        for suffix in dict.fromkeys(p[t - 1 :] for p in prefixes):
+            by_g.setdefault(suffix[0], []).append(suffix)
+        blocks: Stage = []
+        new_cols: dict[tuple[float, ...], int] = {}
+        for g, suffixes in by_g.items():
+            blocks.append((g, np.array([cols[sx[1:]] for sx in suffixes], dtype=np.intp)))
+            for sx in suffixes:
+                new_cols[sx] = len(new_cols)
+        head.append(blocks)
+        cols = new_cols
+    return head[::-1] + stages, [cols[p] for p in prefixes]
+
+
+def _batched_inner_values(
+    market: MarketModel, space: StateSpace, stages: list[Stage]
+) -> np.ndarray:
+    """Inner DP value v0 for a batch of dispatch plans, suffix-shared.
+
+    Columns are dispatch tails.  ``stages[t-1]`` lays out the columns of
+    layer t-1 as blocks: block (g, parents) runs dispatch g in slot t ahead
+    of the layer-t columns ``parents`` (None: all of them), so
+    ``_grid_stages`` yields every grid plan in lexicographic product order.
+    Each slot is one post-decision step: the zero-action expectation
+    ``space.expect`` runs once, in place; an action's continuation is the
+    row of its post-decision state; the min over actions with equal charge
+    sums is taken before the reserve cost of that sum is added per block.
+    Slot 1 forms only the initial state's row.  Returns the flat layer-0
+    row; entries at or above INF_THRESHOLD mean no finite-cost policy
+    exists.
     """
-    horizon = market.horizon
-    n = space.n_states
-    feas = space.feasibility()
-    v = (-market.ev_energy_value * space.total_charge).reshape(n, 1)
-    for slot in range(horizon, 1, -1):
-        lt = levels[slot - 1]
-        s_count = v.shape[1]
-        new_v = np.full((n, len(lt) * s_count), INF_PROXY)
-        v_safe = np.minimum(v, INF_PROXY)
-        for a_idx in range(len(space.global_actions)):
-            w = space.kernel(slot, a_idx) @ v_safe
-            asum = space.action_sums[a_idx]
-            blocked = ~feas[:, a_idx]
-            for gi, g in enumerate(lt):
-                c = market.reserve_cost_at(
-                    slot, market.demand[slot - 1] + asum - g
-                )
-                if c == math.inf:
-                    continue
-                cand = w + c
-                cand[blocked] = INF_PROXY
-                block = new_v[:, gi * s_count : (gi + 1) * s_count]
-                np.minimum(block, cand, out=block)
-        v = new_v
-    # slot 1: only the initial state's row matters
-    l1 = levels[0]
-    s_count = v.shape[1]
-    v0 = np.full((len(l1), s_count), INF_PROXY)
-    v_safe = np.minimum(v, INF_PROXY)
-    init = space.initial
-    for a_idx in range(len(space.global_actions)):
-        if not feas[init, a_idx]:
-            continue
-        w = space.kernel(1, a_idx)[init] @ v_safe
-        asum = space.action_sums[a_idx]
-        for gi, g in enumerate(l1):
-            c = market.reserve_cost_at(1, market.demand[0] + asum - g)
-            if c == math.inf:
-                continue
-            np.minimum(v0[gi], w + c, out=v0[gi])
-    return v0.reshape(-1)
+    v = (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
+    for slot in range(market.horizon, 0, -1):
+        if slot > 1:
+            post = space.expect(slot, v)
+            groups, n_rows = space.action_groups, space.n_states
+        else:
+            post = space.expect(1, v, connected_only=True)
+            groups, n_rows = space.initial_groups, 1
+        v = _min_over_actions(market, slot, post, groups, stages[slot - 1], n_rows)
+    return v[0]
+
+
+def _min_over_actions(
+    market: MarketModel,
+    slot: int,
+    post: np.ndarray,
+    groups: list[tuple[float, np.ndarray, list[np.ndarray]]],
+    blocks: Stage,
+    n_rows: int,
+) -> np.ndarray:
+    """One layer of the batched recursion from post-decision values.
+
+    Works through the columns in chunks of about CHUNK_ELEMS values so the
+    per-sum minima and the output they update stay in cache.
+    """
+    spans = [(g, 0, post.shape[1]) for g, _ in blocks]
+    if any(parents is not None for _, parents in blocks):
+        post = post[:, np.concatenate([p for _, p in blocks])]
+        edges = np.cumsum([0] + [len(p) for _, p in blocks])
+        spans = [(g, lo, hi) for (g, _), lo, hi in zip(blocks, edges[:-1], edges[1:])]
+    width = post.shape[1]
+    demand = market.demand[slot - 1]
+    costs = [
+        [market.reserve_cost_at(slot, demand + sigma - g) for g, _, _ in spans]
+        for sigma, _, _ in groups
+    ]
+    live = [k for k, row in enumerate(costs) if any(c != math.inf for c in row)]
+    out = np.empty((n_rows, sum(hi - lo for _, lo, hi in spans)))
+    step = max(CHUNK_ELEMS // n_rows, 1)
+    best = np.full((len(live), n_rows, min(step, width)), INF_PROXY)
+    tmp = np.empty(best.shape[1:])
+    for c0 in range(0, width, step):
+        c1 = min(c0 + step, width)
+        chunk = post[:, c0:c1]
+        for j, k in enumerate(live):
+            _, rows, ranks = groups[k]
+            least = chunk[ranks[0]]
+            for posts in ranks[1:]:
+                part = least[: len(posts)]
+                np.minimum(part, chunk[posts], out=part)
+            best[j, rows, : c1 - c0] = least
+        off = 0
+        for b, (_, lo, hi) in enumerate(spans):
+            a, z = max(lo, c0), min(hi, c1)
+            if a < z:
+                dst = out[:, off + a - lo : off + z - lo]
+                dst.fill(INF_PROXY)
+                cand = tmp[:, : z - a]
+                for j, k in enumerate(live):
+                    if costs[k][b] != math.inf:
+                        np.add(best[j, :, a - c0 : z - c0], costs[k][b], out=cand)
+                        np.minimum(dst, cand, out=dst)
+            off += hi - lo
+    return out
 
 
 def _grid_gen_costs(market: MarketModel, levels: list[list[float]]) -> np.ndarray:
@@ -253,38 +331,34 @@ def _solve_explicit(
 
 
 def _solve_beam(
-    bids: Sequence[DeadlineDistribution],
     levels: list[list[float]],
     market: MarketModel,
-    specs: Sequence[EVSpec],
+    space: StateSpace,
     width: int,
-) -> tuple[tuple[float, ...], int]:
+) -> tuple[tuple[float, ...], float, int]:
+    """Keep the ``width`` best prefixes per depth, each scored as the plan
+    it makes with the storage-blind greedy tail.  All extended prefixes of
+    a depth are priced in one batched pass.  Returns the winner, its score
+    and the number of prefixes scored."""
     prefixes: list[tuple[float, ...]] = [()]
     evaluated = 0
-
-    def score(prefix: tuple[float, ...]) -> float:
-        tail = _greedy_tail(market, levels, len(prefix) + 1)
-        try:
-            return beta_bar(bids, list(prefix) + tail, market, specs)
-        except NoFeasibleContinuation:
-            return math.inf
-
+    scored: list[tuple[float, tuple[float, ...]]] = []
     for slot in range(1, market.horizon + 1):
+        tail = _greedy_tail(market, levels, slot + 1)
         extended = [p + (g,) for p in prefixes for g in levels[slot - 1]]
-        scored = sorted((score(p), p) for p in extended)
+        stages, cols = _prefix_stages(extended, tail)
+        inner = _batched_inner_values(market, space, stages)
+        scored = []
+        for p, col in zip(extended, cols):
+            q = market.generator_cost(list(p) + tail) + float(inner[col])
+            scored.append((q if inner[col] < INF_THRESHOLD else math.inf, p))
+        scored.sort()
         evaluated += len(extended)
         prefixes = [p for _, p in scored[:width]]
-    best_q, best_g = math.inf, None
-    for p in prefixes:
-        try:
-            q = beta_bar(bids, p, market, specs)
-        except NoFeasibleContinuation:
-            continue
-        if q < best_q or (q == best_q and best_g is not None and p < best_g):
-            best_q, best_g = q, p
-    if best_g is None or best_q == math.inf:
+    best_q, best_g = scored[0]
+    if best_q == math.inf:
         raise InfeasibleModel("beam search found no feasible dispatch")
-    return best_g, evaluated
+    return best_g, best_q, evaluated
 
 
 def solve_outer(
@@ -295,16 +369,18 @@ def solve_outer(
 ) -> SolveResult:
     """Search the dispatch space, price each plan by the inner DP, return
     the cheapest plan with its policy.  Ties go to the lexicographically
-    smallest plan.  The winner is independently re-solved by the reference
-    recursion; any disagreement beyond CROSS_CHECK_TOL raises."""
+    smallest plan.  Grid and beam winners are independently re-solved by
+    the reference recursion; any disagreement beyond CROSS_CHECK_TOL
+    raises."""
     bids = tuple(bids)
     specs = tuple(specs)
     space = StateSpace(specs, bids)
+    batched_q = None
     if config.candidates is not None:
         g_star, evaluated = _solve_explicit(bids, config.candidates, market, specs)
     elif config.mode == "beam":
         levels = grid_levels(market, specs, config)
-        g_star, evaluated = _solve_beam(bids, levels, market, specs, config.beam_width)
+        g_star, batched_q, evaluated = _solve_beam(levels, market, space, config.beam_width)
     else:
         levels = grid_levels(market, specs, config)
         total = 1
@@ -315,7 +391,7 @@ def solve_outer(
                 f"exhaustive grid has {total} candidates "
                 f"(limit {config.max_candidates}); use beam search"
             )
-        inner = _batched_inner_values(market, specs, bids, levels, space)
+        inner = _batched_inner_values(market, space, _grid_stages(levels))
         q_flat = _grid_gen_costs(market, levels) + inner
         best_idx = int(np.argmin(q_flat))
         if q_flat[best_idx] >= INF_THRESHOLD:
@@ -326,12 +402,11 @@ def solve_outer(
     model = MdpModel(market, specs, bids, g_star)
     values, policy = solve_dp(model, space)
     q_star = market.generator_cost(g_star) + values.v0()
-    if config.candidates is None and config.mode == "exhaustive":
-        if abs(q_star - batched_q) > CROSS_CHECK_TOL:
-            raise RuntimeError(
-                f"batched and reference inner values disagree: "
-                f"{batched_q} vs {q_star} at g={g_star}"
-            )
+    if batched_q is not None and abs(q_star - batched_q) > CROSS_CHECK_TOL:
+        raise RuntimeError(
+            f"batched and reference inner values disagree: "
+            f"{batched_q} vs {q_star} at g={g_star}"
+        )
     return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated)
 
 

@@ -5,23 +5,36 @@ disconnects at most once; once disconnected its stored energy is frozen.
 The joint state at the end of slot t collects, per EV, a connected flag and
 a charge level drawn from that EV's admissible set.  Actions are per-EV
 charge deltas applied during a slot; the slot's reserve mismatch is
-``demand + sum(deltas) - dispatch``.
+``demand + sum(deltas) - dispatch``.  Policies store actions as those
+float deltas, but the solvers enumerate them by *target level index*: a
+connected EV may move to any of its levels, a disconnected EV stays.
+Charges are resolved back to level indices within ``LEVEL_TOL``, so
+levels that floats cannot represent exactly (0.07, 0.3, ...) work too.
 
 Connectivity evolves by the hazard implied by the EV's deadline
 distribution: an EV still connected at the end of slot t-1 disconnects at
-the end of slot t with probability pmf(t) / P(deadline >= t).  States whose
-survival probability is exactly zero are unreachable; the solver assigns
-them +inf and skips them, and explicit kernel queries on them raise.
+the end of slot t with probability pmf(t) / P(deadline >= t).  Each
+``StateSpace`` computes these hazards once.  States whose survival
+probability is exactly zero are unreachable; the solver assigns them +inf
+and skips them, and explicit kernel queries on them raise.
+
+An action only moves EVs to their target levels; the hazard then acts on
+the resulting *post-decision* state.  So the kernel of every action is
+the zero-action kernel read at the post-decision row, and the batched
+pricing in ``dispatch`` applies that one kernel per slot
+(``StateSpace.expect``) instead of one kernel per action.
 
 Values are expected dollars to go.  The terminal layer credits stored
 energy at the market's ``ev_energy_value``.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +45,8 @@ from .deadlines import DeadlineDistribution
 IDENTITY_TOL = 1e-9
 #: refuse exhaustive deadline-profile enumeration beyond this many profiles
 ENUMERATION_GUARD = 10_000_000
+#: kWh slack when resolving a charge to one of an EV's admissible levels
+LEVEL_TOL = 1e-9
 
 
 class UnreachableStateError(ValueError):
@@ -154,7 +169,8 @@ def transition_prob(
 
 
 class StateSpace:
-    """Dense mixed-radix indexing of joint EV states plus cached kernels.
+    """Dense mixed-radix indexing of joint EV states, cached hazards, and the
+    per-slot expectation operator.
 
     Per-EV state ids place connected charge levels first (ascending), then
     disconnected ones; EV 1 is the most significant digit of the joint id,
@@ -186,26 +202,25 @@ class StateSpace:
         self.total_charge = (
             self.charge_by_ev.sum(axis=0) if self.specs else np.zeros(self.n_states)
         )
-        # global per-EV action values (all level-to-level deltas)
-        self._ev_actions = [
-            sorted({b - a for a in s.levels for b in s.levels}) for s in self.specs
+        # P(deadline > t) per EV, and the hazard of leaving during slot t
+        # (index t-1).  A zero-survival slot gets the immediate-disconnect
+        # stub 1.0: its connected states carry no mass from any valid state.
+        self._survival = [np.maximum(p.survival(), 0.0) for p in self.params]
+        self._hazard = [
+            [
+                min(max(p.pmf[t] / surv[t], 0.0), 1.0) if surv[t] > 0.0 else 1.0
+                for t in range(p.horizon)
+            ]
+            for p, surv in zip(self.params, self._survival)
         ]
-        self.global_actions = [tuple(a) for a in itertools.product(*self._ev_actions)]
-        self.action_sums = np.array([sum(a) for a in self.global_actions])
-        self._level_index = [
-            {lvl: k for k, lvl in enumerate(s.levels)} for s in self.specs
-        ]
-        self._feas_cache: np.ndarray | None = None
 
     # ---- encoding ------------------------------------------------------
 
     def encode(self, state: Sequence[tuple[bool, float]]) -> int:
         joint = 0
-        for (connected, h), spec, n, idx in zip(
-            state, self.specs, self.n_per, self._level_index
-        ):
-            per = idx[h] if connected else len(spec.levels) + idx[h]
-            joint = joint * n + per
+        for (connected, h), spec, n in zip(state, self.specs, self.n_per):
+            per = _level_index(spec.levels, h)
+            joint = joint * n + (per if connected else len(spec.levels) + per)
         return joint
 
     def decode(self, joint: int) -> tuple[tuple[bool, float], ...]:
@@ -217,6 +232,14 @@ class StateSpace:
             out.append((bool(self._connected[i][per]), float(self._charges[i][per])))
         return tuple(reversed(out))
 
+    def _per_ids(self, joint: int) -> list[int]:
+        ids = []
+        for n in reversed(self.n_per):
+            ids.append(joint % n)
+            joint //= n
+        ids.reverse()
+        return ids
+
     @property
     def initial(self) -> int:
         return 0
@@ -224,7 +247,8 @@ class StateSpace:
     # ---- survival / validity -------------------------------------------
 
     def survival(self, i: int) -> np.ndarray:
-        return np.maximum(self.params[i].survival(), 0.0)
+        """P(deadline > t) for t = 0..T of EV ``i``, cached; do not mutate."""
+        return self._survival[i]
 
     def valid_mask(self, layer: int) -> np.ndarray:
         """States with positive probability of existing at the given layer.
@@ -237,118 +261,43 @@ class StateSpace:
         if layer >= (self.horizon or 0):
             return mask
         for i in range(len(self.specs)):
-            if self.survival(i)[layer] <= 0.0:
+            if self._survival[i][layer] <= 0.0:
                 mask &= ~self._connected[i][self._digits[i]]
         return mask
 
-    # ---- actions ---------------------------------------------------------
+    # ---- scalar transitions ----------------------------------------------
 
-    def feasible_per_ev(self, i: int, per_id: int) -> list[float]:
-        spec = self.specs[i]
-        if per_id < len(spec.levels):
-            h = spec.levels[per_id]
-            return sorted(lvl - h for lvl in spec.levels)
-        return [0.0]
+    def _ev_moves(self, i: int, per: int) -> list[tuple[float, int]]:
+        """EV ``i``'s actions from per-EV id ``per``, in target-index order:
+        (charge delta, post-decision per-EV id).  A disconnected EV's only
+        action is to stay."""
+        levels = self.specs[i].levels
+        if per >= len(levels):
+            return [(0.0, per)]
+        h = levels[per]
+        return [(lvl - h, k) for k, lvl in enumerate(levels)]
 
-    def feasible_joint(self, joint: int) -> list[tuple[float, ...]]:
-        per_lists = []
-        rest = joint
-        ids = []
-        for n in reversed(self.n_per):
-            ids.append(rest % n)
-            rest //= n
-        ids.reverse()
-        for i, per in enumerate(ids):
-            per_lists.append(self.feasible_per_ev(i, per))
-        return [tuple(a) for a in itertools.product(*per_lists)]
-
-    def feasibility(self) -> np.ndarray:
-        """Boolean (n_states, n_actions) mask over the global action list."""
-        if self._feas_cache is not None:
-            return self._feas_cache
-        masks = np.ones((self.n_states, len(self.global_actions)), dtype=bool)
-        for a_idx, action in enumerate(self.global_actions):
-            col = np.ones(self.n_states, dtype=bool)
-            for i, a in enumerate(action):
-                spec = self.specs[i]
-                ok = np.zeros(self.n_per[i], dtype=bool)
-                for per in range(self.n_per[i]):
-                    if per < len(spec.levels):
-                        ok[per] = (spec.levels[per] + a) in self._level_index[i]
-                    else:
-                        ok[per] = a == 0.0
-                col &= ok[self._digits[i]]
-            masks[:, a_idx] = col
-        self._feas_cache = masks
-        return masks
-
-    # ---- kernels ---------------------------------------------------------
-
-    def _ev_block(self, i: int, slot: int, a: float) -> np.ndarray:
-        """Per-EV transition matrix for one slot under per-EV delta ``a``.
-
-        Rows of states where the action is infeasible are zero; rows of
-        zero-survival connected states use an immediate-disconnect stub
-        (they carry no probability mass from any valid state).
-        """
-        spec = self.specs[i]
-        n = self.n_per[i]
-        nl = len(spec.levels)
-        block = np.zeros((n, n))
-        surv = self.survival(i)[slot - 1]
-        hazard = 1.0
-        if surv > 0.0:
-            hazard = min(max(self.params[i].pmf[slot - 1] / surv, 0.0), 1.0)
-        for per in range(n):
-            if per < nl:
-                target = spec.levels[per] + a
-                t_idx = self._level_index[i].get(target)
-                if t_idx is None:
-                    continue
-                block[per, nl + t_idx] = hazard
-                block[per, t_idx] = 1.0 - hazard
-            elif a == 0.0:
-                block[per, per] = 1.0
-        return block
-
-    def kernel(self, slot: int, action_idx: int) -> np.ndarray:
-        """Joint (n_states, n_states) kernel for one slot and global action.
-        Built fresh on every call; callers stream through these once."""
-        out = np.ones((1, 1))
-        for i, a in enumerate(self.global_actions[action_idx]):
-            out = np.kron(out, self._ev_block(i, slot, a))
-        return out
-
-    def successors(
-        self, slot: int, joint: int, action: Sequence[float]
-    ) -> list[tuple[int, float]]:
-        """Enumerate (next joint id, probability) pairs, skipping zeros."""
+    def post_outcomes(self, slot: int, post: Sequence[int]) -> list[tuple[int, float]]:
+        """(next joint id, probability) pairs, skipping zeros, from the
+        post-decision state with per-EV ids ``post`` at the end of ``slot``:
+        each connected EV leaves at its level with the slot's hazard."""
         per_outcomes: list[list[tuple[int, float]]] = []
-        rest = joint
-        ids: list[int] = []
-        for n in reversed(self.n_per):
-            ids.append(rest % n)
-            rest //= n
-        ids.reverse()
-        for i, (per, a) in enumerate(zip(ids, action)):
-            spec = self.specs[i]
-            nl = len(spec.levels)
-            if per < nl:
-                surv = self.survival(i)[slot - 1]
-                if surv <= 0.0:
-                    raise UnreachableStateError(
-                        f"unreachable state queried: EV {i + 1} cannot be connected entering slot {slot}"
-                    )
-                hazard = min(max(self.params[i].pmf[slot - 1] / surv, 0.0), 1.0)
-                t_idx = self._level_index[i][spec.levels[per] + a]
-                outs = []
-                if hazard < 1.0:
-                    outs.append((t_idx, 1.0 - hazard))
-                if hazard > 0.0:
-                    outs.append((nl + t_idx, hazard))
-                per_outcomes.append(outs)
-            else:
+        for i, per in enumerate(post):
+            nl = len(self.specs[i].levels)
+            if per >= nl:
                 per_outcomes.append([(per, 1.0)])
+                continue
+            if self._survival[i][slot - 1] <= 0.0:
+                raise UnreachableStateError(
+                    f"unreachable state queried: EV {i + 1} cannot be connected entering slot {slot}"
+                )
+            hazard = self._hazard[i][slot - 1]
+            outs = []
+            if hazard < 1.0:
+                outs.append((per, 1.0 - hazard))
+            if hazard > 0.0:
+                outs.append((nl + per, hazard))
+            per_outcomes.append(outs)
         joint_out: list[tuple[int, float]] = []
         for combo in itertools.product(*per_outcomes):
             nid = 0
@@ -358,6 +307,124 @@ class StateSpace:
                 p *= pp
             joint_out.append((nid, p))
         return joint_out
+
+    def successors(
+        self, slot: int, joint: int, action: Sequence[float]
+    ) -> list[tuple[int, float]]:
+        """Enumerate (next joint id, probability) pairs, skipping zeros."""
+        post = []
+        for spec, per, a in zip(self.specs, self._per_ids(joint), action):
+            connected = per < len(spec.levels)
+            post.append(_level_index(spec.levels, spec.levels[per] + a) if connected else per)
+        return self.post_outcomes(slot, post)
+
+    # ---- batched operators -------------------------------------------------
+
+    def expect(self, slot: int, values: np.ndarray, connected_only: bool = False) -> np.ndarray:
+        """Apply the zero-action kernel K_{slot,0} to ``values`` in place.
+
+        ``values`` is (n_states, S), one column per dispatch tail; row s
+        becomes sum_s' K(s, s') values[s'], the expected value of ending
+        the slot from post-decision state s.  The product-form kernel is
+        applied one EV axis at a time: a connected EV at level k stays
+        connected at k with probability 1 - hazard and leaves at k
+        otherwise; a disconnected EV stays put.  With ``connected_only``
+        only the rows where every EV is connected are formed, returned as
+        a (prod of level counts, S) array in mixed-radix level order.
+        """
+        if not values.flags.c_contiguous:
+            raise ValueError("values must be C-contiguous: they are updated in place")
+        width = values.shape[1]
+        x = values.reshape(*self.n_per, width)
+        for i, spec in enumerate(self.specs):
+            nl = len(spec.levels)
+            hazard = self._hazard[i][slot - 1]
+            lead = (slice(None),) * i
+            for k in range(nl):
+                stay = x[lead + (k,)]
+                leave = x[lead + (nl + k,)]
+                stay *= 1.0 - hazard
+                if connected_only:
+                    leave *= hazard  # rows dropped below: no temporary
+                    stay += leave
+                else:
+                    stay += hazard * leave
+            if connected_only:
+                x = x[lead + (slice(0, nl),)]
+        return x.reshape(-1, width) if connected_only else values
+
+    @cached_property
+    def action_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
+        """Every (state, action) pair, grouped by the action's charge sum
+        (see ``_group_by_sum``).
+
+        An action is a target level index per connected EV; a disconnected
+        EV stays.  Its post-decision state keeps every connectivity flag
+        and puts each EV at its target level.  Built on first use; only
+        the batched pricing kernel needs it.
+        """
+        state = np.zeros(1, dtype=np.intp)
+        post = np.zeros(1, dtype=np.intp)
+        sigma = np.zeros(1)
+        for spec, n in zip(self.specs, self.n_per):
+            nl = len(spec.levels)
+            lv = np.array(spec.levels)
+            frm = np.concatenate([np.repeat(np.arange(nl), nl), np.arange(nl, n)])
+            to = np.concatenate([np.tile(np.arange(nl), nl), np.arange(nl, n)])
+            delta = np.concatenate([lv[to[: nl * nl]] - lv[frm[: nl * nl]], np.zeros(nl)])
+            state = (state[:, None] * n + frm).ravel()
+            post = (post[:, None] * n + to).ravel()
+            # summed EV by EV from 0.0, exactly as sum() over an action tuple
+            sigma = (sigma[:, None] + delta).ravel()
+        return _group_by_sum(state, post, sigma)
+
+    @cached_property
+    def initial_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
+        """``action_groups`` restricted to the initial state, with each
+        post-decision id mapped to its row of ``expect(..., connected_only=True)``."""
+        out = []
+        for sigma, rows, ranks in self.action_groups:
+            at = np.flatnonzero(rows == self.initial)
+            if not len(at):
+                continue
+            posts = np.array([r[at[0]] for r in ranks if len(r) > at[0]])
+            sub = np.zeros(len(posts), dtype=np.intp)
+            for spec, digits in zip(self.specs, self._digits):
+                sub = sub * len(spec.levels) + digits[posts]
+            out.append((sigma, rows[at], [sub[r : r + 1] for r in range(len(sub))]))
+        return out
+
+
+def _level_index(levels: Sequence[float], x: float) -> int:
+    """Index of the admissible level within LEVEL_TOL of charge ``x``.
+
+    Charges and targets arrive as sums of float deltas, which need not
+    reproduce a non-dyadic level bit for bit.
+    """
+    k = bisect.bisect_left(levels, x - LEVEL_TOL)
+    if k < len(levels) and abs(levels[k] - x) <= LEVEL_TOL:
+        return k
+    raise ValueError(f"charge {x!r} is not an admissible level of {tuple(levels)}")
+
+
+def _group_by_sum(
+    state: np.ndarray, post: np.ndarray, sigma: np.ndarray
+) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
+    """Group (state, post-decision id) pairs by sum: per distinct sum,
+    (sigma, rows, ranks).  ``rows`` lists the states having such an
+    action, those with the most first; ``ranks[r]`` holds the r-th such
+    action's post-decision id for ``rows[: len(ranks[r])]``."""
+    keys, inv = np.unique(sigma, return_inverse=True)
+    out = []
+    for j, key in enumerate(keys):
+        order = np.flatnonzero(inv == j)
+        order = order[np.argsort(state[order], kind="stable")]
+        rows, first, counts = np.unique(state[order], return_index=True, return_counts=True)
+        most = np.argsort(-counts, kind="stable")
+        rows, first, counts = rows[most], first[most], counts[most]
+        ranks = [post[order[first[counts > r] + r]] for r in range(int(counts[0]))]
+        out.append((float(key), rows, ranks))
+    return out
 
 
 @dataclass
@@ -421,18 +488,28 @@ def solve_dp(model: MdpModel, space: StateSpace | None = None) -> tuple[ValueTab
         layer = slot - 1
         valid = space.valid_mask(layer)
         nxt = values[slot]
+        # successor lists per post-decision state, shared by every
+        # (state, action) pair that lands there
+        outcomes: dict[tuple[int, ...], list[tuple[int, float]]] = {}
         for s in range(n):
             if not valid[s]:
                 values[layer, s] = math.inf
                 continue
+            per_moves = [space._ev_moves(i, per) for i, per in enumerate(space._per_ids(s))]
             best = math.inf
             best_action: tuple[float, ...] | None = None
-            for action in space.feasible_joint(s):
+            # target-index order per EV, so ties keep the lexicographically
+            # smallest delta vector
+            for combo in itertools.product(*per_moves):
+                action = tuple(delta for delta, _ in combo)
                 c = stage_cost(model.market, slot, model.dispatch[slot - 1], action)
                 if c == math.inf:
                     continue
+                post = tuple(per for _, per in combo)
+                if post not in outcomes:
+                    outcomes[post] = space.post_outcomes(slot, post)
                 total = c
-                for nid, p in space.successors(slot, s, action):
+                for nid, p in outcomes[post]:
                     total += p * nxt[nid]
                 if total < best:
                     best = total

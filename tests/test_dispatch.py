@@ -1,13 +1,23 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storemkt.config import load_setup
-from storemkt.deadlines import make_rng
+from storemkt.costs import MarketModel, asym_lin_quad, linear
+from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import (
+    CROSS_CHECK_TOL,
+    INF_THRESHOLD,
     GridTooLarge,
     InfeasibleModel,
     SolverConfig,
+    _batched_inner_values,
+    _greedy_tail,
+    _grid_stages,
+    _prefix_stages,
     beta_bar,
     brute_force_oracle,
     conditional_beta,
@@ -18,7 +28,15 @@ from storemkt.dispatch import (
     quantize_up,
     solve_outer,
 )
-from storemkt.mdp import MdpModel, StateSpace, solve_dp
+from storemkt.mdp import (
+    EVSpec,
+    MdpModel,
+    NoFeasibleContinuation,
+    StateSpace,
+    enumerated_outcome,
+    expected_outcome,
+    solve_dp,
+)
 from storemkt.presets import preset_config
 from storemkt.scenarios import random_floored_pmf, random_small_instance, random_tiny_instance
 
@@ -125,6 +143,110 @@ def test_beam_matches_exhaustive_when_wide():
         narrow = SolverConfig(step=10.0, mode="beam", beam_width=1)
         res1 = solve_outer(bids, narrow, market, specs)
         assert res1.q_star >= exact.q_star - 1e-9
+
+
+def _every_plan_instances():
+    rng = make_rng(83)
+    cases = [random_small_instance(rng)[:4] for _ in range(8)]
+    # an EV that surely leaves by slot 2 makes connected slot-3 states
+    # unreachable (zero survival)
+    market, specs, bids, config = cases[5]
+    early = DeadlineDistribution((0.6, 0.4, 0.0), floor=0.0)
+    cases.append((market, specs, (early,) + bids[1:], config))
+    # table reserves price most mismatches +inf, so most plans are infeasible
+    s = setup_for("example1:p=0.19")
+    cases.append((s.market, s.specs, s.params, SolverConfig(step=1.0)))
+    return cases
+
+
+def test_batched_values_match_reference_on_every_plan():
+    # the solver's cross-check sees only the winner; here every grid plan,
+    # and every beam prefix completed by its greedy tail, is priced by the
+    # batched kernel and by the scalar reference recursion
+    infeasible = 0
+    for market, specs, bids, config in _every_plan_instances():
+        space = StateSpace(specs, bids)
+        levels = grid_levels(market, specs, config)
+
+        def reference(plan):
+            try:
+                values, _ = solve_dp(MdpModel(market, specs, bids, plan), space)
+            except NoFeasibleContinuation:
+                return math.inf
+            return values.v0()
+
+        def agrees(got, want):
+            if want == math.inf:
+                return got >= INF_THRESHOLD
+            return abs(got - want) <= 1e-9
+
+        plans = list(itertools.product(*levels))
+        grid = _batched_inner_values(market, space, _grid_stages(levels))
+        assert grid.shape == (len(plans),)
+        for plan, got in zip(plans, grid):
+            want = reference(plan)
+            infeasible += want == math.inf
+            assert agrees(got, want), plan
+        for depth in range(1, market.horizon + 1):
+            prefixes = sorted({plan[:depth] for plan in plans})
+            tail = _greedy_tail(market, levels, depth + 1)
+            stages, cols = _prefix_stages(prefixes, tail)
+            inner = _batched_inner_values(market, space, stages)
+            for prefix, col in zip(prefixes, cols):
+                assert agrees(inner[col], reference(prefix + tuple(tail))), prefix
+    assert infeasible > 0
+
+
+NON_DYADIC_MARKET = MarketModel(
+    demand=(0.3, 0.8, 0.5),
+    generator=linear((20.0, 35.0, 25.0)),
+    reserves=asym_lin_quad((30.0, 40.0, 30.0)),
+    ev_energy_value=0.03,
+)
+
+
+@st.composite
+def non_dyadic_fleets(draw):
+    """1-2 EVs of capacity 1 kWh with 3-4 levels on the 0.01 kWh grid,
+    none of them a dyadic fraction, plus floored deadline bids."""
+    specs, bids = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        cents = draw(
+            st.lists(
+                st.integers(1, 99).filter(lambda c: c not in (25, 50, 75)),
+                min_size=2,
+                max_size=3,
+                unique=True,
+            )
+        )
+        specs.append(EVSpec(1.0, (0.0,) + tuple(c / 100 for c in sorted(cents))))
+        weights = draw(st.lists(st.integers(1, 10), min_size=3, max_size=3))
+        bids.append(DeadlineDistribution(tuple(w / sum(weights) for w in weights)))
+    return tuple(specs), tuple(bids)
+
+
+@settings(max_examples=25, deadline=None)
+@given(non_dyadic_fleets(), st.sampled_from(["exhaustive", "beam"]))
+def test_non_dyadic_levels_solve(fleet, mode):
+    # charges built from float deltas miss such levels by an ulp; they
+    # must still resolve to their level index everywhere
+    specs, bids = fleet
+    market = NON_DYADIC_MARKET
+    config = SolverConfig(step=0.5, mode=mode)
+    res = solve_outer(bids, config, market, specs)
+    space = StateSpace(specs, bids)
+    levels = grid_levels(market, specs, config)
+    inner = _batched_inner_values(market, space, _grid_stages(levels))
+    idx = 0
+    for lt, g in zip(levels, res.g_star):
+        idx = idx * len(lt) + lt.index(g)
+    batched_q = market.generator_cost(res.g_star) + inner[idx]
+    assert abs(batched_q - res.q_star) <= CROSS_CHECK_TOL
+    model = MdpModel(market, specs, bids, res.g_star)
+    fwd = expected_outcome(model, res.policy, space)
+    enum = enumerated_outcome(model, res.policy, space)
+    assert abs(fwd.beta - enum.beta) <= 1e-9
+    assert abs(fwd.beta - res.q_star) <= 1e-9
 
 
 def test_conditional_beta_toy_values():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -107,21 +108,35 @@ def test_disconnected_transitions_freeze():
 
 
 def test_kernel_rows_are_stochastic():
-    # rows where the state is reachable and the action feasible must carry
-    # exactly one unit of probability; infeasible rows are zeroed instead
+    # the per-slot expectation operator is a stochastic kernel: a constant
+    # value vector maps to that constant on every reachable row, and any
+    # vector maps to its scalar-kernel expectation under the zero action
     rng = make_rng(11)
     for _ in range(5):
         market, specs, bids, _, _ = random_small_instance(rng)
         space = StateSpace(specs, bids)
-        feas = space.feasibility()
+        n = space.n_states
         for slot in range(1, len(market.demand) + 1):
             valid = space.valid_mask(slot - 1)
-            for a_idx in range(len(space.global_actions)):
-                k = space.kernel(slot, a_idx)
-                sums = k.sum(axis=1)
-                rows = valid & feas[:, a_idx]
-                assert np.all(np.abs(sums[rows] - 1.0) < 1e-9)
-                assert np.all(sums[~feas[:, a_idx]] == 0.0)
+            const = np.full((n, 3), 7.25)
+            assert space.expect(slot, const) is const
+            assert np.all(np.abs(const[valid] - 7.25) < 1e-9)
+            values = rng.normal(size=(n, 2))
+            want = np.zeros((n, 2))
+            for s in np.flatnonzero(valid):
+                state = space.decode(int(s))
+                for s2 in range(n):
+                    p = transition_prob(bids, slot, state, (0.0,) * len(specs), space.decode(s2))
+                    want[s] += p * values[s2]
+            every = space.expect(slot, values.copy())
+            assert np.allclose(every[valid], want[valid], atol=1e-12)
+            # the all-connected rows alone, in mixed-radix level order
+            connected = space.expect(slot, values.copy(), connected_only=True)
+            rows = [
+                space.encode(tuple((True, lvl) for lvl in combo))
+                for combo in itertools.product(*(s.levels for s in specs))
+            ]
+            assert np.array_equal(connected, every[rows])
 
 
 def test_two_slot_value_is_ten_p():
