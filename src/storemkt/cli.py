@@ -6,9 +6,8 @@ name ("example1", "table1", "theorem1", optionally parameterized like
 "example1:p=0.25" or "table1:n=2,profile=C").
 
 Exit codes: 0 success, 2 configuration problem, 3 infeasible model,
-4 an experiment or oracle assertion failed.  STOREMKT_THREADS caps the
-penetration sweep's worker pool; --seed overrides the config seed where
-a command consumes one.
+4 an experiment or oracle assertion failed.  --seed overrides the config
+seed where a command consumes one.
 """
 from __future__ import annotations
 

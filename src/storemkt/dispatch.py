@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,11 +104,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The winning plan with its policy, plus the model and state space it
+    was solved on, so callers never rebuild them.  The space holds index
+    tables and hazards only; no batched value array outlives the search."""
+
     g_star: tuple[float, ...]
     q_star: float
     values: ValueTable
     policy: MarkovPolicy
     candidates_evaluated: int
+    model: MdpModel = field(repr=False, compare=False)
+    space: StateSpace = field(repr=False, compare=False)
 
     def to_jsonable(self) -> dict:
         import json
@@ -407,7 +413,7 @@ def solve_outer(
             f"batched and reference inner values disagree: "
             f"{batched_q} vs {q_star} at g={g_star}"
         )
-    return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated)
+    return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated, model, space)
 
 
 def _unflatten(idx: int, levels: list[list[float]]) -> tuple[float, ...]:
@@ -416,30 +422,6 @@ def _unflatten(idx: int, levels: list[list[float]]) -> tuple[float, ...]:
         out.append(lt[idx % len(lt)])
         idx //= len(lt)
     return tuple(reversed(out))
-
-
-def q_star(
-    bids: Sequence[DeadlineDistribution],
-    config: SolverConfig,
-    market: MarketModel,
-    specs: Sequence[EVSpec],
-) -> float:
-    return solve_outer(bids, config, market, specs).q_star
-
-
-def q_star_minus(
-    bids: Sequence[DeadlineDistribution],
-    i: int,
-    config: SolverConfig,
-    market: MarketModel,
-    specs: Sequence[EVSpec],
-) -> float:
-    """Counterfactual system cost with EV ``i`` removed (full re-solve)."""
-    if not 0 <= i < len(specs):
-        raise IndexError(f"EV index {i} out of range for {len(specs)} EVs")
-    rest_bids = tuple(b for k, b in enumerate(bids) if k != i)
-    rest_specs = tuple(s for k, s in enumerate(specs) if k != i)
-    return solve_outer(rest_bids, config, market, rest_specs).q_star
 
 
 def conditional_beta(
@@ -505,12 +487,11 @@ def estimate_lipschitz_K(
         else:
             bids = tuple(sampler[k % len(sampler)])
         result = solve_outer(bids, config, market, specs)
-        model = MdpModel(market, tuple(specs), bids, result.g_star)
-        space = StateSpace(model.specs, model.params)
+        model = result.model
         for i in range(len(specs)):
             vec = np.array(
                 [
-                    conditional_beta(model, result.policy, i, t, space)
+                    conditional_beta(model, result.policy, i, t, result.space)
                     for t in range(1, horizon + 1)
                     if model.params[i].pmf[t - 1] > 0.0
                 ]

@@ -9,8 +9,6 @@ suites directly.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -18,8 +16,7 @@ import numpy as np
 from .config import RunSetup, load_setup
 from .deadlines import DeadlineDistribution, alpha, make_rng
 from .dispatch import SolveResult, estimate_lipschitz_K, solve_outer
-from .mdp import MdpModel, StateSpace, expected_outcome
-from .mechanism import day_ahead_payment
+from .mechanism import day_ahead
 from .presets import (
     FIG2_MAX_EVS,
     FIG2_PROFILES,
@@ -64,13 +61,6 @@ def _bids(setup: RunSetup) -> tuple[DeadlineDistribution, ...]:
 
 def _solve(setup: RunSetup) -> SolveResult:
     return solve_outer(_bids(setup), setup.solver, setup.market, setup.specs)
-
-
-def default_threads() -> int:
-    raw = os.environ.get("STOREMKT_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return min(4, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -119,42 +109,19 @@ def threshold_sweep() -> tuple[dict, dict]:
 
 
 def payments_table(setup: RunSetup) -> tuple[SolveResult, list[dict]]:
-    """Per-EV day-ahead transfers with the two-form identity residual.
+    """Per-EV day-ahead transfers with the two-form identity residual, one
+    row per EV of ``mechanism.day_ahead``.
 
     The residual column is the difference between the externality form
     and the value-function form of the same transfer; anything above
     rounding noise means solver expectations and values disagree.
     """
-    bids = _bids(setup)
-    solve = solve_outer(bids, setup.solver, setup.market, setup.specs)
-    space = StateSpace(setup.specs, bids)
-    model = MdpModel(setup.market, setup.specs, bids, solve.g_star)
-    expected = expected_outcome(model, solve.policy, space)
-    gen = setup.market.generator_cost(solve.g_star)
-    value = setup.market.ev_energy_value
-    rows = []
-    for i in range(len(setup.specs)):
-        minus = solve_outer(
-            tuple(b for k, b in enumerate(bids) if k != i),
-            setup.solver,
-            setup.market,
-            tuple(s for k, s in enumerate(setup.specs) if k != i),
-        )
-        others = value * float(
-            expected.terminal_charge.sum() - expected.terminal_charge[i]
-        )
-        direct = minus.q_star - (gen + expected.reserve_cost - others)
-        via_q = minus.q_star - solve.q_star - value * float(expected.terminal_charge[i])
-        p_da = day_ahead_payment(i, solve, minus, expected, gen, value)
-        rows.append(
-            {
-                "ev": i + 1,
-                "p_da": p_da,
-                "q_star_minus": minus.q_star,
-                "identity_residual": direct - via_q,
-            }
-        )
-    return solve, rows
+    da = day_ahead(_bids(setup), setup.solver, setup.market, setup.specs)
+    rows = [
+        {"ev": i + 1, "p_da": p, "q_star_minus": q, "identity_residual": r}
+        for i, (p, q, r) in enumerate(zip(da.p_da, da.q_star_minus, da.identity_residual))
+    ]
+    return da.solve, rows
 
 
 def payments_csv(rows: Sequence[dict]) -> str:
@@ -203,21 +170,15 @@ def table1_suite() -> tuple[dict, dict]:
 # fig2: penetration sweep
 
 
-def fig2_suite(threads: int | None = None) -> tuple[dict, dict]:
+def fig2_suite() -> tuple[dict, dict]:
     """q* over (deadline profile) x (number of EVs), with the ordering
     checks: more EVs never raise cost, later-departing profiles never
     raise cost."""
-    threads = threads or default_threads()
     cells = [(prof, n) for prof in FIG2_PROFILES for n in range(FIG2_MAX_EVS + 1)]
-
-    def run_cell(cell):
-        prof, n = cell
-        setup = load_setup(table1_config(n=n, profile=prof))
-        return _solve(setup).q_star
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        values = list(pool.map(run_cell, cells))
-    q = {cell: val for cell, val in zip(cells, values)}
+    q = {
+        (prof, n): _solve(load_setup(table1_config(n=n, profile=prof))).q_star
+        for prof, n in cells
+    }
 
     violations = []
     for prof in FIG2_PROFILES:
@@ -237,7 +198,6 @@ def fig2_suite(threads: int | None = None) -> tuple[dict, dict]:
     report = {
         "name": "fig2",
         "ok": ok,
-        "threads": threads,
         "violations": violations,
         "q_star": {f"{prof},{n}": q[(prof, n)] for prof, n in cells},
     }

@@ -42,7 +42,6 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution
 
-IDENTITY_TOL = 1e-9
 #: refuse exhaustive deadline-profile enumeration beyond this many profiles
 ENUMERATION_GUARD = 10_000_000
 #: kWh slack when resolving a charge to one of an EV's admissible levels
@@ -640,8 +639,8 @@ def enumerated_outcome(
 ) -> ExpectedOutcome:
     """Expectations by exhaustive deadline-profile enumeration.
 
-    Independent of the forward-propagation path; the two must agree to
-    IDENTITY_TOL and tests hold them to it.
+    Independent of the forward-propagation path; tests hold the two to
+    agree within 1e-9.
     """
     space = space or StateSpace(model.specs, model.params)
     exp_reserve = 0.0
@@ -689,9 +688,3 @@ def monte_carlo_outcome(
     )
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
 
-
-def expected_terminal_charge(
-    model: MdpModel, policy: MarkovPolicy, ev: int, space: StateSpace | None = None
-) -> float:
-    """Expected kWh EV ``ev`` (0-based) departs with, under the beliefs."""
-    return float(expected_outcome(model, policy, space).terminal_charge[ev])

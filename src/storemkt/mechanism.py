@@ -1,8 +1,10 @@
 """Payments: day-ahead VCG transfer plus end-of-day settlement.
 
-The day-ahead payment charges each EV its externality: the system cost
-with the EV absent minus everyone else's share of the expected cost with
-it present.  The settlement trues up the energy account (expected minus
+``day_ahead`` is the whole day-ahead phase, run once before the day
+starts: solve, take the forward expectation of the committed policy, and
+pay each EV its externality: the system cost with the EV absent minus
+everyone else's share of the expected cost with it present.  The
+settlement trues up the energy account (expected minus
 realized departure charge, valued at the energy price) and levies an
 escalating penalty when an EV's report frequencies drift out of a
 shrinking tolerance window around its bid.
@@ -16,16 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
+from .costs import MarketModel
 from .deadlines import DeadlineDistribution
-from .dispatch import SolveResult
-from .mdp import ExpectedOutcome
+from .dispatch import SolveResult, SolverConfig, solve_outer
+from .mdp import EVSpec, ExpectedOutcome, expected_outcome
 
 IDENTITY_TOL = 1e-9
 DEVIATION_SUM_TOL = 1e-12
-LEDGER_HEADER = "day,ev,p_da,charge_gap,penalty,event,total_payment"
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,16 @@ def day_ahead_payment(
     expected: ExpectedOutcome,
     generator_cost: float,
     ev_energy_value: float,
-) -> float:
-    """VCG transfer for EV ``i``.
+) -> tuple[float, float]:
+    """VCG transfer for EV ``i`` and its identity residual.
 
     ``expected`` must be the exact expectation of the full solve's policy
-    under the bids.  Computed two ways that only agree when the backward
-    values and the forward expectations are consistent; disagreement
-    raises rather than returning either number.
+    under the bids.  The transfer is computed two ways that only agree
+    when the backward values and the forward expectations are consistent:
+    the externality form and the value-function form.  Returns the
+    value-function form and the residual (externality minus value-function
+    form); a residual beyond IDENTITY_TOL raises rather than returning
+    either number.
     """
     n_evs = len(expected.terminal_charge)
     if not 0 <= i < n_evs:
@@ -160,7 +166,53 @@ def day_ahead_payment(
         raise RuntimeError(
             f"payment identity violated: {direct} vs {via_q} for EV {i + 1}"
         )
-    return via_q
+    return via_q, direct - via_q
+
+
+@dataclass(frozen=True)
+class DayAhead:
+    """The day-ahead phase of one market: the committed solve, the exact
+    forward expectation of its policy, the dispatch cost, and per EV the
+    system cost without it, its transfer and its identity residual."""
+
+    solve: SolveResult
+    expected: ExpectedOutcome
+    generator_cost: float
+    q_star_minus: tuple[float, ...]
+    p_da: tuple[float, ...]
+    identity_residual: tuple[float, ...]
+
+
+def day_ahead(
+    bids: Sequence[DeadlineDistribution],
+    solver: SolverConfig,
+    market: MarketModel,
+    specs: Sequence[EVSpec],
+) -> DayAhead:
+    """Solve the day-ahead problem and pay each EV its externality.
+
+    EV ``i``'s counterfactual is a full re-solve of the fleet without it.
+    Re-solves are keyed on the remaining (bids, specs), order preserved,
+    so identical EVs share one; the solver is deterministic, so a shared
+    result is bit-identical to a fresh one.  The miss fine is not part of
+    this phase (see ``simulate.resolve_j_m``).
+    """
+    bids, specs = tuple(bids), tuple(specs)
+    solve = solve_outer(bids, solver, market, specs)
+    expected = expected_outcome(solve.model, solve.policy, solve.space)
+    gen = market.generator_cost(solve.g_star)
+    without: dict[tuple, SolveResult] = {}
+    q_minus, p_da, residual = [], [], []
+    for i in range(len(specs)):
+        rest = (bids[:i] + bids[i + 1 :], specs[:i] + specs[i + 1 :])
+        if rest not in without:
+            without[rest] = solve_outer(rest[0], solver, market, rest[1])
+        minus = without[rest]
+        pay, res = day_ahead_payment(i, solve, minus, expected, gen, market.ev_energy_value)
+        q_minus.append(minus.q_star)
+        p_da.append(pay)
+        residual.append(res)
+    return DayAhead(solve, expected, gen, tuple(q_minus), tuple(p_da), tuple(residual))
 
 
 def settlement(
@@ -189,13 +241,3 @@ def settlement(
 def total_payment(day_ahead: float, result: SettlementResult) -> float:
     return day_ahead + result.payment
 
-
-def ledger_row(
-    day: int, ev: int, p_da: float, result: SettlementResult
-) -> str:
-    """One CSV ledger line; 12 significant digits, locale-independent."""
-    total = total_payment(p_da, result)
-    return (
-        f"{day},{ev},{p_da:.12g},{result.charge_gap:.12g},"
-        f"{result.penalty:.12g},{int(result.event_triggered)},{total:.12g}"
-    )

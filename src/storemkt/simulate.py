@@ -20,19 +20,13 @@ import numpy as np
 
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
-from .dispatch import (
-    SolveResult,
-    SolverConfig,
-    estimate_lipschitz_K,
-    solve_outer,
-)
-from .mdp import EVSpec, MdpModel, StateSpace, expected_outcome, rollout
+from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K
+from .mdp import EVSpec, rollout
 from .mechanism import (
     EmpiricalRecord,
     PenaltySchedule,
-    SettlementResult,
     WindowSchedule,
-    day_ahead_payment,
+    day_ahead,
     settlement,
     total_payment,
 )
@@ -299,22 +293,9 @@ def run_horizon(
     n_evs = len(specs)
     bids = tuple(s.day_ahead_bid for s in strategies)
 
-    solve = solve_outer(bids, solver_config, market, specs)
-    space = StateSpace(tuple(specs), bids)
-    model = MdpModel(market, tuple(specs), bids, solve.g_star)
-    expected = expected_outcome(model, solve.policy, space)
-    gen_cost = market.generator_cost(solve.g_star)
-    p_da = []
-    for i in range(n_evs):
-        minus = solve_outer(
-            tuple(b for k, b in enumerate(bids) if k != i),
-            solver_config,
-            market,
-            tuple(s for k, s in enumerate(specs) if k != i),
-        )
-        p_da.append(
-            day_ahead_payment(i, solve, minus, expected, gen_cost, market.ev_energy_value)
-        )
+    da = day_ahead(bids, solver_config, market, specs)
+    solve, expected, gen_cost, p_da = da.solve, da.expected, da.generator_cost, list(da.p_da)
+    model, space = solve.model, solve.space
     j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs)
     planned = (
         rollout(model, solve.policy, _nominal_reports(bids), space).storage

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,6 @@ from storemkt.dispatch import (
     default_caps,
     estimate_lipschitz_K,
     grid_levels,
-    q_star_minus,
     quantize_up,
     solve_outer,
 )
@@ -37,6 +37,7 @@ from storemkt.mdp import (
     expected_outcome,
     solve_dp,
 )
+from storemkt.mechanism import day_ahead
 from storemkt.presets import preset_config
 from storemkt.scenarios import random_floored_pmf, random_small_instance, random_tiny_instance
 
@@ -118,11 +119,10 @@ def test_table1_frozen_solutions():
 
 def test_q_star_minus():
     s = setup_for("example1:p=0.19")
-    assert q_star_minus(s.params, 0, s.solver, s.market, s.specs) == pytest.approx(
-        2.0, abs=1e-12
-    )
+    da = day_ahead(s.params, s.solver, s.market, s.specs)
+    assert da.q_star_minus[0] == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(IndexError):
-        q_star_minus(s.params, 1, s.solver, s.market, s.specs)
+        da.q_star_minus[1]
 
 
 def test_grid_too_large_suggests_beam():
@@ -362,3 +362,34 @@ def test_solve_result_export_shape():
     assert payload["q_star"] == pytest.approx(1.9)
     assert payload["candidates_evaluated"] == 2
     assert "values" in payload and "policy" in payload
+
+
+def _arrays(obj):
+    """Every ndarray reachable from ``obj`` through lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _arrays(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _arrays(x)
+
+
+def test_solve_result_carries_its_model_and_space():
+    s = setup_for("table1:n=2")
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    assert res.model.dispatch == res.g_star
+    assert res.model.specs == tuple(s.specs) and res.model.params == tuple(s.params)
+    assert res.space.specs == tuple(s.specs) and res.space.params == tuple(s.params)
+    rebuilt = expected_outcome(
+        MdpModel(s.market, s.specs, s.params, res.g_star), res.policy, StateSpace(s.specs, s.params)
+    )
+    kept = expected_outcome(res.model, res.policy, res.space)
+    assert kept.reserve_cost == rebuilt.reserve_cost
+    assert np.array_equal(kept.terminal_charge, rebuilt.terminal_charge)
+    # the batched pass ran on this space (n_states x plans values), but the
+    # space keeps only per-state tables: nothing scales with the plan count
+    assert res.candidates_evaluated > 1000
+    bound = res.space.n_states * len(s.specs)
+    assert max(a.size for a in _arrays(vars(res.space))) <= bound

@@ -8,15 +8,14 @@ from storemkt.config import load_setup
 from storemkt.deadlines import DeadlineDistribution
 from storemkt.dispatch import solve_outer
 from storemkt.mdp import ExpectedOutcome, MdpModel, StateSpace, expected_outcome, solve_dp
+from storemkt import mechanism
 from storemkt.mechanism import (
-    LEDGER_HEADER,
     EmpiricalRecord,
     PenaltySchedule,
-    SettlementResult,
     WindowSchedule,
+    day_ahead,
     day_ahead_payment,
     empirical_deviation,
-    ledger_row,
     penalty_event,
     settlement,
     total_payment,
@@ -133,9 +132,10 @@ def test_day_ahead_payment_identity_enforced():
     space = StateSpace(s.specs, s.params)
     expected = expected_outcome(model, res.policy, space)
     gen = s.market.generator_cost(res.g_star)
-    pay = day_ahead_payment(0, res, minus, expected, gen, s.market.ev_energy_value)
+    pay, residual = day_ahead_payment(0, res, minus, expected, gen, s.market.ev_energy_value)
     # externality: q*_{-i} - q* - credited energy
     assert pay == pytest.approx(2.0 - 1.9 - expected.terminal_charge[0], abs=1e-9)
+    assert abs(residual) <= 1e-9
     with pytest.raises(IndexError):
         day_ahead_payment(1, res, minus, expected, gen, 1.0)
     # a distorted expectation breaks the two-route agreement
@@ -146,18 +146,31 @@ def test_day_ahead_payment_identity_enforced():
         day_ahead_payment(0, res, minus, warped, gen, s.market.ev_energy_value)
 
 
-def test_ledger_row_format():
-    r = SettlementResult(charge_gap=-0.81, penalty=0.0, event_triggered=False)
-    assert ledger_row(3, 1, -0.124198, r) == "3,1,-0.124198,-0.81,0,0,-0.934198"
-    assert LEDGER_HEADER.split(",") == [
-        "day",
-        "ev",
-        "p_da",
-        "charge_gap",
-        "penalty",
-        "event",
-        "total_payment",
-    ]
+def test_day_ahead_shares_leave_one_out_solves(monkeypatch):
+    # two identical EVs plus one with an extra level: EVs 1 and 2 leave
+    # the same fleet behind, so they share one re-solve
+    cfg = preset_config("table1:n=3")
+    cfg["evs"][-1]["levels"] = [0.0, 5.0, 10.0]
+    s = load_setup(cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_outer(*args)
+
+    monkeypatch.setattr(mechanism, "solve_outer", counted)
+    da = day_ahead(s.params, s.solver, s.market, s.specs)
+    assert len(calls) == 3  # the full fleet and two distinct remainders
+    assert len(da.q_star_minus) == len(da.p_da) == len(da.identity_residual) == 3
+    for i in range(3):
+        rest = [k for k in range(3) if k != i]
+        direct = solve_outer(
+            tuple(s.params[k] for k in rest), s.solver, s.market, tuple(s.specs[k] for k in rest)
+        )
+        assert da.q_star_minus[i] == direct.q_star
+        assert abs(da.identity_residual[i]) <= 1e-9
+    assert da.q_star_minus[0] == da.q_star_minus[1]
+    assert da.generator_cost == s.market.generator_cost(da.solve.g_star)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

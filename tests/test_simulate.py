@@ -6,6 +6,7 @@ import pytest
 from storemkt.config import load_setup
 from storemkt.deadlines import DeadlineDistribution
 from storemkt.dispatch import SolverConfig
+from storemkt.experiments import payments_table
 from storemkt.mechanism import EmpiricalRecord, WindowSchedule
 from storemkt.presets import preset_config
 from storemkt.simulate import (
@@ -229,3 +230,14 @@ def test_verify_theorem1_self_adversary_has_zero_gap():
     assert base["ir_ok"] and base["efficiency_ok"]
     assert report["all_ok"] is True
     assert report["j_m"] == pytest.approx(EXAMPLE1_J_M, abs=1e-9)
+
+
+def test_simulate_and_payments_price_the_same_day_ahead():
+    s = load_setup(preset_config("table1:n=2"))
+    solve, rows = payments_table(s)
+    res = run_horizon(
+        s.market, s.specs, s.params, s.strategies, 3, 0,
+        s.window_schedule, s.penalty_schedule, s.solver, 0.0,
+    )
+    assert res.solve.q_star == solve.q_star and res.solve.g_star == solve.g_star
+    assert res.p_da == [r["p_da"] for r in rows]
