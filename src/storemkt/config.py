@@ -174,6 +174,7 @@ def validate_config(raw: dict) -> tuple[dict | None, list[str]]:
         diags.append("evs: must be a list")
         evs = []
     norm_evs = []
+    zero_floor = []
     for k, ev in enumerate(evs):
         path = f"evs[{k}]"
         if not isinstance(ev, dict):
@@ -199,9 +200,7 @@ def validate_config(raw: dict) -> tuple[dict | None, list[str]]:
                 diags.append(f"{path}.theta.floor: must be a nonnegative number")
             else:
                 if floor == 0.0:
-                    log.warning(
-                        "%s.theta: probability floor 0 accepted (preset exception)", path
-                    )
+                    zero_floor.append(f"{path}.theta")
                 for msg in violations(pmf, floor):
                     diags.append(f"{path}.theta: {msg}")
         norm_evs.append(
@@ -212,6 +211,10 @@ def validate_config(raw: dict) -> tuple[dict | None, list[str]]:
             }
         )
     norm["evs"] = norm_evs
+    if zero_floor:
+        log.warning(
+            "%s: probability floor 0 accepted (preset exception)", ", ".join(zero_floor)
+        )
 
     mech = _merged("mechanism", raw.get("mechanism"))
     if not _is_num(mech.get("gamma")) or mech["gamma"] <= 0.5:

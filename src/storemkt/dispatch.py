@@ -2,8 +2,8 @@
 
 The outer stage enumerates quantized dispatch vectors; the inner stage
 prices each one by solving the storage MDP.  ``beta_bar(g)`` is that
-price: dispatch cost plus the optimal expected recourse value from the
-initial state.
+price for one plan by the reference recursion: dispatch cost plus the
+optimal expected recourse value from the initial state.
 
 Grid and beam plans are priced by one batched backward pass whose columns
 are dispatch tails; the value at layer t depends only on the tail, so
@@ -18,19 +18,21 @@ the initial state's row.
 
 The exhaustive search prices the whole grid in one such pass.  Beam
 search prices every extended prefix of a depth in one pass: the columns
-are the prefixes, completed by the greedy tail they all share.  Explicit
-candidate lists are priced one plan at a time by the reference recursion.
+are the prefixes, completed by the greedy tail they all share.  An
+explicit candidate list is priced the same way, as full-length prefixes
+with an empty tail.
 
-The winning plan is re-solved by the plain reference recursion
-(``mdp.solve_dp``), which also yields its policy, and the two values must
-agree; disagreement is a bug, not a tolerance question.
+Every search mode ends alike: the winning plan is re-solved by the plain
+reference recursion (``mdp.solve_dp``), which also yields its policy, and
+the two values must agree; disagreement is a bug, not a tolerance
+question.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +43,10 @@ from .mdp import (
     EVSpec,
     MarkovPolicy,
     MdpModel,
-    NoFeasibleContinuation,
     StateSpace,
     ValueTable,
     beta,
+    check_dispatch,
     policy_artifact,
     solve_dp,
 )
@@ -74,8 +76,10 @@ class SolverConfig:
 
     ``candidates`` pins an explicit list of dispatch plans and bypasses the
     grid entirely (used by fixed scenarios whose published options are a
-    strict subset of the quantized grid).  ``caps`` overrides the default
-    per-slot bound demand-rounded-up + total fleet capacity.
+    strict subset of the quantized grid); the list is priced by the same
+    batched pass and cross-check as grid and beam plans.  ``caps``
+    overrides the default per-slot bound demand-rounded-up + total fleet
+    capacity.
     """
 
     step: float = DEFAULT_STEP
@@ -313,27 +317,23 @@ def _grid_gen_costs(market: MarketModel, levels: list[list[float]]) -> np.ndarra
     return acc
 
 
-def _solve_explicit(
-    bids: Sequence[DeadlineDistribution],
-    candidates: Sequence[tuple[float, ...]],
+def _price_plans(
     market: MarketModel,
-    specs: Sequence[EVSpec],
-) -> tuple[tuple[float, ...], int]:
-    best_q = math.inf
-    best_g: tuple[float, ...] | None = None
-    for g in candidates:
-        try:
-            q = beta_bar(bids, g, market, specs)
-        except NoFeasibleContinuation:
-            continue
-        if q == math.inf:
-            continue
-        if best_g is None or q < best_q or (q == best_q and g < best_g):
-            best_q = q
-            best_g = g
-    if best_g is None:
-        raise InfeasibleModel("every candidate dispatch is infeasible")
-    return best_g, len(candidates)
+    space: StateSpace,
+    plans: Sequence[tuple[float, ...]],
+    tail: Sequence[float] = (),
+) -> list[tuple[float, tuple[float, ...]]]:
+    """Price each plan completed by the shared ``tail`` in one batched
+    pass.  Returns (cost, plan) pairs cheapest first, +inf for plans with
+    no finite-cost policy, ties to the smaller plan."""
+    stages, cols = _prefix_stages(plans, tail)
+    inner = _batched_inner_values(market, space, stages)
+    scored = []
+    for p, col in zip(plans, cols):
+        q = market.generator_cost(list(p) + list(tail)) + float(inner[col])
+        scored.append((q if inner[col] < INF_THRESHOLD else math.inf, p))
+    scored.sort()
+    return scored
 
 
 def _solve_beam(
@@ -350,15 +350,8 @@ def _solve_beam(
     evaluated = 0
     scored: list[tuple[float, tuple[float, ...]]] = []
     for slot in range(1, market.horizon + 1):
-        tail = _greedy_tail(market, levels, slot + 1)
         extended = [p + (g,) for p in prefixes for g in levels[slot - 1]]
-        stages, cols = _prefix_stages(extended, tail)
-        inner = _batched_inner_values(market, space, stages)
-        scored = []
-        for p, col in zip(extended, cols):
-            q = market.generator_cost(list(p) + tail) + float(inner[col])
-            scored.append((q if inner[col] < INF_THRESHOLD else math.inf, p))
-        scored.sort()
+        scored = _price_plans(market, space, extended, _greedy_tail(market, levels, slot + 1))
         evaluated += len(extended)
         prefixes = [p for _, p in scored[:width]]
     best_q, best_g = scored[0]
@@ -375,15 +368,21 @@ def solve_outer(
 ) -> SolveResult:
     """Search the dispatch space, price each plan by the inner DP, return
     the cheapest plan with its policy.  Ties go to the lexicographically
-    smallest plan.  Grid and beam winners are independently re-solved by
-    the reference recursion; any disagreement beyond CROSS_CHECK_TOL
-    raises."""
+    smallest plan.  Every winner is independently re-solved by the
+    reference recursion; any disagreement beyond CROSS_CHECK_TOL raises."""
     bids = tuple(bids)
     specs = tuple(specs)
     space = StateSpace(specs, bids)
-    batched_q = None
     if config.candidates is not None:
-        g_star, evaluated = _solve_explicit(bids, config.candidates, market, specs)
+        candidates = config.candidates
+        if not candidates:
+            raise InfeasibleModel("every candidate dispatch is infeasible")
+        for g in candidates:
+            check_dispatch(g, market.horizon)
+        batched_q, g_star = _price_plans(market, space, candidates)[0]
+        if batched_q == math.inf:
+            raise InfeasibleModel("every candidate dispatch is infeasible")
+        evaluated = len(candidates)
     elif config.mode == "beam":
         levels = grid_levels(market, specs, config)
         g_star, batched_q, evaluated = _solve_beam(levels, market, space, config.beam_width)
@@ -408,7 +407,7 @@ def solve_outer(
     model = MdpModel(market, specs, bids, g_star)
     values, policy = solve_dp(model, space)
     q_star = market.generator_cost(g_star) + values.v0()
-    if batched_q is not None and abs(q_star - batched_q) > CROSS_CHECK_TOL:
+    if abs(q_star - batched_q) > CROSS_CHECK_TOL:
         raise RuntimeError(
             f"batched and reference inner values disagree: "
             f"{batched_q} vs {q_star} at g={g_star}"
@@ -461,31 +460,25 @@ def conditional_beta(
 
 
 def estimate_lipschitz_K(
-    sampler: Callable[[np.random.Generator], Sequence[DeadlineDistribution]]
-    | Sequence[Sequence[DeadlineDistribution]],
+    profiles: Sequence[Sequence[DeadlineDistribution]],
     trials: int,
     config: SolverConfig,
     market: MarketModel,
     specs: Sequence[EVSpec],
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Sampled bound on the cost sensitivity to belief perturbations.
 
-    For each sampled bid profile, solve the two-stage problem and take
-    2*sqrt(T) times the l2 norm of the per-slot conditional costs; the
-    estimate is the running max, so it is nondecreasing in ``trials``.
+    For each of the first ``trials`` bid profiles (cycling through
+    ``profiles``), solve the two-stage problem and take 2*sqrt(T) times
+    the l2 norm of the per-slot conditional costs; the estimate is the
+    running max, so it is nondecreasing in ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     best = 0.0
     horizon = market.horizon
     for k in range(trials):
-        if callable(sampler):
-            if rng is None:
-                raise ValueError("a sampler callable requires an rng")
-            bids = tuple(sampler(rng))
-        else:
-            bids = tuple(sampler[k % len(sampler)])
+        bids = tuple(profiles[k % len(profiles)])
         result = solve_outer(bids, config, market, specs)
         model = result.model
         for i in range(len(specs)):

@@ -91,10 +91,7 @@ class MdpModel:
         if len(self.specs) != len(self.params):
             raise ValueError("one deadline distribution per EV is required")
         horizon = self.market.horizon
-        if len(self.dispatch) != horizon:
-            raise ValueError("dispatch length does not match horizon")
-        if any(g < 0 for g in self.dispatch):
-            raise ValueError("dispatch must be nonnegative")
+        check_dispatch(self.dispatch, horizon)
         for k, dist in enumerate(self.params):
             if dist.horizon != horizon:
                 raise ValueError(f"params[{k}] horizon {dist.horizon} != {horizon}")
@@ -108,21 +105,12 @@ class MdpModel:
         return len(self.specs)
 
 
-def feasible_actions(
-    specs: Sequence[EVSpec], state: Sequence[tuple[bool, float]]
-) -> list[tuple[float, ...]]:
-    """All joint charge-delta vectors, ordered lexicographically by EV.
-
-    A connected EV may move to any admissible level; a disconnected EV's
-    only action is 0.
-    """
-    per_ev: list[list[float]] = []
-    for spec, (connected, h) in zip(specs, state):
-        if connected:
-            per_ev.append(sorted(lvl - h for lvl in spec.levels))
-        else:
-            per_ev.append([0.0])
-    return [tuple(a) for a in itertools.product(*per_ev)]
+def check_dispatch(dispatch: Sequence[float], horizon: int) -> None:
+    """Raise ValueError unless ``dispatch`` is one nonnegative level per slot."""
+    if len(dispatch) != horizon:
+        raise ValueError("dispatch length does not match horizon")
+    if any(g < 0 for g in dispatch):
+        raise ValueError("dispatch must be nonnegative")
 
 
 def stage_cost(
@@ -133,9 +121,12 @@ def stage_cost(
     return market.reserve_cost_at(slot, mismatch)
 
 
-def terminal_cost(market: MarketModel, state: Sequence[tuple[bool, float]]) -> float:
-    """Terminal credit: stored energy valued at ev_energy_value, negated."""
-    return -market.ev_energy_value * float(sum(h for _, h in state))
+def system_cost(
+    market: MarketModel, generator_cost: float, reserve_cost: float, terminal: np.ndarray
+) -> float:
+    """Realized system cost: dispatch cost + reserve cost - value of the
+    energy ``terminal`` (kWh per EV) handed to EVs."""
+    return generator_cost + reserve_cost - market.ev_energy_value * float(terminal.sum())
 
 
 def transition_prob(
@@ -570,11 +561,8 @@ def beta(model: MdpModel, policy: MarkovPolicy, reported: Sequence[int],
     """Realized system cost for one reported-deadline profile:
     dispatch cost + reserve cost - value of energy handed to EVs."""
     r = rollout(model, policy, reported, space)
-    return (
-        model.market.generator_cost(model.dispatch)
-        + r.reserve_cost
-        - model.market.ev_energy_value * float(r.terminal.sum())
-    )
+    market = model.market
+    return system_cost(market, market.generator_cost(model.dispatch), r.reserve_cost, r.terminal)
 
 
 @dataclass(frozen=True)
@@ -608,11 +596,8 @@ def expected_outcome(
     terminal = (
         space.charge_by_ev @ mu if model.specs else np.zeros(0)
     )
-    total = (
-        model.market.generator_cost(model.dispatch)
-        + exp_reserve
-        - model.market.ev_energy_value * float(terminal.sum())
-    )
+    market = model.market
+    total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
 
 
@@ -651,11 +636,8 @@ def enumerated_outcome(
         r = rollout(model, policy, profile, space)
         exp_reserve += p * r.reserve_cost
         terminal += p * r.terminal
-    total = (
-        model.market.generator_cost(model.dispatch)
-        + exp_reserve
-        - model.market.ev_energy_value * float(terminal.sum())
-    )
+    market = model.market
+    total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
 
 
@@ -681,10 +663,7 @@ def monte_carlo_outcome(
         terminal += r.terminal
     exp_reserve /= samples
     terminal /= samples
-    total = (
-        model.market.generator_cost(model.dispatch)
-        + exp_reserve
-        - model.market.ev_energy_value * float(terminal.sum())
-    )
+    market = model.market
+    total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
 

@@ -10,6 +10,7 @@ Preset arguments ride in the name: ``example1:p=0.21``,
 """
 from __future__ import annotations
 
+import functools
 import logging
 from typing import Callable
 
@@ -36,7 +37,9 @@ SINGLE_PRESETS = ("example1", "table1", "theorem1")
 EXPERIMENT_PRESETS = ("example1", "table1", "fig2", "lemma-checks", "theorem1")
 
 
+@functools.cache
 def table1_theta(profile: str) -> tuple[float, ...]:
+    """Profile weights summing to one; renormalized (and logged) once per process."""
     pmf = TABLE1_THETAS_RAW[profile]
     s = sum(pmf)
     if abs(s - 1.0) > SUM_TOL:

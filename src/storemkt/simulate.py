@@ -21,7 +21,7 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
 from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K
-from .mdp import EVSpec, rollout
+from .mdp import EVSpec, rollout, system_cost
 from .mechanism import (
     EmpiricalRecord,
     PenaltySchedule,
@@ -321,11 +321,7 @@ def run_horizon(
             for i in range(n_evs)
         ]
         day_roll = rollout(model, solve.policy, reports, space)
-        beta_day = (
-            gen_cost
-            + day_roll.reserve_cost
-            - market.ev_energy_value * float(day_roll.terminal.sum())
-        )
+        beta_day = system_cost(market, gen_cost, day_roll.reserve_cost, day_roll.terminal)
         beta_days[day - 1] = beta_day
         trace.append(
             {

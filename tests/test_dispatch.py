@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storemkt import dispatch
 from storemkt.config import load_setup
 from storemkt.costs import MarketModel, asym_lin_quad, linear
 from storemkt.deadlines import DeadlineDistribution, make_rng
@@ -161,8 +162,9 @@ def _every_plan_instances():
 
 def test_batched_values_match_reference_on_every_plan():
     # the solver's cross-check sees only the winner; here every grid plan,
-    # and every beam prefix completed by its greedy tail, is priced by the
-    # batched kernel and by the scalar reference recursion
+    # every beam prefix completed by its greedy tail, and an explicit
+    # candidate list are priced by the batched kernel and by the scalar
+    # reference recursion
     infeasible = 0
     for market, specs, bids, config in _every_plan_instances():
         space = StateSpace(specs, bids)
@@ -194,7 +196,32 @@ def test_batched_values_match_reference_on_every_plan():
             inner = _batched_inner_values(market, space, stages)
             for prefix, col in zip(prefixes, cols):
                 assert agrees(inner[col], reference(prefix + tuple(tail))), prefix
+        # full-length plans with an empty tail, as solve_outer prices a
+        # candidate list: a duplicate shares its column, and an off-grid
+        # plan is priced like any other
+        off_grid = tuple(g + 0.25 * config.step for g in plans[len(plans) // 2])
+        explicit = plans[::7] + [plans[0], off_grid]
+        stages, cols = _prefix_stages(explicit, ())
+        inner = _batched_inner_values(market, space, stages)
+        assert cols[len(explicit) - 2] == cols[0]
+        for plan, col in zip(explicit, cols):
+            assert agrees(inner[col], reference(plan)), plan
     assert infeasible > 0
+
+
+@pytest.mark.parametrize(
+    "candidates, error, message",
+    [
+        ((), InfeasibleModel, "every candidate dispatch is infeasible"),
+        (((1.0, 0.0), (1.0,)), ValueError, "dispatch length does not match horizon"),
+        (((0.0, 1.0), (2.0, -1.0)), ValueError, "dispatch must be nonnegative"),
+    ],
+)
+def test_bad_candidate_lists_raise_named_errors(candidates, error, message):
+    s = setup_for("example1:p=0.19")
+    config = SolverConfig(step=1.0, candidates=candidates)
+    with pytest.raises(error, match=message):
+        solve_outer(s.params, config, s.market, s.specs)
 
 
 NON_DYADIC_MARKET = MarketModel(
@@ -284,19 +311,26 @@ def test_lipschitz_estimate_frozen_and_monotone():
     k1 = estimate_lipschitz_K([s.params], 1, s.solver, s.market, s.specs)
     assert k1 == pytest.approx(EXAMPLE1_K_HAT, abs=1e-12)
 
-    def sampler(rng):
-        return tuple(
-            type(s.params[0])(random_floored_pmf(rng, 2, 0.02), floor=0.02)
-            for _ in s.specs
-        )
-
-    a = estimate_lipschitz_K(sampler, 1, s.solver, s.market, s.specs, make_rng(7))
-    b = estimate_lipschitz_K(sampler, 4, s.solver, s.market, s.specs, make_rng(7))
-    assert b >= a  # running max over a replayed stream
-    with pytest.raises(ValueError):
-        estimate_lipschitz_K(sampler, 1, s.solver, s.market, s.specs)
+    rng = make_rng(7)
+    profiles = [
+        tuple(DeadlineDistribution(random_floored_pmf(rng, 2, 0.02), floor=0.02) for _ in s.specs)
+        for _ in range(4)
+    ]
+    a = estimate_lipschitz_K(profiles, 1, s.solver, s.market, s.specs)
+    b = estimate_lipschitz_K(profiles, 4, s.solver, s.market, s.specs)
+    assert b >= a  # running max over the same profiles
     with pytest.raises(ValueError):
         estimate_lipschitz_K([s.params], 0, s.solver, s.market, s.specs)
+
+
+def test_explicit_winner_is_cross_checked(monkeypatch):
+    # a candidate list's winner faces the same reference re-solve as grid
+    # and beam winners
+    s = setup_for("example1:p=0.19")
+    batched = dispatch._batched_inner_values
+    monkeypatch.setattr(dispatch, "_batched_inner_values", lambda *a: batched(*a) + 1e-3)
+    with pytest.raises(RuntimeError, match="disagree"):
+        solve_outer(s.params, s.solver, s.market, s.specs)
 
 
 def test_infeasible_when_every_candidate_fails():

@@ -16,13 +16,11 @@ from storemkt.mdp import (
     beta,
     enumerated_outcome,
     expected_outcome,
-    feasible_actions,
     monte_carlo_outcome,
     policy_artifact,
     rollout,
     solve_dp,
     stage_cost,
-    terminal_cost,
     transition_prob,
 )
 from storemkt.scenarios import random_small_instance
@@ -59,12 +57,20 @@ def test_ev_spec_validation():
 
 
 def test_feasible_actions_order():
+    # joint actions as solve_dp enumerates them: per-EV moves in target
+    # index order, so ties keep the lexicographically smallest delta vector
     specs = (EVSpec(1.0, (0.0, 1.0)), EVSpec(1.0, (0.0, 1.0)))
-    state = ((True, 0.0), (False, 1.0))
-    acts = feasible_actions(specs, state)
-    assert acts == [(0.0, 0.0), (1.0, 0.0)]
+    space = StateSpace(specs, (UNIFORM5, UNIFORM5))
+
+    def actions(state):
+        per_ids = space._per_ids(space.encode(state))
+        moves = [space._ev_moves(i, per) for i, per in enumerate(per_ids)]
+        return [tuple(delta for delta, _ in combo) for combo in itertools.product(*moves)]
+
+    assert actions(((True, 0.0), (False, 1.0))) == [(0.0, 0.0), (1.0, 0.0)]
+    assert actions(((True, 1.0), (False, 1.0))) == [(-1.0, 0.0), (0.0, 0.0)]
     # fully disconnected fleet freezes
-    assert feasible_actions(specs, ((False, 0.0), (False, 1.0))) == [(0.0, 0.0)]
+    assert actions(((False, 0.0), (False, 1.0))) == [(0.0, 0.0)]
 
 
 def test_stage_and_terminal_cost():
@@ -72,7 +78,13 @@ def test_stage_and_terminal_cost():
     assert stage_cost(m, 2, 0.0, (0.0,)) == 11.0
     assert stage_cost(m, 2, 1.0, (0.0,)) == 0.0
     assert stage_cost(m, 1, 0.0, (1.0,)) == math.inf
-    assert terminal_cost(m, ((False, 1.0), (True, 0.5))) == -1.5
+    # the terminal layer credits stored energy at ev_energy_value
+    half = EVSpec(1.0, (0.0, 0.5, 1.0))
+    bid = DeadlineDistribution((0.5, 0.5))
+    model = MdpModel(m, (half, half), (bid, bid), (0.0, 1.0))
+    space = StateSpace(model.specs, model.params)
+    values, _ = solve_dp(model, space)
+    assert values.values[2, space.encode(((False, 1.0), (True, 0.5)))] == -1.5
 
 
 def test_hazard_values_uniform_profile():
