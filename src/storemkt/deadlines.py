@@ -112,7 +112,10 @@ class DeadlineDistribution:
         return self.sample_many(rng, 1)[0]
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
+        return self.quantile(rng.random(n))
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Deadline slot of each uniform in ``u``: the smallest t with F(t) >= u."""
         cdf = self.cdf()
         idx = np.searchsorted(cdf, u, side="left")
         # cumulative rounding can leave cdf[-1] a hair under 1.0

@@ -43,9 +43,9 @@ from .mdp import (
     EVSpec,
     MarkovPolicy,
     MdpModel,
+    ProfileOutcomes,
     StateSpace,
     ValueTable,
-    beta,
     check_dispatch,
     policy_artifact,
     solve_dp,
@@ -429,16 +429,19 @@ def conditional_beta(
     i: int,
     t: int,
     space: StateSpace | None = None,
+    outcomes: ProfileOutcomes | None = None,
 ) -> float:
     """Expected realized cost given EV ``i`` reports slot ``t``, others
-    drawn from their distributions.  Exact by enumeration."""
+    drawn from their distributions.  Exact by enumeration; ``outcomes``
+    lets calls on one solve share their rollouts."""
     if not 0 <= i < model.n_evs:
         raise IndexError(f"EV index {i} out of range")
     if not 1 <= t <= model.horizon:
         raise ValueError(f"slot {t} outside 1..{model.horizon}")
     if model.params[i].pmf[t - 1] <= 0.0:
         raise ValueError(f"slot {t} has zero probability for EV {i + 1}")
-    space = space or StateSpace(model.specs, model.params)
+    if outcomes is None:
+        outcomes = ProfileOutcomes(model, policy, space)
     others = [k for k in range(model.n_evs) if k != i]
     count = model.horizon ** len(others)
     if count > ENUMERATION_GUARD:
@@ -455,7 +458,7 @@ def conditional_beta(
         profile[i] = t
         for k, tk in zip(others, combo):
             profile[k] = tk
-        total += p * beta(model, policy, profile, space)
+        total += p * outcomes[profile].system_cost
     return total
 
 
@@ -481,10 +484,11 @@ def estimate_lipschitz_K(
         bids = tuple(profiles[k % len(profiles)])
         result = solve_outer(bids, config, market, specs)
         model = result.model
+        outcomes = ProfileOutcomes(model, result.policy, result.space)
         for i in range(len(specs)):
             vec = np.array(
                 [
-                    conditional_beta(model, result.policy, i, t, result.space)
+                    conditional_beta(model, result.policy, i, t, outcomes=outcomes)
                     for t in range(1, horizon + 1)
                     if model.params[i].pmf[t - 1] > 0.0
                 ]

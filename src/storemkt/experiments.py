@@ -281,15 +281,8 @@ def window_compliance_suite(seeds: int = 20, days: int = 2000) -> dict:
             setup.solver,
             setup.j_m,
         )
-        late = [
-            r
-            for r in res.trace_rows
-            if r.get("row") == "ev" and r["day"] >= 50 and r["event"]
-        ]
-        events_total += sum(
-            1 for r in res.trace_rows if r.get("row") == "ev" and r["event"]
-        )
-        if late:
+        events_total += int(res.event_days.sum())
+        if res.event_days[:, 49:].any():  # an event on day 50 or later
             bad.append(seed)
     return {
         "seeds": seeds,
@@ -351,15 +344,10 @@ def penalty_growth_suite(days: int = 120, seed: int = 0) -> dict:
         setup.solver,
         setup.j_m,
     )
-    per_day = [
-        r["penalty"] for r in res.trace_rows if r.get("row") == "ev"
-    ]
-    running = np.cumsum(per_day) / np.arange(1, days + 1)
+    running = np.cumsum(res.penalty_days[0]) / np.arange(1, days + 1)
     monotone = bool(np.all(np.diff(running[9:]) >= -1e-12))
-    first_event = next(
-        (r["day"] for r in res.trace_rows if r.get("row") == "ev" and r["event"]),
-        None,
-    )
+    event_days = np.flatnonzero(res.event_days[0]) + 1
+    first_event = int(event_days[0]) if event_days.size else None
     return {
         "days": days,
         "seed": seed,

@@ -556,13 +556,47 @@ def rollout(
     return RolloutResult(storage, mismatch, float(reserve_total), storage[:, -1].copy())
 
 
+@dataclass(frozen=True)
+class ProfileOutcome:
+    """One report profile's realized day and its realized system cost."""
+
+    rollout: RolloutResult
+    system_cost: float
+
+
+class ProfileOutcomes:
+    """Lazy memo of a committed policy's realized day per report profile.
+
+    A day's realized schedule depends on nothing but its report profile,
+    so each distinct profile is rolled out once however often it is asked
+    for.  Nothing is enumerated up front: only profiles that are asked for
+    are rolled out, so there is no Tⁿ guard.
+    """
+
+    def __init__(
+        self, model: MdpModel, policy: MarkovPolicy, space: StateSpace | None = None
+    ) -> None:
+        self.model = model
+        self.policy = policy
+        self.space = space or StateSpace(model.specs, model.params)
+        self.generator_cost = model.market.generator_cost(model.dispatch)
+        self._memo: dict[tuple[int, ...], ProfileOutcome] = {}
+
+    def __getitem__(self, reported: Sequence[int]) -> ProfileOutcome:
+        key = tuple(int(t) for t in reported)
+        out = self._memo.get(key)
+        if out is None:
+            r = rollout(self.model, self.policy, key, self.space)
+            cost = system_cost(self.model.market, self.generator_cost, r.reserve_cost, r.terminal)
+            out = self._memo[key] = ProfileOutcome(r, cost)
+        return out
+
+
 def beta(model: MdpModel, policy: MarkovPolicy, reported: Sequence[int],
          space: StateSpace | None = None) -> float:
     """Realized system cost for one reported-deadline profile:
     dispatch cost + reserve cost - value of energy handed to EVs."""
-    r = rollout(model, policy, reported, space)
-    market = model.market
-    return system_cost(market, market.generator_cost(model.dispatch), r.reserve_cost, r.terminal)
+    return ProfileOutcomes(model, policy, space)[reported].system_cost
 
 
 @dataclass(frozen=True)

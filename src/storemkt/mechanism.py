@@ -116,12 +116,23 @@ def empirical_deviation(record: EmpiricalRecord, phi: DeadlineDistribution) -> n
     return record.frequencies() - np.array(phi.pmf)
 
 
+def max_frequency_gap(counts: np.ndarray, days, pmf: np.ndarray) -> np.ndarray:
+    """Worst per-slot gap between report frequencies ``counts / days`` and
+    ``pmf``, taken over the last (slot) axis.  ``counts`` may stack many
+    records' counts, with ``days`` broadcasting against its leading axes."""
+    return np.abs(counts / days - pmf).max(axis=-1)
+
+
 def penalty_event(
     record: EmpiricalRecord, phi: DeadlineDistribution, schedule: WindowSchedule
 ) -> bool:
     """True when the worst per-slot frequency gap reaches the day's window."""
-    f = empirical_deviation(record, phi)
-    return bool(np.max(np.abs(f)) >= schedule.window(record.days))
+    if record.horizon != phi.horizon:
+        raise ValueError("record and bid horizons differ")
+    if record.days == 0:
+        raise ValueError("no reports recorded yet")
+    gap = max_frequency_gap(record.counts, record.days, np.array(phi.pmf))
+    return bool(gap >= schedule.window(record.days))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,20 @@
 """Multi-day market simulation with strategic EV agents.
 
 Chronology per day: true departure deadlines are drawn, each EV turns its
-deadline into a report via its real-time rule, the stored-energy policy is
-rolled out against the reports, and payments settle.  The day-ahead phase
-(bids, dispatch, VCG payments, expected departure charges) runs once since
-bids are stationary across days.
+deadline into a report via its real-time rule, the committed policy
+realizes the day for that report profile, and payments settle.  The
+day-ahead phase (bids, dispatch, VCG payments, expected departure charges)
+runs once since bids are stationary across days.
+
+A day's realized schedule, system cost and energy true-up depend on its
+report profile alone, and there are at most Tⁿ profiles.  So
+``run_horizon`` works a whole horizon at once: it draws every deadline in
+one block, reads the stateless rules (truthful, fixed, early exit) from a
+per-slot table, rolls out each distinct report profile once, and runs the
+settlement's window test on every day from running report counts.  Only
+histogram matching, whose report depends on the record so far, steps
+through the days.  Every float is computed by the same operations as a
+day-by-day loop would use, so traces replay byte for byte.
 
 Real-time rules never consume randomness, so two runs with the same seed
 see identical deadline draws regardless of strategy; paired comparisons
@@ -13,7 +23,9 @@ between runs are therefore free of sampling noise from the draws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cache, cached_property, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -21,14 +33,13 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
 from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K
-from .mdp import EVSpec, rollout, system_cost
+from .mdp import EVSpec, ProfileOutcome, ProfileOutcomes
 from .mechanism import (
     EmpiricalRecord,
     PenaltySchedule,
     WindowSchedule,
     day_ahead,
-    settlement,
-    total_payment,
+    max_frequency_gap,
 )
 from .scenarios import random_floored_pmf
 
@@ -120,13 +131,19 @@ def ev_cost(
     return -ev_energy_value * float(storage_seq[reported_deadline - 1])
 
 
-def _post_update_max_dev(
-    record: EmpiricalRecord, bid: DeadlineDistribution, report: int
-) -> float:
-    l = record.days + 1
-    counts = record.counts.astype(float).copy()
-    counts[report - 1] += 1
-    return float(np.max(np.abs(counts / l - np.array(bid.pmf))))
+@cache
+def _unit_rows(horizon: int) -> np.ndarray:
+    """One report of each slot, row by row; shared, so read-only."""
+    rows = np.eye(horizon)
+    rows.flags.writeable = False
+    return rows
+
+
+def _post_update_gaps(record: EmpiricalRecord, bid: DeadlineDistribution) -> np.ndarray:
+    """Worst frequency gap to the bid after one more report, for each
+    candidate report slot 1..T (row t-1 counts one more report of slot t)."""
+    counts = record.counts + _unit_rows(record.horizon)
+    return max_frequency_gap(counts, record.days + 1, np.array(bid.pmf))
 
 
 def realtime_report(
@@ -162,34 +179,29 @@ def realtime_report(
         raise ValueError("histogram matching needs the window schedule")
     target = np.array(strategy.match_target().pmf)
     den = max(record.days, 1)
-    deficit = record.counts / den - target
-    bid = strategy.day_ahead_bid
-
-    def safe(t: int) -> bool:
-        return _post_update_max_dev(record, bid, t) < window_schedule.window(l)
+    deficit = (record.counts / den - target).tolist()
+    gaps = _post_update_gaps(record, strategy.day_ahead_bid).tolist()
+    window = window_schedule.window(l)
 
     def prefer(t: int) -> tuple:
         return (deficit[t - 1], -path[t - 1], t)
 
-    within = [t for t in range(1, true_deadline + 1)]
-    safe_within = [t for t in within if safe(t)]
+    def closest(t: int) -> tuple:
+        return (gaps[t - 1], -path[t - 1], t)
+
+    within = range(1, true_deadline + 1)
+    safe_within = [t for t in within if gaps[t - 1] < window]
     negative = [t for t in safe_within if deficit[t - 1] < 0.0]
     if negative:
         return min(negative, key=prefer)
     if safe_within:
-        return min(
-            safe_within,
-            key=lambda t: (_post_update_max_dev(record, bid, t), -path[t - 1], t),
-        )
-    safe_beyond = [t for t in range(true_deadline + 1, horizon + 1) if safe(t)]
+        return min(safe_within, key=closest)
+    safe_beyond = [t for t in range(true_deadline + 1, horizon + 1) if gaps[t - 1] < window]
     if safe_beyond:
         # every in-deadline report would trip the window; miss the deadline
         # rather than eat the (much larger) escalating penalty
         return min(safe_beyond, key=prefer)
-    return min(
-        within,
-        key=lambda t: (_post_update_max_dev(record, bid, t), -path[t - 1], t),
-    )
+    return min(within, key=closest)
 
 
 @dataclass
@@ -204,53 +216,113 @@ class AgentAccount:
         return self.utility / self.days if self.days else 0.0
 
 
+@dataclass(frozen=True)
+class DayOutcome:
+    """What a day's settlement and trace take from its report profile alone;
+    the trace strings are formatted once per profile."""
+
+    reported: tuple[int, ...]
+    reserve_cost: float
+    beta: float
+    charge_gap: tuple[float, ...]  # per EV: valued expected minus realized charge
+    kept_cost: tuple[float, ...]  # per EV: its ev_cost on a day it leaves in time
+    mismatch: str
+    storage: tuple[str, ...]  # per EV
+
+
+TRACE_COLUMNS = (
+    "day", "row", "ev", "true_delta", "reported", "storage", "mismatch",
+    "reserve_cost", "beta", "p_da", "charge_gap", "penalty", "event",
+    "total_payment", "ev_cost", "utility",
+)
+
+
 @dataclass
 class SimResult:
-    """Trace plus aggregates for one simulated horizon."""
+    """Per-day columns plus aggregates for one simulated horizon.
+
+    Day ``d`` realized the report profile ``outcomes[profile_days[d]]``;
+    the other per-day columns hold what varies within a profile.
+    """
 
     days: int
     seed: int
     solve: SolveResult
     p_da: list[float]
     j_m: float
-    trace_rows: list[dict]
     accounts: list[AgentAccount]
+    outcomes: list[DayOutcome]  # one per distinct report profile
+    profile_days: np.ndarray  # (L,) index into outcomes
+    true_days: np.ndarray  # (n_evs, L) true deadline slots
     utility_days: np.ndarray  # (n_evs, L) per-day utility
     beta_days: np.ndarray  # (L,)
     charge_gap_days: np.ndarray  # (n_evs, L)
+    penalty_days: np.ndarray  # (n_evs, L) window fine, 0 without an event
+    event_days: np.ndarray  # (n_evs, L) bool
+    payment_days: np.ndarray  # (n_evs, L) day-ahead transfer plus settlement
+    ev_cost_days: np.ndarray  # (n_evs, L)
     diagnostics: dict = field(default_factory=dict)
 
+    def _system_row(self, d: int) -> dict:
+        return {"day": d + 1, **_system_fields(self.outcomes[self.profile_days[d]])}
+
+    def _ev_row(self, i: int, d: int) -> dict:
+        o = self.outcomes[self.profile_days[d]]
+        return {
+            "day": d + 1,
+            "row": "ev",
+            "ev": i + 1,
+            "true_delta": int(self.true_days[i, d]),
+            "reported": o.reported[i],
+            "storage": o.storage[i],
+            "p_da": self.p_da[i],
+            "charge_gap": o.charge_gap[i],
+            "penalty": float(self.penalty_days[i, d]),
+            "event": bool(self.event_days[i, d]),
+            "total_payment": float(self.payment_days[i, d]),
+            "ev_cost": float(self.ev_cost_days[i, d]),
+            "utility": float(self.utility_days[i, d]),
+        }
+
+    @cached_property
+    def trace_rows(self) -> list[dict]:
+        """The trace as dicts: per day one system row, then one row per EV."""
+        rows = []
+        for d in range(self.days):
+            rows.append(self._system_row(d))
+            rows.extend(self._ev_row(i, d) for i in range(len(self.accounts)))
+        return rows
+
+    def _ev_fields(self, i: int) -> list[str]:
+        """EV ``i``'s CSV fields after the day, per day.  Without a window
+        event a row is fixed by (profile, true deadline), so each such pair
+        is formatted once."""
+        out, seen = [], {}
+        keys = zip(self.profile_days.tolist(), self.true_days[i].tolist())
+        for d, (key, event) in enumerate(zip(keys, self.event_days[i].tolist())):
+            if event:
+                out.append(_csv_fields(self._ev_row(i, d)))
+                continue
+            if key not in seen:
+                seen[key] = _csv_fields(self._ev_row(i, d))
+            out.append(seen[key])
+        return out
+
     def to_csv(self) -> str:
-        header = (
-            "day,row,ev,true_delta,reported,storage,mismatch,reserve_cost,"
-            "beta,p_da,charge_gap,penalty,event,total_payment,ev_cost,utility"
-        )
-        lines = [header]
-        for r in self.trace_rows:
-            lines.append(
-                ",".join(
-                    "" if r.get(k) is None else _fmt(r.get(k))
-                    for k in (
-                        "day",
-                        "row",
-                        "ev",
-                        "true_delta",
-                        "reported",
-                        "storage",
-                        "mismatch",
-                        "reserve_cost",
-                        "beta",
-                        "p_da",
-                        "charge_gap",
-                        "penalty",
-                        "event",
-                        "total_payment",
-                        "ev_cost",
-                        "utility",
-                    )
-                )
-            )
+        """The trace as CSV, one line per ``trace_rows`` entry, written
+        from the columns and the per-profile strings."""
+        system = [_csv_fields(_system_fields(o)) for o in self.outcomes]
+        per_ev = [self._ev_fields(i) for i in range(len(self.accounts))]
+        lines = [",".join(TRACE_COLUMNS)]
+        for d, k in enumerate(self.profile_days.tolist()):
+            day = str(d + 1)
+            lines.append(f"{day},{system[k]}")
+            lines.extend(f"{day},{fields[d]}" for fields in per_ev)
         return "\n".join(lines) + "\n"
+
+
+def _system_fields(o: DayOutcome) -> dict:
+    return {"row": "system", "mismatch": o.mismatch, "reserve_cost": o.reserve_cost, "beta": o.beta}
 
 
 def _fmt(x) -> str:
@@ -261,6 +333,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_fields(row: dict) -> str:
+    """A trace row's CSV fields after the day column."""
+    return ",".join("" if row.get(k) is None else _fmt(row[k]) for k in TRACE_COLUMNS[1:])
+
+
 def _nominal_reports(params: Sequence[DeadlineDistribution]) -> tuple[int, ...]:
     """Latest believable departure per EV: the all-stay reference path."""
     out = []
@@ -268,6 +345,85 @@ def _nominal_reports(params: Sequence[DeadlineDistribution]) -> tuple[int, ...]:
         latest = max(t for t in range(1, dist.horizon + 1) if dist.pmf[t - 1] > 0.0)
         out.append(latest)
     return tuple(out)
+
+
+def draw_deadlines(
+    laws: Sequence[DeadlineDistribution], rng: np.random.Generator, days: int
+) -> np.ndarray:
+    """True deadline slots, shape (n_evs, days).  The one uniform block is
+    the same doubles in the same order as one ``sample`` per EV per day,
+    EVs inner, so a seed replays the same days either way."""
+    u = rng.random((days, len(laws)))
+    out = np.empty((len(laws), days), dtype=np.int64)
+    for i, law in enumerate(laws):
+        out[i] = law.quantile(u[:, i])
+    return out
+
+
+def _report_days(
+    strategy: BiddingStrategy,
+    true_days: np.ndarray,
+    planned: np.ndarray,
+    window_schedule: WindowSchedule,
+) -> np.ndarray:
+    """One EV's reported slot on every day, given its true deadlines."""
+    horizon = len(planned)
+    if not isinstance(strategy.rule, HistogramMatch):
+        # every other rule is a function of the true deadline alone
+        blank = EmpiricalRecord(horizon)
+        table = np.array(
+            [realtime_report(strategy, t, blank, 1, planned) for t in range(1, horizon + 1)]
+        )
+        return table[true_days - 1]
+    record = EmpiricalRecord(horizon)
+    out = np.empty_like(true_days)
+    for day, t in enumerate(true_days.tolist(), start=1):
+        report = realtime_report(strategy, t, record, day, planned, window_schedule)
+        record.update(report)
+        out[day - 1] = report
+    return out
+
+
+def _day_outcome(
+    reported: tuple[int, ...],
+    realized: ProfileOutcome,
+    expected_charge: np.ndarray,
+    j_m: float,
+    ev_energy_value: float,
+) -> DayOutcome:
+    """One report profile's settlement and trace inputs, with the floats
+    that ``settlement`` and ``ev_cost`` would compute for it."""
+    r = realized.rollout
+    return DayOutcome(
+        reported=reported,
+        reserve_cost=float(r.reserve_cost),
+        beta=realized.system_cost,
+        charge_gap=tuple(
+            float(ev_energy_value * (float(e) - float(h)))
+            for e, h in zip(expected_charge, r.terminal)
+        ),
+        kept_cost=tuple(
+            ev_cost(t, t, r.storage[i], j_m, ev_energy_value) for i, t in enumerate(reported)
+        ),
+        mismatch=";".join(_fmt(float(m)) for m in r.mismatch),
+        storage=tuple(";".join(_fmt(float(h)) for h in row) for row in r.storage),
+    )
+
+
+def _window_events(reports: np.ndarray, bid: DeadlineDistribution, windows: np.ndarray) -> np.ndarray:
+    """Settlement's window test on every day at once, from running counts:
+    row l-1 of ``counts`` is the record after day l's report."""
+    days = len(reports)
+    counts = np.zeros((days, bid.horizon), dtype=np.int64)
+    counts[np.arange(days), reports - 1] = 1
+    np.cumsum(counts, axis=0, out=counts)
+    l = np.arange(1, days + 1)[:, None]
+    return max_frequency_gap(counts, l, np.array(bid.pmf)) >= windows
+
+
+def _left_sum(x: np.ndarray) -> float:
+    """Python float sum, left to right, as a running account adds it."""
+    return reduce(operator.add, x.tolist(), 0.0)
 
 
 def run_horizon(
@@ -287,6 +443,16 @@ def run_horizon(
         raise ValueError("need at least one day")
     if not (len(specs) == len(true_params) == len(strategies)):
         raise ValueError("specs, true_params and strategies must align")
+    horizon = market.horizon
+    for i, (law, strategy) in enumerate(zip(true_params, strategies)):
+        if law.horizon != horizon:
+            raise ValueError(
+                f"EV {i + 1}: true deadline law has {law.horizon} slots, "
+                f"the market has {horizon}"
+            )
+        rule = strategy.rule
+        if isinstance(rule, Fixed) and not 1 <= rule.slot <= horizon:
+            raise ValueError(f"EV {i + 1}: fixed report slot {rule.slot} outside 1..{horizon}")
     window_schedule = window_schedule or WindowSchedule()
     penalty_schedule = penalty_schedule or PenaltySchedule()
     solver_config = solver_config or SolverConfig()
@@ -294,87 +460,52 @@ def run_horizon(
     bids = tuple(s.day_ahead_bid for s in strategies)
 
     da = day_ahead(bids, solver_config, market, specs)
-    solve, expected, gen_cost, p_da = da.solve, da.expected, da.generator_cost, list(da.p_da)
-    model, space = solve.model, solve.space
+    solve, p_da = da.solve, list(da.p_da)
     j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs)
-    planned = (
-        rollout(model, solve.policy, _nominal_reports(bids), space).storage
-        if n_evs
-        else np.zeros((0, market.horizon))
-    )
+    realized = ProfileOutcomes(solve.model, solve.policy, solve.space)
+    planned = realized[_nominal_reports(bids)].rollout.storage
 
-    records = [EmpiricalRecord(market.horizon) for _ in range(n_evs)]
-    accounts = [AgentAccount() for _ in range(n_evs)]
-    rng = make_rng(seed)
-    trace: list[dict] = []
-    utility_days = np.zeros((n_evs, days))
-    charge_gap_days = np.zeros((n_evs, days))
-    beta_days = np.zeros(days)
+    true_days = draw_deadlines(true_params, make_rng(seed), days)
+    reports = np.empty_like(true_days)
+    for i, strategy in enumerate(strategies):
+        reports[i] = _report_days(strategy, true_days[i], planned[i], window_schedule)
 
-    for day in range(1, days + 1):
-        true_d = [int(dist.sample(rng)) for dist in true_params]
-        reports = [
-            realtime_report(
-                strategies[i], true_d[i], records[i], day,
-                planned[i] if n_evs else None, window_schedule,
-            )
-            for i in range(n_evs)
-        ]
-        day_roll = rollout(model, solve.policy, reports, space)
-        beta_day = system_cost(market, gen_cost, day_roll.reserve_cost, day_roll.terminal)
-        beta_days[day - 1] = beta_day
-        trace.append(
-            {
-                "day": day,
-                "row": "system",
-                "mismatch": ";".join(_fmt(float(m)) for m in day_roll.mismatch),
-                "reserve_cost": float(day_roll.reserve_cost),
-                "beta": beta_day,
-            }
+    # one rollout per distinct report profile; profile_days maps days to them
+    profiles, profile_days = np.unique(reports.T, axis=0, return_inverse=True)
+    profile_days = profile_days.reshape(days)
+    outcomes = [
+        _day_outcome(tuple(row), realized[row], da.expected.terminal_charge, j_m_value,
+                     market.ev_energy_value)
+        for row in profiles.tolist()
+    ]
+
+    # settlement, every day at once
+    windows = np.array([window_schedule.window(l) for l in range(1, days + 1)])
+    shape = (n_evs, days)
+    charge_gap_days, kept_days = np.zeros(shape), np.zeros(shape)
+    for i in range(n_evs):
+        charge_gap_days[i] = np.array([o.charge_gap[i] for o in outcomes])[profile_days]
+        kept_days[i] = np.array([o.kept_cost[i] for o in outcomes])[profile_days]
+    missed = reports > true_days
+    event_days = np.array(
+        [_window_events(reports[i], bids[i], windows) for i in range(n_evs)], dtype=bool
+    ).reshape(shape)
+    penalty_days = np.zeros(shape)
+    for i, l in zip(*np.nonzero(event_days)):
+        penalty_days[i, l] = penalty_schedule.penalty(int(l) + 1)
+    ev_cost_days = np.where(missed, j_m_value, kept_days)
+    payment_days = np.array(p_da).reshape(n_evs, 1) + (charge_gap_days - penalty_days)
+    utility_days = payment_days - ev_cost_days
+    accounts = [
+        AgentAccount(
+            utility=_left_sum(utility_days[i]),
+            ev_cost=_left_sum(ev_cost_days[i]),
+            penalties=int(event_days[i].sum()),
+            missed=int(missed[i].sum()),
+            days=days,
         )
-        for i in range(n_evs):
-            records[i].update(reports[i])
-            result = settlement(
-                day,
-                records[i],
-                bids[i],
-                float(expected.terminal_charge[i]),
-                float(day_roll.terminal[i]),
-                window_schedule,
-                penalty_schedule,
-                market.ev_energy_value,
-            )
-            cost = ev_cost(
-                true_d[i], reports[i], day_roll.storage[i], j_m_value,
-                market.ev_energy_value,
-            )
-            pay = total_payment(p_da[i], result)
-            util = pay - cost
-            acct = accounts[i]
-            acct.utility += util
-            acct.ev_cost += cost
-            acct.penalties += int(result.event_triggered)
-            acct.missed += int(reports[i] > true_d[i])
-            acct.days += 1
-            utility_days[i, day - 1] = util
-            charge_gap_days[i, day - 1] = result.charge_gap
-            trace.append(
-                {
-                    "day": day,
-                    "row": "ev",
-                    "ev": i + 1,
-                    "true_delta": true_d[i],
-                    "reported": reports[i],
-                    "storage": ";".join(_fmt(float(h)) for h in day_roll.storage[i]),
-                    "p_da": p_da[i],
-                    "charge_gap": result.charge_gap,
-                    "penalty": result.penalty,
-                    "event": result.event_triggered,
-                    "total_payment": pay,
-                    "ev_cost": cost,
-                    "utility": util,
-                }
-            )
+        for i in range(n_evs)
+    ]
 
     result = SimResult(
         days=days,
@@ -382,11 +513,17 @@ def run_horizon(
         solve=solve,
         p_da=p_da,
         j_m=j_m_value,
-        trace_rows=trace,
         accounts=accounts,
+        outcomes=outcomes,
+        profile_days=profile_days,
+        true_days=true_days,
         utility_days=utility_days,
-        beta_days=beta_days,
+        beta_days=np.array([o.beta for o in outcomes])[profile_days],
         charge_gap_days=charge_gap_days,
+        penalty_days=penalty_days,
+        event_days=event_days,
+        payment_days=payment_days,
+        ev_cost_days=ev_cost_days,
     )
     result.diagnostics = _diagnostics(result)
     return result

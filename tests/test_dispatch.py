@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storemkt import dispatch
+from storemkt import dispatch, mdp
 from storemkt.config import load_setup
 from storemkt.costs import MarketModel, asym_lin_quad, linear
 from storemkt.deadlines import DeadlineDistribution, make_rng
@@ -321,6 +321,38 @@ def test_lipschitz_estimate_frozen_and_monotone():
     assert b >= a  # running max over the same profiles
     with pytest.raises(ValueError):
         estimate_lipschitz_K([s.params], 0, s.solver, s.market, s.specs)
+
+
+def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
+    rolled = []
+    real = mdp.rollout
+
+    def counted(model, policy, reported, space=None):
+        rolled.append(tuple(reported))
+        return real(model, policy, reported, space)
+
+    s = setup_for("table1:n=3")
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    # one fresh memo per call is the reference the shared memo must match
+    alone = [
+        conditional_beta(res.model, res.policy, i, t, res.space)
+        for i in range(3)
+        for t in range(1, s.market.horizon + 1)
+        if s.params[i].pmf[t - 1] > 0.0
+    ]
+    monkeypatch.setattr(mdp, "rollout", counted)
+    k_hat = estimate_lipschitz_K([s.params], 1, s.solver, s.market, s.specs)
+    support = math.prod(sum(p > 0.0 for p in law.pmf) for law in s.params)
+    assert len(rolled) == len(set(rolled)) == support
+    outcomes = mdp.ProfileOutcomes(res.model, res.policy, res.space)
+    shared = [
+        conditional_beta(res.model, res.policy, i, t, outcomes=outcomes)
+        for i in range(3)
+        for t in range(1, s.market.horizon + 1)
+        if s.params[i].pmf[t - 1] > 0.0
+    ]
+    assert shared == alone  # bit-identical, not approximately
+    assert k_hat > 0.0
 
 
 def test_explicit_winner_is_cross_checked(monkeypatch):

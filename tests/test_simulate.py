@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from storemkt import mdp, simulate
 from storemkt.config import load_setup
-from storemkt.deadlines import DeadlineDistribution
+from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import SolverConfig
-from storemkt.experiments import payments_table
-from storemkt.mechanism import EmpiricalRecord, WindowSchedule
+from storemkt.experiments import payments_table, to_json
+from storemkt.mdp import expected_outcome, rollout
+from storemkt.mechanism import EmpiricalRecord, WindowSchedule, settlement, total_payment
 from storemkt.presets import preset_config
 from storemkt.simulate import (
     BiddingStrategy,
@@ -16,6 +19,7 @@ from storemkt.simulate import (
     HistogramMatch,
     Truthful,
     default_adversary_suite,
+    draw_deadlines,
     ev_cost,
     realtime_report,
     resolve_j_m,
@@ -241,3 +245,162 @@ def test_simulate_and_payments_price_the_same_day_ahead():
     )
     assert res.solve.q_star == solve.q_star and res.solve.g_star == solve.g_star
     assert res.p_da == [r["p_da"] for r in rows]
+
+
+FROZEN_RULES = {
+    "truthful": Truthful(),
+    "early_exit": EarlyExit(),
+    "fixed": Fixed(2),
+    "histogram_match": HistogramMatch(),
+}
+# sha256 of to_csv() and of to_json(diagnostics), recorded from the
+# per-day loop that rolled out and settled every day on its own
+FROZEN_SHA256 = {
+    ("example1", "truthful"): (
+        "5c4c2ea977cdc6e9499ccdb15e767df4358ef6966c1c496a7b6175e3abcf8599",
+        "c3cb113979e782699a9380daf204d91e64de61e2fcfbccc27a89587189f40ea6",
+    ),
+    ("example1", "early_exit"): (
+        "e7dd93bd5478cb4fea41d44fcc02b3a1700a126dd0e6572b5d49e34ec5283a46",
+        "80eff22c040fc45c68e19eb0b300f122bef56b0053cb3d1dbdaa6bec1146a59f",
+    ),
+    ("example1", "fixed"): (
+        "6a43f36028d235ba086ca6223fd3d65ee93129ef37d419e0cba67484a216b5e2",
+        "25ec9df1e348318f212064c9397a401cec1980bc10513917a16e0569049cd390",
+    ),
+    ("example1", "histogram_match"): (
+        "3c048f4b774ae510a1f2b99ebedeb2b2a6cbf02b8bf6367c2ef30d4b797ad033",
+        "4a85f83c6d9f9e54e357c03470624f1c804d80e73a1e310933613a8d57ff5113",
+    ),
+    ("table1:n=2", "truthful"): (
+        "1ad73c35cae567d72063093fcad9933ef69b5acb3a738c9288b633ecd8879e78",
+        "d19cd902605d63acefe9cc7e760d13402d329b62672267161e0e4c9622f37e11",
+    ),
+    ("table1:n=2", "early_exit"): (
+        "28325e0f0c7e614dceab42bca94b22e9881808dc33851bc2facd17b4c59fd4eb",
+        "4bcaa86f6e763d61328b94fcec8856a3944f156f7174e5cdfd6d0e2cc0dbd7ec",
+    ),
+    ("table1:n=2", "fixed"): (
+        "c91904f5e0de4149302e54f251712b6bb84c887aee18bea39f2a7faa42799754",
+        "fd9254601c5a46754a60574d7a8152ec03c206ee619669526d3be37d208f7ebc",
+    ),
+    ("table1:n=2", "histogram_match"): (
+        "4764f193f2c03efc552f498c30c46e19abebf93f05442ac981f1896d94f3f6f9",
+        "d19cd902605d63acefe9cc7e760d13402d329b62672267161e0e4c9622f37e11",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset,kind", sorted(FROZEN_SHA256))
+def test_trace_and_diagnostics_bytes_are_frozen(preset, kind):
+    # EV 1 plays the rule under a truthful bid; on two-EV fleets EV 2
+    # histogram-matches an overbid, so it misses deadlines too
+    s = load_setup(preset_config(preset))
+    strategies = [BiddingStrategy(s.params[0], FROZEN_RULES[kind])]
+    if len(s.specs) > 1:
+        strategies.append(dict(default_adversary_suite(s.params[1]))["overbid_shift_histmatch"])
+    res = run_horizon(
+        s.market, s.specs, s.params, strategies, 300, 5,
+        s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
+    )
+    got = (
+        hashlib.sha256(res.to_csv().encode()).hexdigest(),
+        hashlib.sha256(to_json(res.diagnostics).encode()).hexdigest(),
+    )
+    assert got == FROZEN_SHA256[(preset, kind)]
+
+
+def test_settlement_columns_match_the_per_day_settlement():
+    # always reporting slot 2 misses on true-slot-1 days and trips the
+    # window on some days but not others
+    s = example1_setup()
+    strategies = (BiddingStrategy(s.params[0], Fixed(2)),)
+    res = run_horizon(
+        s.market, s.specs, s.params, strategies, 300, 5,
+        s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
+    )
+    assert 0 < res.accounts[0].penalties < 300 and res.accounts[0].missed > 0
+    solve = res.solve
+    expected = expected_outcome(solve.model, solve.policy, solve.space).terminal_charge[0]
+    record = EmpiricalRecord(2)
+    for row in res.trace_rows[1::2]:
+        record.update(row["reported"])
+        realized = rollout(solve.model, solve.policy, (row["reported"],), solve.space)
+        want = settlement(
+            row["day"], record, s.params[0], float(expected), float(realized.terminal[0]),
+            s.window_schedule, s.penalty_schedule, s.market.ev_energy_value,
+        )
+        assert (row["charge_gap"], row["penalty"], row["event"]) == (
+            want.charge_gap, want.penalty, want.event_triggered,
+        )
+        assert row["total_payment"] == total_payment(res.p_da[0], want)
+
+
+def test_block_draw_replays_per_day_samples():
+    laws = (
+        THETA_A,
+        DeadlineDistribution((0.5, 0.0, 0.0, 0.0, 0.5), floor=0.0),
+        DeadlineDistribution((0.1, 0.2, 0.3, 0.2, 0.2)),
+    )
+    block_rng, loop_rng = make_rng(9), make_rng(9)
+    block = draw_deadlines(laws, block_rng, 500)
+    loop = [[law.sample(loop_rng) for law in laws] for _ in range(500)]
+    assert block.shape == (3, 500)
+    assert block.T.tolist() == loop
+    assert block_rng.random() == loop_rng.random()  # same doubles consumed
+
+
+def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
+    rolled = []
+    real = mdp.rollout
+
+    def counted(model, policy, reported, space=None):
+        rolled.append(tuple(reported))
+        return real(model, policy, reported, space)
+
+    monkeypatch.setattr(mdp, "rollout", counted)
+    monkeypatch.setattr(simulate, "rollout", counted, raising=False)
+    s = load_setup(preset_config("table1:n=2"))
+    strategies = (
+        BiddingStrategy(s.params[0], EarlyExit()),
+        dict(default_adversary_suite(s.params[1]))["overbid_shift_histmatch"],
+    )
+    # a numeric miss fine keeps the j_m probe's rollouts out of the count
+    res = run_horizon(
+        s.market, s.specs, s.params, strategies, 2000, 0,
+        s.window_schedule, s.penalty_schedule, s.solver, 100.0,
+    )
+    by_day: dict[int, list[int]] = {}
+    for r in res.trace_rows:
+        if r["row"] == "ev":
+            by_day.setdefault(r["day"], []).append(r["reported"])
+    distinct = {tuple(v) for v in by_day.values()}
+    assert len(distinct) > 1
+    assert len(rolled) <= len(distinct) + 1  # + the nominal path's profile
+    assert len(set(rolled)) == len(rolled)
+
+
+def test_run_horizon_rejects_true_laws_of_another_horizon(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("validation must come before the day-ahead solve")
+
+    monkeypatch.setattr(simulate, "day_ahead", no_solve)
+    s = example1_setup()
+    for law in (DeadlineDistribution((1.0,)), DeadlineDistribution((0.2, 0.3, 0.5))):
+        with pytest.raises(ValueError, match=f"EV 1: true deadline law has {law.horizon} slots"):
+            run_horizon(s.market, s.specs, (law,), s.strategies, 50, 0)
+    t = load_setup(preset_config("table1:n=2"))
+    laws = (t.params[0], DeadlineDistribution((0.5, 0.5)))
+    with pytest.raises(ValueError, match="EV 2: true deadline law has 2 slots"):
+        run_horizon(t.market, t.specs, laws, t.strategies, 50, 0)
+
+
+def test_run_horizon_rejects_fixed_slots_outside_the_day():
+    s = example1_setup()
+    for slot in (0, 3):
+        strategies = (BiddingStrategy(s.params[0], Fixed(slot)),)
+        with pytest.raises(ValueError, match=f"EV 1: fixed report slot {slot} outside 1..2"):
+            run_horizon(
+                s.market, s.specs, s.params, strategies, 5, 0,
+                s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
+            )
