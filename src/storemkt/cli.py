@@ -81,11 +81,11 @@ def cmd_solve(args) -> int:
 
 def cmd_payments(args) -> int:
     setup = load_setup(_load_config(args.config))
-    _, rows = payments_table(setup)
+    solve, rows = payments_table(setup)
     csv = payments_csv(rows)
     _write(args.out, csv)
     bids = tuple(s.day_ahead_bid for s in setup.strategies)
-    fine = resolve_j_m("auto", bids, setup.solver, setup.market, setup.specs)
+    fine = resolve_j_m("auto", bids, setup.solver, setup.market, setup.specs, solve)
     print(
         f"sampled cost-sensitivity bound k_hat = {fine / 10.0:.6g}; "
         f"recommended miss fine j_m = {fine:.6g}",

@@ -22,10 +22,14 @@ are the prefixes, completed by the greedy tail they all share.  An
 explicit candidate list is priced the same way, as full-length prefixes
 with an empty tail.
 
-Every search mode ends alike: the winning plan is re-solved by the plain
+Every search mode ends alike: the winning plan is re-solved by the
 reference recursion (``mdp.solve_dp``), which also yields its policy, and
 the two values must agree; disagreement is a bug, not a tolerance
-question.
+question.  The reference is table-driven too, but it encodes the kernel
+differently: it lists every (state, action) pair and each post-decision
+state's successors explicitly and minimises per (state, action), where
+the pricing here applies ``StateSpace.expect`` axis by axis and takes its
+min over equal-sum actions.  So the cross-check compares two encodings.
 """
 from __future__ import annotations
 
@@ -468,21 +472,31 @@ def estimate_lipschitz_K(
     config: SolverConfig,
     market: MarketModel,
     specs: Sequence[EVSpec],
+    solved: SolveResult | None = None,
 ) -> float:
     """Sampled bound on the cost sensitivity to belief perturbations.
 
     For each of the first ``trials`` bid profiles (cycling through
     ``profiles``), solve the two-stage problem and take 2*sqrt(T) times
     the l2 norm of the per-slot conditional costs; the estimate is the
-    running max, so it is nondecreasing in ``trials``.
+    running max, so it is nondecreasing in ``trials``.  ``solved``, when
+    given, is the solve of ``profiles[0]`` under ``config`` and is used in
+    place of solving that profile again.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if solved is not None and (
+        solved.model.params != tuple(profiles[0]) or solved.model.specs != tuple(specs)
+    ):
+        raise ValueError("solved is not the solve of profiles[0] on these EVs")
     best = 0.0
     horizon = market.horizon
     for k in range(trials):
         bids = tuple(profiles[k % len(profiles)])
-        result = solve_outer(bids, config, market, specs)
+        if solved is not None and k % len(profiles) == 0:
+            result = solved
+        else:
+            result = solve_outer(bids, config, market, specs)
         model = result.model
         outcomes = ProfileOutcomes(model, result.policy, result.space)
         for i in range(len(specs)):

@@ -20,9 +20,13 @@ and skips them, and explicit kernel queries on them raise.
 
 An action only moves EVs to their target levels; the hazard then acts on
 the resulting *post-decision* state.  So the kernel of every action is
-the zero-action kernel read at the post-decision row, and the batched
-pricing in ``dispatch`` applies that one kernel per slot
-(``StateSpace.expect``) instead of one kernel per action.
+the zero-action kernel read at the post-decision row.  The space encodes
+that kernel two ways.  The batched pricing in ``dispatch`` applies it
+once per slot, one EV axis at a time (``StateSpace.expect``).  The
+reference recursion ``solve_dp`` and the forward pass ``expected_outcome``
+read explicit tables instead: every (state, action) pair with its
+post-decision id (``StateSpace.action_pairs``), and per slot each
+post-decision state's padded successor list (``StateSpace.successor_table``).
 
 Values are expected dollars to go.  The terminal layer credits stored
 energy at the market's ``ev_energy_value``.
@@ -33,7 +37,7 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -222,14 +226,6 @@ class StateSpace:
             out.append((bool(self._connected[i][per]), float(self._charges[i][per])))
         return tuple(reversed(out))
 
-    def _per_ids(self, joint: int) -> list[int]:
-        ids = []
-        for n in reversed(self.n_per):
-            ids.append(joint % n)
-            joint //= n
-        ids.reverse()
-        return ids
-
     @property
     def initial(self) -> int:
         return 0
@@ -255,58 +251,82 @@ class StateSpace:
                 mask &= ~self._connected[i][self._digits[i]]
         return mask
 
-    # ---- scalar transitions ----------------------------------------------
+    # ---- explicit tables -------------------------------------------------
 
-    def _ev_moves(self, i: int, per: int) -> list[tuple[float, int]]:
-        """EV ``i``'s actions from per-EV id ``per``, in target-index order:
-        (charge delta, post-decision per-EV id).  A disconnected EV's only
-        action is to stay."""
-        levels = self.specs[i].levels
-        if per >= len(levels):
-            return [(0.0, per)]
-        h = levels[per]
-        return [(lvl - h, k) for k, lvl in enumerate(levels)]
+    def action_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (state, action) pair, state-major, each state's actions in
+        target-index product order (EV 1's target varies slowest).
 
-    def post_outcomes(self, slot: int, post: Sequence[int]) -> list[tuple[int, float]]:
-        """(next joint id, probability) pairs, skipping zeros, from the
-        post-decision state with per-EV ids ``post`` at the end of ``slot``:
-        each connected EV leaves at its level with the slot's hazard."""
-        per_outcomes: list[list[tuple[int, float]]] = []
-        for i, per in enumerate(post):
-            nl = len(self.specs[i].levels)
-            if per >= nl:
-                per_outcomes.append([(per, 1.0)])
-                continue
-            if self._survival[i][slot - 1] <= 0.0:
-                raise UnreachableStateError(
-                    f"unreachable state queried: EV {i + 1} cannot be connected entering slot {slot}"
-                )
+        An action is a target level index per connected EV; a disconnected
+        EV stays.  Its post-decision state keeps every connectivity flag
+        and puts each EV at its target level, so the action's per-EV
+        charge deltas are ``charge_by_ev[:, post] - charge_by_ev[:, state]``.
+        Returns (state, post-decision id, charge sum); the sum adds those
+        deltas EV by EV from 0.0, exactly as ``sum`` over an action tuple.
+        Built on each call: the space keeps per-state tables only.
+        """
+        state = np.arange(self.n_states)
+        post = np.zeros(self.n_states, dtype=np.intp)
+        sigma = np.zeros(self.n_states)
+        for i, (spec, n) in enumerate(zip(self.specs, self.n_per)):
+            nl = len(spec.levels)
+            digit = self._digits[i][state]
+            reps = np.where(digit < nl, nl, 1)
+            row = np.repeat(np.arange(len(state)), reps)
+            # the k-th copy of a connected row targets level k
+            local = np.arange(len(row)) - (np.cumsum(reps) - reps)[row]
+            digit = digit[row]
+            to = np.where(digit < nl, local, digit)
+            delta = self._charges[i][to] - self._charges[i][digit]
+            state, post, sigma = state[row], post[row] * n + to, sigma[row] + delta
+        return state, post, sigma
+
+    def successor_table(
+        self, slot: int, posts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where post-decision states go at the end of ``slot``: (successor
+        ids, probabilities, counts), one row per id in ``posts`` (default:
+        every joint id), padded to the longest row with id 0 and
+        probability 0.0.
+
+        Each connected EV stays at its level with probability 1 - hazard
+        and leaves at it with the hazard, a zero branch skipped; a
+        disconnected EV stays put.  A row lists its successors in product
+        order over the EVs (EV 1 slowest, stay before leave), each
+        probability multiplied up from 1.0 in EV order.  Connected EVs
+        with zero survival take the hazard stub 1.0; no valid state's
+        action leads there.
+        """
+        posts = np.arange(self.n_states) if posts is None else posts
+        ids = np.zeros((len(posts), 1), dtype=np.intp)
+        probs = np.ones((len(posts), 1))
+        count = np.ones(len(posts), dtype=np.intp)
+        for i, (spec, n) in enumerate(zip(self.specs, self.n_per)):
+            nl = len(spec.levels)
             hazard = self._hazard[i][slot - 1]
-            outs = []
-            if hazard < 1.0:
-                outs.append((per, 1.0 - hazard))
-            if hazard > 0.0:
-                outs.append((nl + per, hazard))
-            per_outcomes.append(outs)
-        joint_out: list[tuple[int, float]] = []
-        for combo in itertools.product(*per_outcomes):
-            nid = 0
-            p = 1.0
-            for (pid, pp), n in zip(combo, self.n_per):
-                nid = nid * n + pid
-                p *= pp
-            joint_out.append((nid, p))
-        return joint_out
-
-    def successors(
-        self, slot: int, joint: int, action: Sequence[float]
-    ) -> list[tuple[int, float]]:
-        """Enumerate (next joint id, probability) pairs, skipping zeros."""
-        post = []
-        for spec, per, a in zip(self.specs, self._per_ids(joint), action):
-            connected = per < len(spec.levels)
-            post.append(_level_index(spec.levels, spec.levels[per] + a) if connected else per)
-        return self.post_outcomes(slot, post)
+            digit = self._digits[i][posts]
+            if hazard == 0.0 or hazard == 1.0:
+                # one branch per row, of probability factor 1.0
+                ids = ids * n + np.where(digit < nl, digit + nl * int(hazard), digit)[:, None]
+                continue
+            # each listed successor of a connected row splits into stay, leave
+            stay = ids * n + digit[:, None]
+            width = ids.shape[1]
+            ids = np.repeat(stay, 2, axis=1)
+            ids[:, 1::2] += nl
+            kept = probs
+            probs = np.empty_like(ids, dtype=float)
+            probs[:, 0::2] = kept * (1.0 - hazard)
+            probs[:, 1::2] = kept * hazard
+            # a disconnected row keeps its one branch per successor
+            frozen = digit >= nl
+            ids[frozen, :width] = stay[frozen]
+            probs[frozen, :width] = kept[frozen]
+            count = np.where(frozen, count, 2 * count)
+        pad = np.arange(ids.shape[1]) >= count[:, None]
+        ids[pad] = 0
+        probs[pad] = 0.0
+        return ids, probs, count
 
     # ---- batched operators -------------------------------------------------
 
@@ -345,28 +365,10 @@ class StateSpace:
 
     @cached_property
     def action_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
-        """Every (state, action) pair, grouped by the action's charge sum
-        (see ``_group_by_sum``).
-
-        An action is a target level index per connected EV; a disconnected
-        EV stays.  Its post-decision state keeps every connectivity flag
-        and puts each EV at its target level.  Built on first use; only
-        the batched pricing kernel needs it.
-        """
-        state = np.zeros(1, dtype=np.intp)
-        post = np.zeros(1, dtype=np.intp)
-        sigma = np.zeros(1)
-        for spec, n in zip(self.specs, self.n_per):
-            nl = len(spec.levels)
-            lv = np.array(spec.levels)
-            frm = np.concatenate([np.repeat(np.arange(nl), nl), np.arange(nl, n)])
-            to = np.concatenate([np.tile(np.arange(nl), nl), np.arange(nl, n)])
-            delta = np.concatenate([lv[to[: nl * nl]] - lv[frm[: nl * nl]], np.zeros(nl)])
-            state = (state[:, None] * n + frm).ravel()
-            post = (post[:, None] * n + to).ravel()
-            # summed EV by EV from 0.0, exactly as sum() over an action tuple
-            sigma = (sigma[:, None] + delta).ravel()
-        return _group_by_sum(state, post, sigma)
+        """Every (state, action) pair of ``action_pairs``, grouped by the
+        action's charge sum (see ``_group_by_sum``).  Built on first use;
+        only the batched pricing kernel needs it."""
+        return _group_by_sum(*self.action_pairs())
 
     @cached_property
     def initial_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
@@ -433,10 +435,13 @@ class ValueTable:
 
 @dataclass
 class MarkovPolicy:
-    """Deterministic slot-indexed feedback policy on joint state ids."""
+    """Deterministic slot-indexed feedback policy on joint state ids: each
+    action as per-EV charge deltas, and the post-decision state it leads to
+    (``posts[slot - 1, joint]``, -1 where the state has no action)."""
 
     n_evs: int
     actions: dict[tuple[int, int], tuple[float, ...]]
+    posts: np.ndarray = field(repr=False, compare=False)
 
     def action(self, slot: int, joint: int) -> tuple[float, ...]:
         try:
@@ -460,59 +465,67 @@ def policy_artifact(values: ValueTable, policy: MarkovPolicy) -> str:
 
 
 def solve_dp(model: MdpModel, space: StateSpace | None = None) -> tuple[ValueTable, MarkovPolicy]:
-    """Backward induction over all joint states.
+    """Backward induction over all joint states (Puterman 1994, §4.5).
 
-    Ties between equal-value actions resolve to the lexicographically
-    smallest action vector.  States with no finite-cost continuation keep
-    +inf (they may simply be unreachable); only an infeasible *initial*
-    state raises ``NoFeasibleContinuation``.  Zero-survival states are
-    assigned +inf and skipped silently.
+    The reference the batched pricing in ``dispatch`` is checked against,
+    so it shares none of that kernel's shortcuts: it lists every (state,
+    action) pair (``StateSpace.action_pairs``) and every post-decision
+    state's successors explicitly (``StateSpace.successor_table``), and
+    minimises per (state, action).  Per slot, each pair's total is its
+    stage cost plus p·V[next] over its successors in list order, added one
+    successor column at a time; pads are masked, never added.
+
+    Actions with infinite stage cost are skipped.  Each state takes the
+    first minimum in target-index order, so ties resolve to the smallest
+    target index.  States with no finite-cost continuation keep +inf (they
+    may simply be unreachable); only an infeasible *initial* state raises
+    ``NoFeasibleContinuation``.  Zero-survival states are assigned +inf and
+    get no action.
     """
     space = space or StateSpace(model.specs, model.params)
+    market = model.market
     horizon = model.horizon
-    n = space.n_states
-    values = np.empty((horizon + 1, n))
-    values[horizon] = -model.market.ev_energy_value * space.total_charge
+    values = np.empty((horizon + 1, space.n_states))
+    values[horizon] = -market.ev_energy_value * space.total_charge
+    state, post, sigma = space.action_pairs()
+    first = np.searchsorted(state, np.arange(space.n_states))  # each state's first pair
+    sums, sum_of = np.unique(sigma, return_inverse=True)
     actions: dict[tuple[int, int], tuple[float, ...]] = {}
+    posts = np.full((horizon, space.n_states), -1, dtype=np.intp)
     for slot in range(horizon, 0, -1):
-        layer = slot - 1
-        valid = space.valid_mask(layer)
+        demand, g = market.demand[slot - 1], model.dispatch[slot - 1]
+        cost = np.array([market.reserve_cost_at(slot, demand + x - g) for x in sums.tolist()])
+        total = cost[sum_of]
+        total[~space.valid_mask(slot - 1)[state]] = math.inf
+        ids, probs, count = space.successor_table(slot)
+        live = np.flatnonzero(total < math.inf)
+        n_succ = count[post[live]]
         nxt = values[slot]
-        # successor lists per post-decision state, shared by every
-        # (state, action) pair that lands there
-        outcomes: dict[tuple[int, ...], list[tuple[int, float]]] = {}
-        for s in range(n):
-            if not valid[s]:
-                values[layer, s] = math.inf
-                continue
-            per_moves = [space._ev_moves(i, per) for i, per in enumerate(space._per_ids(s))]
-            best = math.inf
-            best_action: tuple[float, ...] | None = None
-            # target-index order per EV, so ties keep the lexicographically
-            # smallest delta vector
-            for combo in itertools.product(*per_moves):
-                action = tuple(delta for delta, _ in combo)
-                c = stage_cost(model.market, slot, model.dispatch[slot - 1], action)
-                if c == math.inf:
-                    continue
-                post = tuple(per for _, per in combo)
-                if post not in outcomes:
-                    outcomes[post] = space.post_outcomes(slot, post)
-                total = c
-                for nid, p in outcomes[post]:
-                    total += p * nxt[nid]
-                if total < best:
-                    best = total
-                    best_action = action
-            values[layer, s] = best
-            if best_action is not None:
-                actions[(slot, s)] = best_action
+        for j in range(ids.shape[1]):
+            at = live[n_succ > j]
+            q = post[at]
+            total[at] += probs[q, j] * nxt[ids[q, j]]
+        layer = values[slot - 1]
+        layer[:] = np.minimum.reduceat(total, first)
+        # the first finite minimum of each state, in action order
+        hit = np.flatnonzero((total == layer[state]) & (total < math.inf))
+        rows = state[hit]
+        lead = np.ones(len(rows), dtype=bool)
+        lead[1:] = rows[1:] != rows[:-1]
+        pick = hit[lead]
+        # states choosing the same deltas share one action tuple
+        deltas = space.charge_by_ev[:, post[pick]] - space.charge_by_ev[:, state[pick]]
+        chosen, which = np.unique(deltas, axis=1, return_inverse=True)
+        moves = list(map(tuple, chosen.T.tolist()))
+        keys = [(slot, s) for s in rows[lead].tolist()]
+        actions.update(zip(keys, map(moves.__getitem__, which.tolist())))
+        posts[slot - 1, rows[lead]] = post[pick]
     if not math.isfinite(values[0, space.initial]):
         raise NoFeasibleContinuation(
             f"no feasible continuation from the initial state "
             f"{space.decode(space.initial)} under dispatch {tuple(model.dispatch)}"
         )
-    return ValueTable(values), MarkovPolicy(len(model.specs), actions)
+    return ValueTable(values), MarkovPolicy(len(model.specs), actions, posts)
 
 
 @dataclass(frozen=True)
@@ -610,22 +623,26 @@ def expected_outcome(
     model: MdpModel, policy: MarkovPolicy, space: StateSpace | None = None
 ) -> ExpectedOutcome:
     """Exact expectations under the model's deadline beliefs by forward
-    propagation of the state distribution through the policy."""
+    propagation of the state distribution through the policy: each state's
+    mass moves to its action's post-decision state, then along that
+    state's row of ``StateSpace.successor_table``."""
     space = space or StateSpace(model.specs, model.params)
     horizon = model.horizon
     mu = np.zeros(space.n_states)
     mu[space.initial] = 1.0
     exp_reserve = 0.0
     for slot in range(1, horizon + 1):
-        mu_next = np.zeros(space.n_states)
-        for s in np.nonzero(mu)[0]:
-            w = mu[s]
-            action = policy.action(slot, int(s))
-            exp_reserve += w * stage_cost(
+        support = np.flatnonzero(mu)
+        for s in support.tolist():
+            action = policy.action(slot, s)
+            exp_reserve += mu[s] * stage_cost(
                 model.market, slot, model.dispatch[slot - 1], action
             )
-            for nid, p in space.successors(slot, int(s), action):
-                mu_next[nid] += w * p
+        ids, probs, count = space.successor_table(slot, policy.posts[slot - 1, support])
+        listed = np.arange(ids.shape[1]) < count[:, None]
+        mu_next = np.zeros(space.n_states)
+        # row-major: mass arrives in (state, successor) order
+        np.add.at(mu_next, ids[listed], (mu[support][:, None] * probs)[listed])
         mu = mu_next
     terminal = (
         space.charge_by_ev @ mu if model.specs else np.zeros(0)

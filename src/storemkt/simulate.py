@@ -53,13 +53,16 @@ def resolve_j_m(
     solver_config: SolverConfig,
     market: MarketModel,
     specs: Sequence["EVSpec"],
+    solved: SolveResult | None = None,
 ) -> float:
     """Turn the "auto" sentinel into a concrete miss fine.
 
     The fine must deter misses under ANY bid, so the probe set is the
     submitted bids plus fixed-seed random profiles; probing only the bids
     would let a degenerate bid (for which the policy never pays the EV)
-    buy itself a toothless fine.
+    buy itself a toothless fine.  ``solved`` is the day-ahead solve of
+    ``bids``, when the caller has one: the probe then reuses it instead of
+    solving the bids again.
     """
     if j_m != "auto":
         return float(j_m)
@@ -76,7 +79,7 @@ def resolve_j_m(
                 for _ in specs
             )
         )
-    k_hat = estimate_lipschitz_K(profiles, len(profiles), solver_config, market, specs)
+    k_hat = estimate_lipschitz_K(profiles, len(profiles), solver_config, market, specs, solved)
     return 10.0 * k_hat
 
 
@@ -461,7 +464,7 @@ def run_horizon(
 
     da = day_ahead(bids, solver_config, market, specs)
     solve, p_da = da.solve, list(da.p_da)
-    j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs)
+    j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs, solve)
     realized = ProfileOutcomes(solve.model, solve.policy, solve.space)
     planned = realized[_nominal_reports(bids)].rollout.storage
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,25 @@ def test_solve_writes_artifact(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["q_star"] == pytest.approx(2.0)
     assert payload["g_star"] == [0.0, 1.0]
+
+
+# sha256 of the ``solve --out`` artifact (values and policy JSON), recorded
+# before the reference recursion was vectorized: its values and policy
+# must stay bit-identical
+SOLVE_ARTIFACT_SHA256 = {
+    "table1": "4f7d55b6fee8cf157d944ea3bfac775b5220e418c4957d6295436c5ff270051a",
+    "table1:n=3": "d1ac703e7c03a6e813ee435e99ee2e37d7231752ee666f482308644fbb4e2f59",
+    "example1:p=0.19": "811bbc06b12e4ee7c7b43748cf8d713062724d6f150b8547e9b6245ff1c18604",
+    "theorem1": "71706c9f5cd41fdef8c8f5057e0b6b749e4765ac7c1f92b4c5094904cf558be2",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SOLVE_ARTIFACT_SHA256))
+def test_solve_artifact_bytes_are_frozen(preset, tmp_path, capsys):
+    target = tmp_path / "solution.json"
+    assert main(["solve", preset, "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SOLVE_ARTIFACT_SHA256[preset]
 
 
 def test_validate_prints_normal_form(tmp_path, capsys):

@@ -146,6 +146,20 @@ def test_beam_matches_exhaustive_when_wide():
         assert res1.q_star >= exact.q_star - 1e-9
 
 
+def test_six_ev_beam_solve_is_cross_checked():
+    # a table1-like fleet of 6 identical EVs (4,096 joint states): the beam
+    # winner's reference re-solve must finish and agree with the core
+    cfg = preset_config("table1")
+    cfg["evs"] = [dict(cfg["evs"][0]) for _ in range(6)]
+    cfg["solver"]["mode"] = "beam"
+    s = load_setup(cfg)
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    assert res.space.n_states == 4**6
+    [(batched, _)] = dispatch._price_plans(s.market, res.space, [res.g_star])
+    assert abs(batched - res.q_star) <= CROSS_CHECK_TOL
+    assert len(res.policy.action(1, res.space.initial)) == 6
+
+
 def _every_plan_instances():
     rng = make_rng(83)
     cases = [random_small_instance(rng)[:4] for _ in range(8)]

@@ -57,18 +57,29 @@ def test_ev_spec_validation():
 
 
 def test_feasible_actions_order():
-    # joint actions as solve_dp enumerates them: per-EV moves in target
-    # index order, so ties keep the lexicographically smallest delta vector
+    # joint actions as solve_dp enumerates them: state-major, per-EV moves
+    # in target index order, so ties keep the smallest target index
     specs = (EVSpec(1.0, (0.0, 1.0)), EVSpec(1.0, (0.0, 1.0)))
     space = StateSpace(specs, (UNIFORM5, UNIFORM5))
+    state, post, sigma = space.action_pairs()
+    assert np.all(np.diff(state) >= 0)
 
-    def actions(state):
-        per_ids = space._per_ids(space.encode(state))
-        moves = [space._ev_moves(i, per) for i, per in enumerate(per_ids)]
-        return [tuple(delta for delta, _ in combo) for combo in itertools.product(*moves)]
+    def actions(joint_state):
+        out = []
+        for k in np.flatnonzero(state == space.encode(joint_state)):
+            moved = space.decode(int(post[k]))
+            # the post-decision state keeps every connectivity flag
+            assert [c for c, _ in moved] == [c for c, _ in joint_state]
+            delta = tuple(h2 - h for (_, h), (_, h2) in zip(joint_state, moved))
+            assert sigma[k] == sum(delta)
+            out.append(delta)
+        return out
 
     assert actions(((True, 0.0), (False, 1.0))) == [(0.0, 0.0), (1.0, 0.0)]
     assert actions(((True, 1.0), (False, 1.0))) == [(-1.0, 0.0), (0.0, 0.0)]
+    assert actions(((True, 1.0), (True, 0.0))) == [
+        (-1.0, 0.0), (-1.0, 1.0), (0.0, 0.0), (0.0, 1.0)
+    ]
     # fully disconnected fleet freezes
     assert actions(((False, 0.0), (False, 1.0))) == [(0.0, 0.0)]
 
@@ -162,6 +173,35 @@ def test_two_slot_value_is_ten_p():
 def test_two_slot_alternative_plan_value():
     values, _ = solve_dp(two_slot_model(0.19, (0.0, 1.0)))
     assert values.v0() == pytest.approx(0.0, abs=1e-12)
+
+
+def test_tied_actions_resolve_to_the_smallest_target_index():
+    # free energy and flat slot-2 reserves make every continuation worth
+    # exactly 0, so actions tie whenever their stage costs do
+    market = MarketModel(
+        demand=(0.0, 0.0),
+        generator=table([{0.0: 0.0}, {0.0: 0.0}]),
+        reserves=table(
+            [{0.0: 5.0, 1.0: 0.0, 2.0: 0.0}, {float(m): 0.0 for m in range(-2, 3)}]
+        ),
+        ev_energy_value=0.0,
+    )
+    half = DeadlineDistribution((0.5, 0.5))
+    # one EV: targets 1 and 2 tie at cost 0, target 1 wins
+    one = MdpModel(market, (EVSpec(2.0, (0.0, 1.0, 2.0)),), (half,), (0.0, 0.0))
+    values, policy = solve_dp(one)
+    assert values.v0() == 0.0
+    assert policy.action(1, 0) == (1.0,)
+    # two EVs: (0, 1) and (1, 0) tie on the same charge sum, target (0, 1)
+    # wins; in slot 2 every action ties, so every EV moves to level 0
+    unit = EVSpec(1.0, (0.0, 1.0))
+    two = MdpModel(market, (unit, unit), (half, half), (0.0, 0.0))
+    space = StateSpace(two.specs, two.params)
+    values, policy = solve_dp(two, space)
+    assert values.v0() == 0.0
+    assert policy.action(1, space.initial) == (0.0, 1.0)
+    assert policy.action(2, space.encode(((True, 1.0), (True, 0.0)))) == (-1.0, 0.0)
+    assert policy.action(2, space.encode(((False, 1.0), (True, 1.0)))) == (0.0, -1.0)
 
 
 def test_infeasible_initial_state_raises():

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from storemkt import mdp, simulate
+from storemkt import dispatch, mdp, simulate
 from storemkt.config import load_setup
 from storemkt.deadlines import DeadlineDistribution, make_rng
-from storemkt.dispatch import SolverConfig
+from storemkt.dispatch import SolverConfig, solve_outer
 from storemkt.experiments import payments_table, to_json
 from storemkt.mdp import expected_outcome, rollout
 from storemkt.mechanism import EmpiricalRecord, WindowSchedule, settlement, total_payment
@@ -100,6 +100,30 @@ def test_resolve_j_m():
     assert resolve_j_m("auto", (), s.solver, s.market, ()) == 0.0
     auto = resolve_j_m("auto", s.params, s.solver, s.market, s.specs)
     assert auto == pytest.approx(EXAMPLE1_J_M, abs=1e-9)
+
+
+def test_probe_reuses_the_day_ahead_solve(monkeypatch):
+    # probe profile 0 is the bids themselves: given their solve, the probe
+    # solves only its 6 random profiles, and the fine is bit-identical
+    s = load_setup(preset_config("table1:n=2"))
+    solved = solve_outer(s.params, s.solver, s.market, s.specs)
+    calls = []
+    real = dispatch.solve_outer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dispatch, "solve_outer", counted)
+    fresh = resolve_j_m("auto", s.params, s.solver, s.market, s.specs)
+    assert len(calls) == 1 + simulate.J_M_PROBE_TRIALS == 7
+    calls.clear()
+    reused = resolve_j_m("auto", s.params, s.solver, s.market, s.specs, solved)
+    assert len(calls) == simulate.J_M_PROBE_TRIALS == 6
+    assert reused == fresh
+    other = load_setup(preset_config("table1:n=2,profile=C"))
+    with pytest.raises(ValueError, match="profiles\\[0\\]"):
+        resolve_j_m("auto", other.params, s.solver, s.market, s.specs, solved)
 
 
 def test_run_horizon_single_day_trace():
