@@ -223,9 +223,10 @@ def dominated_pair_check(rng: np.random.Generator) -> dict | None:
         return tuple(dist if k == focal else bids[k] for k in range(len(bids)))
 
     q_base = solve_outer(with_focal(lam), config, market, specs).q_star
-    q_shift = solve_outer(with_focal(lam_tilde), config, market, specs).q_star
+    shifted = solve_outer(with_focal(lam_tilde), config, market, specs)
+    q_shift = shifted.q_star
     k_hat = estimate_lipschitz_K(
-        [with_focal(lam_tilde), with_focal(lam)], 2, config, market, specs
+        [with_focal(lam_tilde), with_focal(lam)], 2, config, market, specs, shifted
     )
     gap = q_shift - q_base
     return {

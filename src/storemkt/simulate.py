@@ -142,11 +142,11 @@ def _unit_rows(horizon: int) -> np.ndarray:
     return rows
 
 
-def _post_update_gaps(record: EmpiricalRecord, bid: DeadlineDistribution) -> np.ndarray:
+def _post_update_gaps(record: EmpiricalRecord, bid_pmf: np.ndarray) -> np.ndarray:
     """Worst frequency gap to the bid after one more report, for each
     candidate report slot 1..T (row t-1 counts one more report of slot t)."""
     counts = record.counts + _unit_rows(record.horizon)
-    return max_frequency_gap(counts, record.days + 1, np.array(bid.pmf))
+    return max_frequency_gap(counts, record.days + 1, bid_pmf)
 
 
 def realtime_report(
@@ -177,14 +177,31 @@ def realtime_report(
             if path[t - 1] == best:
                 return t
         return true_deadline
-    # histogram matching
     if window_schedule is None:
         raise ValueError("histogram matching needs the window schedule")
-    target = np.array(strategy.match_target().pmf)
+    target, bid_pmf = _match_pmfs(strategy)
+    return _match_report(true_deadline, record, path, target, bid_pmf, window_schedule.window(l))
+
+
+def _match_pmfs(strategy: BiddingStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram matching's target pmf and day-ahead bid pmf, as arrays."""
+    return np.array(strategy.match_target().pmf), np.array(strategy.day_ahead_bid.pmf)
+
+
+def _match_report(
+    true_deadline: int,
+    record: EmpiricalRecord,
+    path: Sequence[float],
+    target: np.ndarray,
+    bid_pmf: np.ndarray,
+    window: float,
+) -> int:
+    """Histogram matching's report: steer the running report frequencies
+    toward ``target`` without tripping today's ``window`` on the bid."""
+    horizon = record.horizon
     den = max(record.days, 1)
     deficit = (record.counts / den - target).tolist()
-    gaps = _post_update_gaps(record, strategy.day_ahead_bid).tolist()
-    window = window_schedule.window(l)
+    gaps = _post_update_gaps(record, bid_pmf).tolist()
 
     def prefer(t: int) -> tuple:
         return (deficit[t - 1], -path[t - 1], t)
@@ -367,9 +384,10 @@ def _report_days(
     strategy: BiddingStrategy,
     true_days: np.ndarray,
     planned: np.ndarray,
-    window_schedule: WindowSchedule,
+    windows: np.ndarray,
 ) -> np.ndarray:
-    """One EV's reported slot on every day, given its true deadlines."""
+    """One EV's reported slot on every day, given its true deadlines and
+    each day's compliance window."""
     horizon = len(planned)
     if not isinstance(strategy.rule, HistogramMatch):
         # every other rule is a function of the true deadline alone
@@ -378,12 +396,15 @@ def _report_days(
             [realtime_report(strategy, t, blank, 1, planned) for t in range(1, horizon + 1)]
         )
         return table[true_days - 1]
+    # what realtime_report would rebuild every day, built once
+    target, bid_pmf = _match_pmfs(strategy)
+    path = np.asarray(planned, dtype=float).tolist()
     record = EmpiricalRecord(horizon)
     out = np.empty_like(true_days)
-    for day, t in enumerate(true_days.tolist(), start=1):
-        report = realtime_report(strategy, t, record, day, planned, window_schedule)
+    for day, (t, window) in enumerate(zip(true_days.tolist(), windows.tolist())):
+        report = _match_report(t, record, path, target, bid_pmf, window)
         record.update(report)
-        out[day - 1] = report
+        out[day] = report
     return out
 
 
@@ -469,9 +490,10 @@ def run_horizon(
     planned = realized[_nominal_reports(bids)].rollout.storage
 
     true_days = draw_deadlines(true_params, make_rng(seed), days)
+    windows = np.array([window_schedule.window(l) for l in range(1, days + 1)])
     reports = np.empty_like(true_days)
     for i, strategy in enumerate(strategies):
-        reports[i] = _report_days(strategy, true_days[i], planned[i], window_schedule)
+        reports[i] = _report_days(strategy, true_days[i], planned[i], windows)
 
     # one rollout per distinct report profile; profile_days maps days to them
     profiles, profile_days = np.unique(reports.T, axis=0, return_inverse=True)
@@ -483,7 +505,6 @@ def run_horizon(
     ]
 
     # settlement, every day at once
-    windows = np.array([window_schedule.window(l) for l in range(1, days + 1)])
     shape = (n_evs, days)
     charge_gap_days, kept_days = np.zeros(shape), np.zeros(shape)
     for i in range(n_evs):

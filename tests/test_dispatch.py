@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storemkt import dispatch, mdp
+from storemkt import dispatch, experiments, mdp
 from storemkt.config import load_setup
 from storemkt.costs import MarketModel, asym_lin_quad, linear
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import (
+    BATCH_BYTE_BUDGET,
     CROSS_CHECK_TOL,
     INF_THRESHOLD,
+    BatchTooLarge,
     GridTooLarge,
     InfeasibleModel,
     SolverConfig,
     _batched_inner_values,
+    _exhaustive_bytes,
     _greedy_tail,
     _grid_stages,
     _prefix_stages,
@@ -30,6 +33,7 @@ from storemkt.dispatch import (
     solve_outer,
 )
 from storemkt.mdp import (
+    CountSpace,
     EVSpec,
     MdpModel,
     NoFeasibleContinuation,
@@ -369,6 +373,37 @@ def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
     assert k_hat > 0.0
 
 
+def test_dominated_pair_check_reuses_the_shifted_solve(monkeypatch):
+    # the shifted profile's solve is profiles[0] of the Lipschitz estimate:
+    # three solves per check, and the same k_hat as solving it again
+    calls = []
+    real = dispatch.solve_outer
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(dispatch, "solve_outer", counted)
+    monkeypatch.setattr(experiments, "solve_outer", counted)
+    rng = make_rng(experiments.PAIR_SEED)
+    checks = []
+    while len(checks) < 3:
+        calls.clear()
+        check = experiments.dominated_pair_check(rng)
+        if check is not None:
+            assert len(calls) == 3
+            checks.append(check)
+    estimate = dispatch.estimate_lipschitz_K
+    monkeypatch.setattr(experiments, "estimate_lipschitz_K", lambda *args: estimate(*args[:5]))
+    rng = make_rng(experiments.PAIR_SEED)
+    again = []
+    while len(again) < 3:
+        check = experiments.dominated_pair_check(rng)
+        if check is not None:
+            again.append(check)
+    assert again == checks  # bit-identical
+
+
 def test_explicit_winner_is_cross_checked(monkeypatch):
     # a candidate list's winner faces the same reference re-solve as grid
     # and beam winners
@@ -473,3 +508,185 @@ def test_solve_result_carries_its_model_and_space():
     assert res.candidates_evaluated > 1000
     bound = res.space.n_states * len(s.specs)
     assert max(a.size for a in _arrays(vars(res.space))) <= bound
+
+
+# ---------------------------------------------------------------------------
+# occupancy-count lumping of identical EVs
+
+
+def _table1_fleet(n: int, profile: str = "A", extra: list[dict] = ()):
+    """table1 with n identical EVs (n may pass the preset's cap) plus ``extra``."""
+    cfg = preset_config(f"table1:n=1,profile={profile}")
+    cfg["evs"] = [dict(cfg["evs"][0]) for _ in range(n)] + list(extra)
+    return load_setup(cfg)
+
+
+def _lumpable_setups():
+    for n in (2, 3, 4):
+        for profile in "ABCDE":  # E has zero-survival states
+            yield _table1_fleet(n, profile)
+    yield _table1_fleet(5, "C")
+    # one repeated class plus an EV on three levels
+    odd = dict(capacity=10.0, levels=[0.0, 5.0, 10.0], theta={"pmf": [0.1, 0.2, 0.3, 0.2, 0.2]})
+    yield _table1_fleet(2, "B", [odd])
+
+
+def test_lumped_prices_match_product_prices_on_every_plan():
+    seen = 0
+    for s in _lumpable_setups():
+        levels = grid_levels(s.market, s.specs, s.solver)
+        counts = CountSpace(s.specs, s.params)
+        product = StateSpace(s.specs, s.params)
+        assert counts.n_states < product.n_states
+        lumped = _batched_inner_values(s.market, counts, _grid_stages(levels))
+        exact = _batched_inner_values(s.market, product, _grid_stages(levels))
+        infeasible = exact >= INF_THRESHOLD
+        assert np.array_equal(lumped >= INF_THRESHOLD, infeasible)
+        assert np.abs(lumped - exact)[~infeasible].max() <= 1e-9
+        seen += 1
+    assert seen == 17
+
+
+def test_count_space_sizes():
+    # C(n + 3, 3) states for n identical EVs on two levels
+    for n, states in ((2, 10), (3, 20), (4, 35), (5, 56)):
+        s = _table1_fleet(n)
+        assert CountSpace(s.specs, s.params).n_states == states
+
+
+def test_singleton_classes_price_like_the_product_space():
+    # with no repeated EV every class holds one EV, whose count states are
+    # the product space's per-EV ids: the two spaces price bit for bit alike
+    rng = make_rng(5)
+    for _ in range(4):
+        market, specs, bids, config, _ = random_small_instance(rng)
+        levels = grid_levels(market, specs, config)
+        counts = _batched_inner_values(market, CountSpace(specs, bids), _grid_stages(levels))
+        product = _batched_inner_values(market, StateSpace(specs, bids), _grid_stages(levels))
+        assert np.array_equal(counts, product)
+
+
+def _product_argmin(s) -> tuple[float, ...]:
+    levels = grid_levels(s.market, s.specs, s.solver)
+    inner = _batched_inner_values(s.market, StateSpace(s.specs, s.params), _grid_stages(levels))
+    q_flat = dispatch._grid_gen_costs(s.market, levels) + inner
+    return dispatch._unflatten(int(np.argmin(q_flat)), levels)
+
+
+def _jittered(amplitude: float):
+    """``_batched_inner_values`` with every lumped price moved by
+    +-``amplitude``, the same signs on every call."""
+    batched = dispatch._batched_inner_values
+
+    def jittered(market, space, stages):
+        out = batched(market, space, stages)
+        if isinstance(space, CountSpace):
+            out += np.random.default_rng(3).choice([-amplitude, amplitude], size=out.shape)
+        return out
+
+    return jittered
+
+
+def test_near_ties_are_settled_on_product_prices(monkeypatch):
+    setups = [_table1_fleet(n, p) for n in (2, 3) for p in "ABCDE"]
+    want = [_product_argmin(s) for s in setups]
+    plain = [solve_outer(s.params, s.solver, s.market, s.specs) for s in setups]
+    assert [r.g_star for r in plain] == want
+
+    # lumped prices off by +-1e-12 still pick the product argmin
+    monkeypatch.setattr(dispatch, "_batched_inner_values", _jittered(1e-12))
+    for s, g in zip(setups, want):
+        assert solve_outer(s.params, s.solver, s.market, s.specs).g_star == g
+
+    # lumped prices off by more than the runner-up gap pick the wrong plan
+    # somewhere; a tolerance wider than twice the error re-prices every
+    # plan that could win on the product space, and the product argmin wins
+    jittered = _jittered(5e-3)
+    monkeypatch.setattr(dispatch, "_batched_inner_values", jittered)
+    monkeypatch.setattr(dispatch, "LUMP_TIE_TOL", 2e-2)
+    flipped = 0
+    for s, g, base in zip(setups, want, plain):
+        levels = grid_levels(s.market, s.specs, s.solver)
+        lumped = jittered(s.market, CountSpace(s.specs, s.params), _grid_stages(levels))
+        q_flat = dispatch._grid_gen_costs(s.market, levels) + lumped
+        flipped += dispatch._unflatten(int(np.argmin(q_flat)), levels) != g
+        res = solve_outer(s.params, s.solver, s.market, s.specs)
+        assert res.g_star == g and res.q_star == base.q_star
+    assert flipped > 0
+
+
+def test_count_space_only_prices_exhaustive_grids_with_repeats(monkeypatch):
+    built = []
+
+    class Spy(CountSpace):
+        def __init__(self, specs, params):
+            built.append(len(specs))
+            super().__init__(specs, params)
+
+    monkeypatch.setattr(dispatch, "CountSpace", Spy)
+    rng = make_rng(47)
+    unlike = []
+    while len(unlike) < 3:
+        market, specs, bids, config, _ = random_small_instance(rng)
+        if len(specs) == len(set(zip(specs, bids))):
+            unlike.append((market, specs, bids))
+    for market, specs, bids in unlike:
+        for config in (
+            SolverConfig(step=10.0),
+            SolverConfig(step=10.0, mode="beam"),
+            SolverConfig(step=10.0, candidates=((0.0,) * market.horizon,)),
+        ):
+            try:
+                solve_outer(bids, config, market, specs)
+            except InfeasibleModel:
+                pass
+    s = _table1_fleet(3)
+    solve_outer(s.params, SolverConfig(step=10.0, mode="beam"), s.market, s.specs)
+    plan = solve_outer(s.params, s.solver, s.market, s.specs).g_star
+    assert built == [3]  # the exhaustive grid on the identical fleet only
+    solve_outer(s.params, SolverConfig(candidates=(plan,)), s.market, s.specs)
+    assert built == [3]
+
+
+def _seven_evs(shared: bool):
+    """A 7-EV table1-like fleet: one bid for all, or seven different ones."""
+    cfg = preset_config("table1:n=1")
+    ev = cfg["evs"][0]
+    pmf = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
+    cfg["evs"] = []
+    for k in range(7):
+        w = 0.0 if shared else k / 10
+        theta = {"pmf": list((1 - w) * pmf + w / len(pmf)), "floor": 0.001}
+        cfg["evs"].append(dict(ev, theta=theta))
+    return load_setup(cfg)
+
+
+def test_oversized_exhaustive_pass_fails_by_name(monkeypatch):
+    def never(*args):
+        raise AssertionError("the batched pass must not be allocated")
+
+    monkeypatch.setattr(dispatch, "_batched_inner_values", never)
+    s = _seven_evs(shared=False)
+    assert len(set(s.params)) == 7
+    levels = grid_levels(s.market, s.specs, s.solver)
+    # a 16,384 x 37,632 slot-2 layer (4.9 GB) and its slot-3 source
+    assert _exhaustive_bytes(4**7, levels) == 8 * 4**7 * (37_632 + 37_632 // 12)
+    with pytest.raises(BatchTooLarge, match="use beam search"):
+        solve_outer(s.params, s.solver, s.market, s.specs)
+    assert issubclass(BatchTooLarge, GridTooLarge)  # the CLI exit code stays 2
+
+
+def test_shared_bid_fleet_of_seven_is_admitted(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def reached(market, space, stages):
+        assert space.n_states == 120
+        raise Admitted
+
+    s = _seven_evs(shared=True)
+    levels = grid_levels(s.market, s.specs, s.solver)
+    assert _exhaustive_bytes(120, levels) <= BATCH_BYTE_BUDGET
+    monkeypatch.setattr(dispatch, "_batched_inner_values", reached)
+    with pytest.raises(Admitted):
+        solve_outer(s.params, s.solver, s.market, s.specs)
