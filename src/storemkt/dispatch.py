@@ -25,7 +25,10 @@ lies within LUMP_TIE_TOL of the lumped minimum, those plans are
 re-priced on the joint states, which pick the winner (ties to the
 smaller plan, as everywhere); a lone such plan is the joint-state argmin
 already.  Before the pass allocates, its peak bytes are estimated; past
-BATCH_BYTE_BUDGET it fails with ``BatchTooLarge`` instead.
+BATCH_BYTE_BUDGET it fails with ``BatchTooLarge`` instead.  Every mode
+first estimates, from the specs alone, the joint-state tables and the
+(state, action) pair table that pricing and the winner's re-solve build,
+and fails the same way when those would not fit.
 
 Beam search prices every extended prefix of a depth in one pass: the
 columns are the prefixes, completed by the greedy tail they all share.
@@ -76,8 +79,12 @@ CROSS_CHECK_TOL = 1e-6
 ORACLE_POLICY_GUARD = 500_000
 #: values per column chunk of the batched kernel's min over actions
 CHUNK_ELEMS = 16_384
-#: bytes the exhaustive pass may hold at once; a larger pass fails by name
+#: bytes the exhaustive pass, or the joint-state tables every mode builds,
+#: may hold at once; a larger one fails by name
 BATCH_BYTE_BUDGET = 2 * 2**30
+#: peak bytes ``mdp._product_pairs`` holds per (state, action) pair while it
+#: builds the pair table (about 75 measured, for 2 to 5 levels per EV)
+PAIR_BYTES = 80
 #: grid plans priced within this of the lumped minimum are re-priced on
 #: the joint states, which pick the winner
 LUMP_TIE_TOL = 1e-9
@@ -88,7 +95,8 @@ class GridTooLarge(ValueError):
 
 
 class BatchTooLarge(GridTooLarge):
-    """The exhaustive pass would hold more than BATCH_BYTE_BUDGET bytes."""
+    """The exhaustive pass, or the joint-state tables of the fleet, would
+    hold more than BATCH_BYTE_BUDGET bytes."""
 
 
 class InfeasibleModel(RuntimeError):
@@ -331,6 +339,17 @@ def _min_over_actions(
     return out
 
 
+def _space_bytes(specs: Sequence[EVSpec]) -> int:
+    """Peak bytes of the joint-state tables of ``specs``, from the level
+    counts alone: ``StateSpace``'s charge table, total charge and per-EV
+    digits (8 bytes × (2·n_evs + 1) per joint state), plus the pair table
+    of ``StateSpace.action_pairs`` (a connected EV may move to any level,
+    a disconnected one stays)."""
+    n_states = math.prod(2 * len(s.levels) for s in specs)
+    n_pairs = math.prod(len(s.levels) ** 2 + len(s.levels) for s in specs)
+    return 8 * (2 * len(specs) + 1) * n_states + PAIR_BYTES * n_pairs
+
+
 def _exhaustive_bytes(n_rows: int, levels: list[list[float]]) -> int:
     """Peak bytes of the exhaustive pass on ``n_rows`` pricing states: the
     slot-2 value layer, one column per dispatch tail from slot 2 on, and
@@ -406,6 +425,13 @@ def solve_outer(
     reference recursion; any disagreement beyond CROSS_CHECK_TOL raises."""
     bids = tuple(bids)
     specs = tuple(specs)
+    need = _space_bytes(specs)
+    if need > BATCH_BYTE_BUDGET:
+        raise BatchTooLarge(
+            f"the joint states and (state, action) pairs of {len(specs)} EVs would hold "
+            f"about {need / 2**30:.1f} GiB (limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); "
+            "use fewer EVs or fewer charge levels"
+        )
     space = StateSpace(specs, bids)
     if config.candidates is not None:
         candidates = config.candidates

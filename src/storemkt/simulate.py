@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -134,21 +134,6 @@ def ev_cost(
     return -ev_energy_value * float(storage_seq[reported_deadline - 1])
 
 
-@cache
-def _unit_rows(horizon: int) -> np.ndarray:
-    """One report of each slot, row by row; shared, so read-only."""
-    rows = np.eye(horizon)
-    rows.flags.writeable = False
-    return rows
-
-
-def _post_update_gaps(record: EmpiricalRecord, bid_pmf: np.ndarray) -> np.ndarray:
-    """Worst frequency gap to the bid after one more report, for each
-    candidate report slot 1..T (row t-1 counts one more report of slot t)."""
-    counts = record.counts + _unit_rows(record.horizon)
-    return max_frequency_gap(counts, record.days + 1, bid_pmf)
-
-
 def realtime_report(
     strategy: BiddingStrategy,
     true_deadline: int,
@@ -180,48 +165,71 @@ def realtime_report(
     if window_schedule is None:
         raise ValueError("histogram matching needs the window schedule")
     target, bid_pmf = _match_pmfs(strategy)
-    return _match_report(true_deadline, record, path, target, bid_pmf, window_schedule.window(l))
+    return _match_report(
+        true_deadline, record.counts.tolist(), record.days, path.tolist(), target, bid_pmf,
+        window_schedule.window(l),
+    )
 
 
-def _match_pmfs(strategy: BiddingStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram matching's target pmf and day-ahead bid pmf, as arrays."""
-    return np.array(strategy.match_target().pmf), np.array(strategy.day_ahead_bid.pmf)
+def _match_pmfs(strategy: BiddingStrategy) -> tuple[list[float], list[float]]:
+    """Histogram matching's target pmf and day-ahead bid pmf."""
+    return list(strategy.match_target().pmf), list(strategy.day_ahead_bid.pmf)
+
+
+def _match_gaps(counts: list[int], days: int, bid_pmf: list[float]) -> list[float]:
+    """Per slot, the worst per-slot distance of the report frequencies to
+    the bid after one more report of that slot, from the counts over the
+    first ``days`` days.  The IEEE operations of ``max_frequency_gap`` on
+    ``counts`` plus each unit row, on Python ints and floats, so every gap
+    is bit-identical to the array form's."""
+    after = days + 1
+    kept = [abs(c / after - p) for c, p in zip(counts, bid_pmf)]
+    # one more report moves only its own slot: the others keep their
+    # distance, the worst of which is ``worst`` unless the slot holds it
+    *_, second, worst = [0.0, *sorted(kept)]
+    return [
+        max(abs((c + 1) / after - p), worst if k < worst else second)
+        for c, p, k in zip(counts, bid_pmf, kept)
+    ]
 
 
 def _match_report(
     true_deadline: int,
-    record: EmpiricalRecord,
-    path: Sequence[float],
-    target: np.ndarray,
-    bid_pmf: np.ndarray,
+    counts: list[int],
+    days: int,
+    path: list[float],
+    target: list[float],
+    bid_pmf: list[float],
     window: float,
 ) -> int:
     """Histogram matching's report: steer the running report frequencies
-    toward ``target`` without tripping today's ``window`` on the bid."""
-    horizon = record.horizon
-    den = max(record.days, 1)
-    deficit = (record.counts / den - target).tolist()
-    gaps = _post_update_gaps(record, bid_pmf).tolist()
+    toward ``target`` without tripping today's ``window`` on the bid.
 
-    def prefer(t: int) -> tuple:
-        return (deficit[t - 1], -path[t - 1], t)
-
-    def closest(t: int) -> tuple:
-        return (gaps[t - 1], -path[t - 1], t)
-
-    within = range(1, true_deadline + 1)
-    safe_within = [t for t in within if gaps[t - 1] < window]
-    negative = [t for t in safe_within if deficit[t - 1] < 0.0]
-    if negative:
-        return min(negative, key=prefer)
-    if safe_within:
-        return min(safe_within, key=closest)
-    safe_beyond = [t for t in range(true_deadline + 1, horizon + 1) if gaps[t - 1] < window]
-    if safe_beyond:
-        # every in-deadline report would trip the window; miss the deadline
-        # rather than eat the (much larger) escalating penalty
-        return min(safe_beyond, key=prefer)
-    return min(within, key=closest)
+    ``counts`` holds each slot's reports over the first ``days`` days.  A
+    slot's deficit is ``counts / max(days, 1) - target`` (the array form's
+    operations, so bit-identical to it) and its gap is ``_match_gaps``'s.
+    The report is the safe in-deadline slot with the most negative
+    deficit; else the safe in-deadline slot with the smallest gap; else
+    the safe slot past the deadline with the most negative deficit; else
+    the in-deadline slot with the smallest gap.  Ties go to the larger
+    planned charge, then the earlier slot.
+    """
+    den = max(days, 1)
+    negative, safe_within, safe_beyond, within = [], [], [], []
+    gaps = _match_gaps(counts, days, bid_pmf)
+    for s, (c, q, gap, h) in enumerate(zip(counts, target, gaps, path)):
+        deficit = c / den - q
+        if s < true_deadline:
+            within.append((gap, -h, s))
+            if gap < window:
+                safe_within.append((gap, -h, s))
+                if deficit < 0.0:
+                    negative.append((deficit, -h, s))
+        elif gap < window:
+            # every in-deadline report may trip the window; then miss the
+            # deadline rather than eat the (much larger) escalating penalty
+            safe_beyond.append((deficit, -h, s))
+    return min(negative or safe_within or safe_beyond or within)[2] + 1
 
 
 @dataclass
@@ -255,6 +263,9 @@ TRACE_COLUMNS = (
     "reserve_cost", "beta", "p_da", "charge_gap", "penalty", "event",
     "total_payment", "ev_cost", "utility",
 )
+#: an EV row's fields fixed by its (profile, true deadline) pair, even on
+#: a window-event day: the columns after the day through ``charge_gap``
+_FIXED_EV_COLUMNS = TRACE_COLUMNS[1 : TRACE_COLUMNS.index("penalty")]
 
 
 @dataclass
@@ -314,31 +325,48 @@ class SimResult:
         return rows
 
     def _ev_fields(self, i: int) -> list[str]:
-        """EV ``i``'s CSV fields after the day, per day.  Without a window
-        event a row is fixed by (profile, true deadline), so each such pair
-        is formatted once."""
-        out, seen = [], {}
+        """EV ``i``'s CSV fields after the day, per day.
+
+        Without a window event a row is fixed by (profile, true deadline),
+        so each such pair's row is formatted once.  With one, only the
+        penalty, payment and utility vary by day: the pair's fields
+        through ``charge_gap`` and its ``ev_cost`` are formatted once, and
+        the day's three numbers are set between them."""
+        out, plain, fixed = [], {}, {}
         keys = zip(self.profile_days.tolist(), self.true_days[i].tolist())
-        for d, (key, event) in enumerate(zip(keys, self.event_days[i].tolist())):
-            if event:
-                out.append(_csv_fields(self._ev_row(i, d)))
+        events = self.event_days[i].tolist()
+        penalty, payment, utility = (
+            a[i].tolist() for a in (self.penalty_days, self.payment_days, self.utility_days)
+        )
+        for d, key in enumerate(keys):
+            if not events[d]:
+                if key not in plain:
+                    plain[key] = _csv_fields(self._ev_row(i, d))
+                out.append(plain[key])
                 continue
-            if key not in seen:
-                seen[key] = _csv_fields(self._ev_row(i, d))
-            out.append(seen[key])
+            if key not in fixed:
+                row = self._ev_row(i, d)
+                fixed[key] = (_csv_fields(row, _FIXED_EV_COLUMNS), _fmt(row["ev_cost"]))
+            head, cost = fixed[key]
+            # _fmt of a float, inline: +0.0 folds negative zero
+            out.append(
+                f"{head},{penalty[d] + 0.0:.12g},1,{payment[d] + 0.0:.12g},{cost},"
+                f"{utility[d] + 0.0:.12g}"
+            )
         return out
 
     def to_csv(self) -> str:
         """The trace as CSV, one line per ``trace_rows`` entry, written
         from the columns and the per-profile strings."""
         system = [_csv_fields(_system_fields(o)) for o in self.outcomes]
-        per_ev = [self._ev_fields(i) for i in range(len(self.accounts))]
-        lines = [",".join(TRACE_COLUMNS)]
-        for d, k in enumerate(self.profile_days.tolist()):
-            day = str(d + 1)
-            lines.append(f"{day},{system[k]}")
-            lines.extend(f"{day},{fields[d]}" for fields in per_ev)
-        return "\n".join(lines) + "\n"
+        columns = [[system[k] for k in self.profile_days.tolist()]]
+        columns += [self._ev_fields(i) for i in range(len(self.accounts))]
+        # each day's system row, then its EV rows: column j fills every
+        # len(columns)-th line from line j
+        lines = [""] * (self.days * len(columns))
+        for j, fields in enumerate(columns):
+            lines[j :: len(columns)] = [f"{d},{f}" for d, f in enumerate(fields, 1)]
+        return ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines) + "\n"
 
 
 def _system_fields(o: DayOutcome) -> dict:
@@ -353,9 +381,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_fields(row: dict) -> str:
-    """A trace row's CSV fields after the day column."""
-    return ",".join("" if row.get(k) is None else _fmt(row[k]) for k in TRACE_COLUMNS[1:])
+def _csv_fields(row: dict, columns: Sequence[str] = TRACE_COLUMNS[1:]) -> str:
+    """A trace row's CSV fields after the day column (or in ``columns``)."""
+    return ",".join("" if row.get(k) is None else _fmt(row[k]) for k in columns)
 
 
 def _nominal_reports(params: Sequence[DeadlineDistribution]) -> tuple[int, ...]:
@@ -387,7 +415,12 @@ def _report_days(
     windows: np.ndarray,
 ) -> np.ndarray:
     """One EV's reported slot on every day, given its true deadlines and
-    each day's compliance window."""
+    each day's compliance window.
+
+    Histogram matching steps through the days on a list of running report
+    counts, updated in place; the day index is the day count before the
+    report.  What ``realtime_report`` would rebuild every day (the pmfs,
+    the planned path) is built once."""
     horizon = len(planned)
     if not isinstance(strategy.rule, HistogramMatch):
         # every other rule is a function of the true deadline alone
@@ -396,16 +429,15 @@ def _report_days(
             [realtime_report(strategy, t, blank, 1, planned) for t in range(1, horizon + 1)]
         )
         return table[true_days - 1]
-    # what realtime_report would rebuild every day, built once
     target, bid_pmf = _match_pmfs(strategy)
     path = np.asarray(planned, dtype=float).tolist()
-    record = EmpiricalRecord(horizon)
-    out = np.empty_like(true_days)
+    counts = [0] * horizon
+    out = []
     for day, (t, window) in enumerate(zip(true_days.tolist(), windows.tolist())):
-        report = _match_report(t, record, path, target, bid_pmf, window)
-        record.update(report)
-        out[day] = report
-    return out
+        report = _match_report(t, counts, day, path, target, bid_pmf, window)
+        counts[report - 1] += 1
+        out.append(report)
+    return np.array(out, dtype=true_days.dtype)
 
 
 def _day_outcome(

@@ -648,13 +648,13 @@ def test_count_space_only_prices_exhaustive_grids_with_repeats(monkeypatch):
     assert built == [3]
 
 
-def _seven_evs(shared: bool):
-    """A 7-EV table1-like fleet: one bid for all, or seven different ones."""
+def _table1_like_evs(shared: bool, n: int = 7):
+    """An n-EV table1-like fleet: one bid for all, or n different ones."""
     cfg = preset_config("table1:n=1")
     ev = cfg["evs"][0]
     pmf = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
     cfg["evs"] = []
-    for k in range(7):
+    for k in range(n):
         w = 0.0 if shared else k / 10
         theta = {"pmf": list((1 - w) * pmf + w / len(pmf)), "floor": 0.001}
         cfg["evs"].append(dict(ev, theta=theta))
@@ -666,7 +666,7 @@ def test_oversized_exhaustive_pass_fails_by_name(monkeypatch):
         raise AssertionError("the batched pass must not be allocated")
 
     monkeypatch.setattr(dispatch, "_batched_inner_values", never)
-    s = _seven_evs(shared=False)
+    s = _table1_like_evs(shared=False)
     assert len(set(s.params)) == 7
     levels = grid_levels(s.market, s.specs, s.solver)
     # a 16,384 x 37,632 slot-2 layer (4.9 GB) and its slot-3 source
@@ -674,6 +674,26 @@ def test_oversized_exhaustive_pass_fails_by_name(monkeypatch):
     with pytest.raises(BatchTooLarge, match="use beam search"):
         solve_outer(s.params, s.solver, s.market, s.specs)
     assert issubclass(BatchTooLarge, GridTooLarge)  # the CLI exit code stays 2
+
+
+def test_oversized_joint_space_fails_by_name_in_every_mode(monkeypatch):
+    def never(*args):
+        raise AssertionError("the joint-state tables must not be allocated")
+
+    s = _table1_like_evs(shared=False, n=11)
+    assert len(set(s.params)) == 11
+    # 4**11 joint states (0.7 GiB of tables) and 6**11 (state, action)
+    # pairs (27 GiB while they are built)
+    assert dispatch._space_bytes(s.specs) == 8 * 23 * 4**11 + dispatch.PAIR_BYTES * 6**11
+    monkeypatch.setattr(StateSpace, "__init__", never)
+    plan = (0.0,) * s.market.horizon
+    for config in (
+        SolverConfig(step=10.0, mode="beam"),
+        SolverConfig(step=10.0),
+        SolverConfig(candidates=(plan,)),
+    ):
+        with pytest.raises(BatchTooLarge, match="11 EVs"):
+            solve_outer(s.params, config, s.market, s.specs)
 
 
 def test_shared_bid_fleet_of_seven_is_admitted(monkeypatch):
@@ -684,7 +704,7 @@ def test_shared_bid_fleet_of_seven_is_admitted(monkeypatch):
         assert space.n_states == 120
         raise Admitted
 
-    s = _seven_evs(shared=True)
+    s = _table1_like_evs(shared=True)
     levels = grid_levels(s.market, s.specs, s.solver)
     assert _exhaustive_bytes(120, levels) <= BATCH_BYTE_BUDGET
     monkeypatch.setattr(dispatch, "_batched_inner_values", reached)

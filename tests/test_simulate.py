@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storemkt import dispatch, mdp, simulate
 from storemkt.config import load_setup
@@ -10,7 +12,13 @@ from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import SolverConfig, solve_outer
 from storemkt.experiments import payments_table, to_json
 from storemkt.mdp import expected_outcome, rollout
-from storemkt.mechanism import EmpiricalRecord, WindowSchedule, settlement, total_payment
+from storemkt.mechanism import (
+    EmpiricalRecord,
+    WindowSchedule,
+    max_frequency_gap,
+    settlement,
+    total_payment,
+)
 from storemkt.presets import preset_config
 from storemkt.simulate import (
     BiddingStrategy,
@@ -92,6 +100,69 @@ def test_histogram_match_target_override():
     bid = DeadlineDistribution((0.19, 0.81))
     assert BiddingStrategy(bid, HistogramMatch(other)).match_target() is other
     assert BiddingStrategy(bid, HistogramMatch()).match_target() is bid
+
+
+def _array_match_report(true_deadline, counts, days, path, target, bid_pmf, window):
+    """Histogram matching's report in its array form: the deficits and the
+    post-update gaps come from numpy operations on length-T arrays."""
+    horizon = len(counts)
+    counts = np.array(counts, dtype=np.int64)
+    deficit = (counts / max(days, 1) - np.array(target)).tolist()
+    gaps = max_frequency_gap(counts + np.eye(horizon), days + 1, np.array(bid_pmf)).tolist()
+
+    def prefer(t):
+        return (deficit[t - 1], -path[t - 1], t)
+
+    def closest(t):
+        return (gaps[t - 1], -path[t - 1], t)
+
+    within = range(1, true_deadline + 1)
+    safe_within = [t for t in within if gaps[t - 1] < window]
+    negative = [t for t in safe_within if deficit[t - 1] < 0.0]
+    beyond = [t for t in range(true_deadline + 1, horizon + 1) if gaps[t - 1] < window]
+    if negative:
+        return min(negative, key=prefer), gaps
+    if safe_within:
+        return min(safe_within, key=closest), gaps
+    if beyond:
+        return min(beyond, key=prefer), gaps
+    return min(within, key=closest), gaps
+
+
+def _pmfs(horizon):
+    # integer weights with zeros allowed; an all-zero draw puts its mass on
+    # the last slot
+    def normalize(w):
+        total = sum(w)
+        return [x / total for x in w] if total else [0.0] * (horizon - 1) + [1.0]
+
+    return st.lists(st.integers(0, 9), min_size=horizon, max_size=horizon).map(normalize)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scalar_match_report_equals_the_array_form(data):
+    horizon = data.draw(st.integers(2, 6))
+    counts = data.draw(
+        st.lists(
+            st.one_of(st.integers(0, 12), st.integers(0, 10**6)),
+            min_size=horizon, max_size=horizon,
+        )
+    )
+    days = sum(counts)
+    target, bid_pmf = data.draw(_pmfs(horizon)), data.draw(_pmfs(horizon))
+    # few distinct planned charges, so charge ties are common
+    path = data.draw(
+        st.lists(st.sampled_from([0.0, 5.0, 10.0]), min_size=horizon, max_size=horizon)
+    )
+    true_deadline = data.draw(st.integers(1, horizon))
+    _, want_gaps = _array_match_report(true_deadline, counts, days, path, target, bid_pmf, 1.0)
+    # a window equal to a gap puts that slot on the strict-< boundary
+    window = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(want_gaps)))
+    want, _ = _array_match_report(true_deadline, counts, days, path, target, bid_pmf, window)
+    assert simulate._match_gaps(counts, days, bid_pmf) == want_gaps
+    got = simulate._match_report(true_deadline, counts, days, path, target, bid_pmf, window)
+    assert got == want
 
 
 def test_resolve_j_m():
@@ -332,6 +403,51 @@ def test_trace_and_diagnostics_bytes_are_frozen(preset, kind):
         hashlib.sha256(to_json(res.diagnostics).encode()).hexdigest(),
     )
     assert got == FROZEN_SHA256[(preset, kind)]
+
+
+# sha256 of to_csv() and of to_json(diagnostics) for theorem1 over its
+# 5,000 days at its seed 0, recorded before the histogram-matching report
+# kept its counts as Python ints and before window-event rows were
+# written from cached per-pattern fields.  Fixed(1) trips the window on
+# 4,999 days; the two histogram matchers steer every report (two slots
+# leave them no day without a safe report, so no window event)
+FROZEN_5K_SHA256 = {
+    "fixed_1": (
+        {"rule": {"kind": "fixed", "slot": 1}},
+        "d65e644a8dcb4a403f9b08f8c680ff7a78e91ff5ae05dffed1b7f56e8de67300",
+        "578537eb3d67b6f1cea7ec041c3783923835a05801609d203260a9ee9d7a4657",
+    ),
+    "histogram_match_bid_1_0": (
+        {"bid_pmf": [1.0, 0.0], "rule": {"kind": "histogram_match"}},
+        "88b584c98ccd820e20aaa02cecf214012554c160c3363e3004e72a04231035ff",
+        "edcd64d154d7688009578efc2fc731df351beaccfe99f5c43fb18e14a769bc5a",
+    ),
+    "histogram_match_bid_019_081": (
+        {"bid_pmf": [0.19, 0.81], "rule": {"kind": "histogram_match"}},
+        "69bcd6d4b8b938aa1244f119d491b63f9ad236a81d5822ea702c65bdf5c34a31",
+        "3893aa49334e4e26a5aa5af61812838bdd1beddf13099b82f78cef79c24d0c4c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_5K_SHA256))
+def test_theorem1_5000_day_bytes_are_frozen(name):
+    strategy, csv_sha, diag_sha = FROZEN_5K_SHA256[name]
+    cfg = preset_config("theorem1")
+    cfg["simulation"]["strategies"] = [strategy]
+    s = load_setup(cfg)
+    res = run_horizon(
+        s.market, s.specs, s.params, s.strategies, s.days, s.seeds[0],
+        s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
+    )
+    assert s.days == 5000
+    if name == "fixed_1":
+        assert res.accounts[0].penalties == 4999
+    got = (
+        hashlib.sha256(res.to_csv().encode()).hexdigest(),
+        hashlib.sha256(to_json(res.diagnostics).encode()).hexdigest(),
+    )
+    assert got == (csv_sha, diag_sha)
 
 
 def test_settlement_columns_match_the_per_day_settlement():
