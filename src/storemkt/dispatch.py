@@ -16,19 +16,31 @@ sum, so the kernel takes the min over actions of equal sum first and
 adds each sum's reserve cost once per dispatch level.  Slot 1 forms only
 the initial state's row.
 
-The exhaustive search prices the whole grid in one such pass.  When two
-or more EVs share a spec and a bid, that pass runs on the occupancy
+The exhaustive search prices the whole grid in one such pass, and drops
+dominated tails as it goes (Morin & Marsten, *Oper. Res.* 24(4), 1976;
+Ibaraki, *J. ACM* 24(2), 1977).  The backward step is monotone and
+shifts with a constant, so a tail whose values plus dispatch cost are
+beaten in every row by another tail's loses under every prefix.  After
+each slot t >= 2, every tail beaten by more than a margin is dropped and
+only the survivors run ahead into slot t-1: 45 to 81 of table1's 127,413
+four-EV plans reach slot 1.  The margin exceeds the worst rounding gap
+between two computed plan costs plus LUMP_TIE_TOL (see PRUNE_ROUNDING),
+and kept columns run exactly the full grid's operations, so the argmin,
+the near-tie set and every kept plan's bits are the full grid's.
+``SolveResult.candidates_evaluated`` still counts the whole grid.  When
+two or more EVs share a spec and a bid, that pass runs on the occupancy
 counts of ``mdp.CountSpace`` instead of the joint states: 35 rows
 instead of 256 for four table1 EVs.  Lumped prices agree with
 joint-state prices only up to rounding.  So when more than one plan
 lies within LUMP_TIE_TOL of the lumped minimum, those plans are
 re-priced on the joint states, which pick the winner (ties to the
 smaller plan, as everywhere); a lone such plan is the joint-state argmin
-already.  Before the pass allocates, its peak bytes are estimated; past
-BATCH_BYTE_BUDGET it fails with ``BatchTooLarge`` instead.  Every mode
-first estimates, from the specs alone, the joint-state tables and the
-(state, action) pair table that pricing and the winner's re-solve build,
-and fails the same way when those would not fit.
+already.  Before each slot allocates, its bytes are bounded from the
+tails kept so far; past BATCH_BYTE_BUDGET the pass fails with
+``BatchTooLarge`` instead.  Every mode first estimates, from the specs
+alone, the joint-state tables and the (state, action) pair table that
+pricing and the winner's re-solve build, and fails the same way when
+those would not fit.
 
 Beam search prices every extended prefix of a depth in one pass: the
 columns are the prefixes, completed by the greedy tail they all share.
@@ -79,8 +91,8 @@ CROSS_CHECK_TOL = 1e-6
 ORACLE_POLICY_GUARD = 500_000
 #: values per column chunk of the batched kernel's min over actions
 CHUNK_ELEMS = 16_384
-#: bytes the exhaustive pass, or the joint-state tables every mode builds,
-#: may hold at once; a larger one fails by name
+#: bytes one slot of the exhaustive pass, or the joint-state tables every
+#: mode builds, may hold at once; a larger one fails by name
 BATCH_BYTE_BUDGET = 2 * 2**30
 #: peak bytes ``mdp._product_pairs`` holds per (state, action) pair while it
 #: builds the pair table (about 75 measured, for 2 to 5 levels per EV)
@@ -88,6 +100,43 @@ PAIR_BYTES = 80
 #: grid plans priced within this of the lumped minimum are re-priced on
 #: the joint states, which pick the winner
 LUMP_TIE_TOL = 1e-9
+#: The exhaustive pass drops a tail c when an earlier tail d beats it in
+#: every row (``_undominated``, ``_prune_margin``): by the margin
+#: m = 8·LUMP_TIE_TOL + PRUNE_ROUNDING·k·S where c's cost x is at most
+#: H = 6·S + 2·LUMP_TIE_TOL, and d may exceed x by at most x·m/(2·H)
+#: where it is above H.  Derivation.  Let u = 2**-53 and S bound every
+#: cost a plan sums from finite terms, so costs above H stem from
+#: INF_PROXY, where a fixed margin vanishes in rounding (1e30 - m == 1e30).
+#:   - Exactly, the backward step is monotone and shifts with a constant.
+#:     So under any prefix, (P, d) costs at most (P, c) minus m·W plus
+#:     m/(2·H) times the expected x over c's rows above H, W being the
+#:     probability of c's rows at most H under (P, c)'s policy.
+#:   - A plan (P, c) that can win or tie costs at most S + LUMP_TIE_TOL
+#:     plus rounding, and no part of it is below -S, so its expected x
+#:     over rows above H is at most H/2.  Hence W >= 1/2, and the exact
+#:     gap is at least m/2 - m/4 = m/4.
+#:   - Each computed plan cost is within k·u·4S of that exact recursion,
+#:     k = T·(8·n·L + 3) + 2 for T slots, n EVs and L levels per EV at
+#:     most.  Per slot and level, each class of EVs forms a weighted sum of
+#:     at most n + 1 values with rounded weights (at most 8·n roundings
+#:     over the classes), then adds the reserve cost; then come the T + 1
+#:     additions of the dispatch cost, and the filter's own two.
+#:   - So the computed gap is at least m/4 - 8·k·u·S = 2·LUMP_TIE_TOL.
+#:     A dropped plan is neither the argmin nor within LUMP_TIE_TOL of
+#:     it, and every kept plan keeps its bits.
+#: For T = 5, n = 4, L = 2 the rounding term PRUNE_ROUNDING·k·S is about
+#: 1e-12·S.
+PRUNE_ROUNDING = 32 * 2.0**-53
+#: rows every pair of tails is first compared on, in the dominance filter
+PROBE_ROWS = 8
+#: tails per block of the dominance filter
+PRUNE_BLOCK = 128
+#: values per chunk of the dominance filter's every-row comparisons
+PRUNE_PAIR_ELEMS = 2**18
+#: the dominance filter stops testing after this many comparisons per
+#: value of the layer and per pair of one block; the remaining tails are
+#: kept
+PRUNE_WORK = 8
 
 
 class GridTooLarge(ValueError):
@@ -95,8 +144,8 @@ class GridTooLarge(ValueError):
 
 
 class BatchTooLarge(GridTooLarge):
-    """The exhaustive pass, or the joint-state tables of the fleet, would
-    hold more than BATCH_BYTE_BUDGET bytes."""
+    """A slot of the exhaustive pass, or the joint-state tables of the
+    fleet, would hold more than BATCH_BYTE_BUDGET bytes."""
 
 
 class InfeasibleModel(RuntimeError):
@@ -227,11 +276,6 @@ def _greedy_tail(market: MarketModel, levels: list[list[float]], start_slot: int
 Stage = list[tuple[float, np.ndarray | None]]
 
 
-def _grid_stages(levels: list[list[float]]) -> list[Stage]:
-    """Every level of every slot ahead of every tail: the exhaustive grid."""
-    return [[(g, None) for g in lt] for lt in levels]
-
-
 def _prefix_stages(
     prefixes: Sequence[tuple[float, ...]], tail: Sequence[float]
 ) -> tuple[list[Stage], list[int]]:
@@ -263,8 +307,9 @@ def _batched_inner_values(
 
     Columns are dispatch tails.  ``stages[t-1]`` lays out the columns of
     layer t-1 as blocks: block (g, parents) runs dispatch g in slot t ahead
-    of the layer-t columns ``parents`` (None: all of them), so
-    ``_grid_stages`` yields every grid plan in lexicographic product order.
+    of the layer-t columns ``parents`` (None: all of them), so the blocks
+    ``(g, None)`` of every level of every slot yield every grid plan in
+    lexicographic product order.
     Each slot is one post-decision step: the zero-action expectation
     ``space.expect`` runs once, in place; an action's continuation is the
     row of its post-decision state; the min over actions with equal charge
@@ -350,24 +395,172 @@ def _space_bytes(specs: Sequence[EVSpec]) -> int:
     return 8 * (2 * len(specs) + 1) * n_states + PAIR_BYTES * n_pairs
 
 
-def _exhaustive_bytes(n_rows: int, levels: list[list[float]]) -> int:
-    """Peak bytes of the exhaustive pass on ``n_rows`` pricing states: the
-    slot-2 value layer, one column per dispatch tail from slot 2 on, and
-    the slot-3 layer it is built from."""
-    cols3 = math.prod(len(lt) for lt in levels[2:])
-    cols2 = cols3 * len(levels[1]) if len(levels) > 1 else 0
-    return 8 * n_rows * (cols2 + cols3)
+def _prune_margin(
+    market: MarketModel, space: StateSpace, specs: Sequence[EVSpec], levels: list[list[float]]
+) -> tuple[float, float]:
+    """The dominance margin m of the exhaustive pass and the bound H above
+    which a cost stems from INF_PROXY (see PRUNE_ROUNDING).
+
+    S, the bound on every cost a grid plan sums from finite terms, adds
+    per slot the largest finite dispatch cost and the largest finite
+    reserve cost over every level and action charge sum to the largest
+    terminal credit.
+    """
+    sums = np.array([sigma for sigma, _, _ in space.action_groups])
+    scale = market.ev_energy_value * float(np.max(np.abs(space.total_charge)))
+    for slot, lt in enumerate(levels, 1):
+        gen = [market.generator.cost(slot, g) for g in lt]
+        # each distinct mismatch demand + sigma - g, as the kernel forms it
+        mismatch = np.unique(np.subtract.outer(market.demand[slot - 1] + sums, lt))
+        res = [market.reserve_cost_at(slot, m) for m in mismatch.tolist()]
+        for costs in (gen, res):
+            scale += max((abs(c) for c in costs if abs(c) < math.inf), default=0.0)
+    n_levels = max((len(s.levels) for s in specs), default=1)
+    steps = market.horizon * (8 * len(specs) * n_levels + 3) + 2
+    margin = 8 * LUMP_TIE_TOL + PRUNE_ROUNDING * steps * scale
+    return margin, 6 * scale + 2 * LUMP_TIE_TOL
 
 
-def _grid_gen_costs(market: MarketModel, levels: list[list[float]]) -> np.ndarray:
-    """Dispatch cost of every grid plan, lexicographic flat order."""
-    acc = np.zeros(1)
-    for slot in range(1, market.horizon + 1):
-        per = np.array(
-            [min(market.generator.cost(slot, g), INF_PROXY) for g in levels[slot - 1]]
-        )
-        acc = (acc[:, None] + per[None, :]).reshape(-1)
-    return acc
+def _layer_bytes(
+    n_states: int, n_groups: int, n_rows: int, kept: int, width: int, horizon: int
+) -> int:
+    """Upper bound on the bytes one slot of the exhaustive pass holds at
+    once, from the ``kept`` tails it starts from and the ``width`` tails it
+    forms on ``n_rows`` rows: the value layer with the expectation's
+    temporaries, the new layer with the dominance filter's copies, the
+    kernel's and the filter's chunks, and each tail's index and costs."""
+    chunks = (n_groups + 3) * max(CHUNK_ELEMS, n_states) + 3 * max(PRUNE_PAIR_ELEMS, n_rows)
+    return 8 * (4 * n_states * kept + 6 * n_rows * width + chunks + (horizon + 4) * width)
+
+
+def _undominated(v: np.ndarray, tail_gen: np.ndarray, margin: float, high: float) -> np.ndarray:
+    """The columns of a value layer that no other column dominates,
+    ascending.
+
+    Column d dominates column c when, in every row, d's value plus its
+    dispatch cost ``x`` is at most c's minus ``margin``.  Where c's ``x``
+    is above ``high`` (rows at INF_PROXY among them) a margin vanishes in
+    rounding, so there d may instead exceed c's ``x`` by a relative
+    margin/(2·high).  A column whose threshold lies below the least ``x``
+    of some row is kept untested.  The others are taken cheapest first
+    (fewest rows above ``high``, then the least sum), each tested against
+    the columns kept before it: on a few probe rows for every pair, on
+    every row for the pairs that pass.  Once the tests pass PRUNE_WORK
+    comparisons per value of the layer and per pair of one block, the
+    remaining columns are kept; keeping a column is always exact.
+    """
+    stretch = 1.0 + margin / (2.0 * high)
+
+    def threshold(x: np.ndarray, above: np.ndarray) -> np.ndarray:
+        thr = x - margin
+        np.copyto(thr, x * stretch, where=above)
+        return thr
+
+    # on the probe rows alone, a column that no other column can beat in
+    # some row is kept: most layers with no dominance end here
+    probe = np.unique(np.linspace(0, len(v) - 1, PROBE_ROWS).astype(np.intp))
+    x = v[probe] + tail_gen
+    thr = threshold(x, x > high)
+    if not (thr >= x.min(axis=1, keepdims=True)).all(axis=0).any():
+        return np.arange(v.shape[1])
+    x = v + tail_gen
+    above = x > high
+    thr = threshold(x, above)
+    maybe = (thr >= x.min(axis=1, keepdims=True)).all(axis=0)
+    if not maybe.any():
+        return np.arange(v.shape[1])
+    order = np.lexsort((np.where(above, 0.0, x).sum(axis=0), above.sum(axis=0)))
+    maybe = maybe[order]
+    kept = ~maybe  # in ``order`` positions
+    targets = np.flatnonzero(maybe)
+    x_probe, thr_probe = x[probe][:, order], thr[probe][:, order]
+    work, budget = 0, PRUNE_WORK * (x.size + PRUNE_BLOCK**2)
+    pairs = max(PRUNE_PAIR_ELEMS // len(x), 1)
+    for lo in range(0, len(targets), PRUNE_BLOCK):
+        if work > budget:
+            kept[targets[lo:]] = True
+            break
+        t = targets[lo : lo + PRUNE_BLOCK]
+        kept[t] = True
+        doms = np.flatnonzero(kept[: t[-1]])
+        for d0 in range(0, len(doms), PRUNE_BLOCK):
+            live = t[kept[t]]
+            if not len(live):
+                break
+            d = doms[d0 : d0 + PRUNE_BLOCK]
+            hit = (x_probe[:, d, None] <= thr_probe[:, None, live]).all(axis=0)
+            hit &= d[:, None] < live
+            work += len(probe) * len(d) * len(live)
+            # each target against its first candidate left, on every row
+            while work <= budget:
+                js = np.flatnonzero(hit.any(axis=0))
+                if not len(js):
+                    break
+                first = hit[:, js].argmax(axis=0)
+                hit[first, js] = False
+                for p0 in range(0, len(js), pairs):
+                    j, i = js[p0 : p0 + pairs], first[p0 : p0 + pairs]
+                    full = (x[:, order[d[i]]] <= thr[:, order[live[j]]]).all(axis=0)
+                    kept[live[j[full]]] = False
+                    hit[:, j[full]] = False
+                work += len(x) * len(js)
+    return np.sort(order[kept])
+
+
+def _price_grid(
+    market: MarketModel, space: StateSpace, specs: Sequence[EVSpec], levels: list[list[float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Price the exhaustive grid in one batched pass that drops dominated
+    dispatch tails after every slot t >= 2.
+
+    The layer after slot t holds one value column per kept tail (g_t..g_T),
+    and slot t-1 runs every one of its levels ahead of every kept tail.  A
+    tail that another beats by the margin in every row (``_undominated``)
+    loses under every prefix, so it is dropped.  Kept columns run exactly
+    the operations of the full grid, column by column, so their values are
+    bit-identical to it.  Before each slot allocates, its bytes are
+    bounded from the kept tails; past BATCH_BYTE_BUDGET the pass fails with
+    ``BatchTooLarge``.  Returns the flat index (lexicographic product
+    order, ascending) and the cost of every plan that reaches slot 1: its
+    dispatch cost summed from slot 1 on, plus its inner value.
+    """
+    gen = [
+        np.array([min(market.generator.cost(slot, g), INF_PROXY) for g in lt])
+        for slot, lt in enumerate(levels, 1)
+    ]
+    margin, high = _prune_margin(market, space, specs, levels)
+    v = (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
+    # each kept tail's flat index among all tails, ascending, and its
+    # dispatch cost
+    tails, stride = np.zeros(1, dtype=np.intp), 1
+    tail_gen = np.zeros(1)
+    for slot in range(market.horizon, 0, -1):
+        n_levels = len(levels[slot - 1])
+        groups = space.action_groups if slot > 1 else space.initial_groups
+        n_rows = space.n_states if slot > 1 else 1
+        width = n_levels * len(tails)
+        need = _layer_bytes(space.n_states, len(groups), n_rows, len(tails), width, market.horizon)
+        if need > BATCH_BYTE_BUDGET:
+            raise BatchTooLarge(
+                f"exhaustive pass over {space.n_states} states would hold about "
+                f"{need / 2**30:.1f} GiB at slot {slot}, {width} dispatch tails "
+                f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use beam search"
+            )
+        post = space.expect(slot, v, connected_only=slot == 1)
+        blocks = [(g, None) for g in levels[slot - 1]]
+        v = _min_over_actions(market, slot, post, groups, blocks, n_rows)
+        level = np.repeat(np.arange(n_levels), len(tails))
+        tails = level * stride + np.tile(tails, n_levels)
+        tail_gen = gen[slot - 1][level] + np.tile(tail_gen, n_levels)
+        stride *= n_levels
+        if slot > 1:
+            keep = _undominated(v, tail_gen, margin, high)
+            if len(keep) < width:
+                v, tails, tail_gen = v.take(keep, axis=1), tails[keep], tail_gen[keep]
+    gen_cost = np.zeros(len(tails))
+    for slot, idx in enumerate(np.unravel_index(tails, [len(lt) for lt in levels]), 1):
+        gen_cost = gen_cost + gen[slot - 1][idx]
+    return tails, gen_cost + v[0]
 
 
 def _price_plans(
@@ -460,22 +653,14 @@ def solve_outer(
         # product space the winner is re-solved on
         lumped = len(set(zip(specs, bids))) < len(specs)
         pricing = CountSpace(specs, bids) if lumped else space
-        need = _exhaustive_bytes(pricing.n_states, levels)
-        if need > BATCH_BYTE_BUDGET:
-            raise BatchTooLarge(
-                f"exhaustive pass over {pricing.n_states} states would hold about "
-                f"{need / 2**30:.1f} GiB (limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); "
-                "use beam search"
-            )
-        inner = _batched_inner_values(market, pricing, _grid_stages(levels))
-        q_flat = _grid_gen_costs(market, levels) + inner
-        best_idx = int(np.argmin(q_flat))
-        if q_flat[best_idx] >= INF_THRESHOLD:
+        flat, q = _price_grid(market, pricing, specs, levels)
+        best = int(np.argmin(q))
+        if q[best] >= INF_THRESHOLD:
             raise InfeasibleModel("every dispatch plan on the grid is infeasible")
-        g_star = _unflatten(best_idx, levels)
+        g_star = _unflatten(int(flat[best]), levels)
         evaluated = total
-        batched_q = float(q_flat[best_idx])
-        near = np.flatnonzero(q_flat <= batched_q + LUMP_TIE_TOL) if lumped else ()
+        batched_q = float(q[best])
+        near = flat[q <= batched_q + LUMP_TIE_TOL] if lumped else ()
         if len(near) > 1:
             # lumped prices match product prices only up to rounding, so
             # the product prices of the near-minimal plans pick the winner;

@@ -16,6 +16,7 @@ bounded per-day gain survives it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -51,6 +52,29 @@ class WindowSchedule:
         if l < 1:
             raise ValueError("day index starts at 1")
         return self.scale * math.sqrt(self.gamma * math.log(l + 1) / l)
+
+
+def window_closing_day(
+    window_schedule: WindowSchedule, truth: Sequence[float], bid: Sequence[float]
+) -> int:
+    """First day l on which the compliance window plus three standard
+    errors of the honest report frequencies falls below the largest
+    per-slot gap between the true pmf and the bid.
+
+    From that day on a reporter drawing from ``truth`` sits outside the
+    window around ``bid`` beyond sampling noise, so the penalty fires.
+    Both terms shrink with l, so the condition holds on every later day.
+    """
+    drift = max(abs(t - b) for t, b in zip(truth, bid))
+    if drift == 0.0:
+        raise ValueError("the bid equals the truth: no window closes over it")
+    return next(
+        l
+        for l in itertools.count(1)
+        if window_schedule.window(l)
+        + 3.0 * max(math.sqrt(t * (1.0 - t) / l) for t in truth)
+        < drift
+    )
 
 
 @dataclass(frozen=True)

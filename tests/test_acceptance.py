@@ -9,8 +9,6 @@ checks the two-point underbid at the horizon where the compliance window
 has closed over its 0.02 frequency drift, computed from the window
 schedule and the two pmfs.
 """
-import itertools
-import math
 import time
 
 import pytest
@@ -25,6 +23,7 @@ from storemkt.experiments import (
     penalty_growth_suite,
     window_compliance_suite,
 )
+from storemkt.mechanism import window_closing_day
 from storemkt.scenarios import random_tiny_instance
 
 
@@ -236,25 +235,6 @@ def test_criterion_8_fixed_deviator_penalty_growth(capsys):
     assert s["monotone_from_day_10"]
 
 
-def _window_closing_day(window_schedule, truth, bid) -> int:
-    """First day l on which the compliance window plus three standard
-    errors of the honest report frequencies falls below the largest
-    per-slot gap between the true pmf and the bid.
-
-    From that day on a reporter drawing from ``truth`` sits outside the
-    window around ``bid`` beyond sampling noise, so the penalty fires.
-    Both terms shrink with l, so the condition holds on every later day.
-    """
-    drift = max(abs(t - b) for t, b in zip(truth, bid))
-    return next(
-        l
-        for l in itertools.count(1)
-        if window_schedule.window(l)
-        + 3.0 * max(math.sqrt(t * (1.0 - t) / l) for t in truth)
-        < drift
-    )
-
-
 def test_criterion_9_no_profitable_underbid_at_5000_days(capsys):
     from storemkt.config import load_setup
     from storemkt.deadlines import DeadlineDistribution
@@ -287,7 +267,7 @@ def test_criterion_9_no_profitable_underbid_at_5000_days(capsys):
     # the underbid drifts report frequencies by only 0.02, which the
     # window cannot resolve at 5,000 days; the guarantee is asymptotic,
     # so DSIC is judged once the window has closed over that drift
-    closing_day = _window_closing_day(
+    closing_day = window_closing_day(
         setup.window_schedule, setup.params[0].pmf, bid.pmf
     )
     cell = run(closing_day)["adversaries"]["underbid_two_points_truthful"][0]

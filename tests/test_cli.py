@@ -150,6 +150,23 @@ def test_experiment_example1(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def test_experiment_theorem1(tmp_path, capsys):
+    # the two-point underbid is judged on the day the window closes over
+    # its 0.02 drift; at the preset's 5,000 days its gain is information
+    out = tmp_path / "t1"
+    assert main(["experiment", "theorem1", "--out", str(out)]) == 0
+    assert "theorem1: PASS" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    underbid = "underbid_two_points_truthful"
+    assert report["informational"] == [f"adversaries.{underbid}"]
+    assert report["adversaries"][underbid]["0"]["dsic_ok"] is False
+    closing = report["underbid_closing"]
+    assert closing["days"] == 50_943
+    assert closing["adversaries"][underbid]["0"]["dsic_ok"] is True
+    for name, cells in report["adversaries"].items():
+        assert name == underbid or cells["0"]["dsic_ok"] is True
+
+
 def test_oracle_command(capsys):
     assert main(["oracle", "--trials", "3", "--seed", "1"]) == 0
     captured = capsys.readouterr()

@@ -1,28 +1,30 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storemkt import dispatch, experiments, mdp
+from storemkt import costs, dispatch, experiments, mdp
 from storemkt.config import load_setup
 from storemkt.costs import MarketModel, asym_lin_quad, linear
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import (
-    BATCH_BYTE_BUDGET,
     CROSS_CHECK_TOL,
+    INF_PROXY,
     INF_THRESHOLD,
+    LUMP_TIE_TOL,
     BatchTooLarge,
     GridTooLarge,
     InfeasibleModel,
     SolverConfig,
     _batched_inner_values,
-    _exhaustive_bytes,
     _greedy_tail,
-    _grid_stages,
     _prefix_stages,
+    _price_grid,
     beta_bar,
     brute_force_oracle,
     conditional_beta,
@@ -45,6 +47,7 @@ from storemkt.mdp import (
 from storemkt.mechanism import day_ahead
 from storemkt.presets import preset_config
 from storemkt.scenarios import random_floored_pmf, random_small_instance, random_tiny_instance
+from storemkt.simulate import J_M_PROBE_SEED, J_M_PROBE_TRIALS
 
 # gen rates dotted with demand, in dollars (rates are $/MWh, energies kWh)
 TABLE1_BASELINE_DISPATCH_COST = 6.48500773624
@@ -55,6 +58,22 @@ EXAMPLE1_K_HAT = 28.284271247461902
 
 def setup_for(preset: str):
     return load_setup(preset_config(preset))
+
+
+def _grid_stages(levels):
+    """The unpruned exhaustive grid: every level of every slot ahead of
+    every tail, in lexicographic product order."""
+    return [[(g, None) for g in lt] for lt in levels]
+
+
+def _grid_gen_costs(market, levels):
+    """Dispatch cost of every grid plan, lexicographic order, summed from
+    slot 1 on as the exhaustive pass sums it."""
+    acc = np.zeros(1)
+    for slot, lt in enumerate(levels, 1):
+        per = np.array([min(market.generator.cost(slot, g), INF_PROXY) for g in lt])
+        acc = (acc[:, None] + per[None, :]).reshape(-1)
+    return acc
 
 
 def test_quantize_up():
@@ -569,20 +588,22 @@ def test_singleton_classes_price_like_the_product_space():
 def _product_argmin(s) -> tuple[float, ...]:
     levels = grid_levels(s.market, s.specs, s.solver)
     inner = _batched_inner_values(s.market, StateSpace(s.specs, s.params), _grid_stages(levels))
-    q_flat = dispatch._grid_gen_costs(s.market, levels) + inner
+    q_flat = _grid_gen_costs(s.market, levels) + inner
     return dispatch._unflatten(int(np.argmin(q_flat)), levels)
 
 
 def _jittered(amplitude: float):
-    """``_batched_inner_values`` with every lumped price moved by
-    +-``amplitude``, the same signs on every call."""
-    batched = dispatch._batched_inner_values
+    """``_price_grid`` with every lumped price moved by +-``amplitude``,
+    each plan's sign fixed by its flat index."""
+    price = dispatch._price_grid
 
-    def jittered(market, space, stages):
-        out = batched(market, space, stages)
+    def jittered(market, space, specs, levels):
+        flat, q = price(market, space, specs, levels)
         if isinstance(space, CountSpace):
-            out += np.random.default_rng(3).choice([-amplitude, amplitude], size=out.shape)
-        return out
+            size = math.prod(len(lt) for lt in levels)
+            signs = np.random.default_rng(3).choice([-amplitude, amplitude], size=size)
+            q = q + signs[flat]
+        return flat, q
 
     return jittered
 
@@ -594,7 +615,7 @@ def test_near_ties_are_settled_on_product_prices(monkeypatch):
     assert [r.g_star for r in plain] == want
 
     # lumped prices off by +-1e-12 still pick the product argmin
-    monkeypatch.setattr(dispatch, "_batched_inner_values", _jittered(1e-12))
+    monkeypatch.setattr(dispatch, "_price_grid", _jittered(1e-12))
     for s, g in zip(setups, want):
         assert solve_outer(s.params, s.solver, s.market, s.specs).g_star == g
 
@@ -602,14 +623,13 @@ def test_near_ties_are_settled_on_product_prices(monkeypatch):
     # somewhere; a tolerance wider than twice the error re-prices every
     # plan that could win on the product space, and the product argmin wins
     jittered = _jittered(5e-3)
-    monkeypatch.setattr(dispatch, "_batched_inner_values", jittered)
+    monkeypatch.setattr(dispatch, "_price_grid", jittered)
     monkeypatch.setattr(dispatch, "LUMP_TIE_TOL", 2e-2)
     flipped = 0
     for s, g, base in zip(setups, want, plain):
         levels = grid_levels(s.market, s.specs, s.solver)
-        lumped = jittered(s.market, CountSpace(s.specs, s.params), _grid_stages(levels))
-        q_flat = dispatch._grid_gen_costs(s.market, levels) + lumped
-        flipped += dispatch._unflatten(int(np.argmin(q_flat)), levels) != g
+        flat, q = jittered(s.market, CountSpace(s.specs, s.params), s.specs, levels)
+        flipped += dispatch._unflatten(int(flat[np.argmin(q)]), levels) != g
         res = solve_outer(s.params, s.solver, s.market, s.specs)
         assert res.g_star == g and res.q_star == base.q_star
     assert flipped > 0
@@ -662,17 +682,31 @@ def _table1_like_evs(shared: bool, n: int = 7):
 
 
 def test_oversized_exhaustive_pass_fails_by_name(monkeypatch):
-    def never(*args):
-        raise AssertionError("the batched pass must not be allocated")
+    # each slot's bytes are bounded from the tails kept so far before the
+    # slot allocates; a budget below the largest slot stops the pass there
+    s = _table1_like_evs(shared=False, n=4)
+    formed, bounds = [], []
+    kernel, bound = dispatch._min_over_actions, dispatch._layer_bytes
 
-    monkeypatch.setattr(dispatch, "_batched_inner_values", never)
-    s = _table1_like_evs(shared=False)
-    assert len(set(s.params)) == 7
-    levels = grid_levels(s.market, s.specs, s.solver)
-    # a 16,384 x 37,632 slot-2 layer (4.9 GB) and its slot-3 source
-    assert _exhaustive_bytes(4**7, levels) == 8 * 4**7 * (37_632 + 37_632 // 12)
-    with pytest.raises(BatchTooLarge, match="use beam search"):
+    def spy_kernel(market, slot, *args):
+        formed.append(slot)
+        return kernel(market, slot, *args)
+
+    def spy_bound(*args):
+        bounds.append(bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(dispatch, "_min_over_actions", spy_kernel)
+    monkeypatch.setattr(dispatch, "_layer_bytes", spy_bound)
+    solve_outer(s.params, s.solver, s.market, s.specs)
+    assert formed == [5, 4, 3, 2, 1] and len(bounds) == 5
+    worst = int(np.argmax(bounds))
+    assert dispatch._space_bytes(s.specs) < bounds[worst] - 1
+    monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", bounds[worst] - 1)
+    formed.clear()
+    with pytest.raises(BatchTooLarge, match=f"at slot {5 - worst}.*use beam search"):
         solve_outer(s.params, s.solver, s.market, s.specs)
+    assert formed == [5, 4, 3, 2, 1][:worst]  # the slot past the budget never ran
     assert issubclass(BatchTooLarge, GridTooLarge)  # the CLI exit code stays 2
 
 
@@ -700,13 +734,138 @@ def test_shared_bid_fleet_of_seven_is_admitted(monkeypatch):
     class Admitted(Exception):
         pass
 
-    def reached(market, space, stages):
+    def reached(market, space, specs, levels):
         assert space.n_states == 120
         raise Admitted
 
     s = _table1_like_evs(shared=True)
-    levels = grid_levels(s.market, s.specs, s.solver)
-    assert _exhaustive_bytes(120, levels) <= BATCH_BYTE_BUDGET
-    monkeypatch.setattr(dispatch, "_batched_inner_values", reached)
+    monkeypatch.setattr(dispatch, "_price_grid", reached)
     with pytest.raises(Admitted):
         solve_outer(s.params, s.solver, s.market, s.specs)
+
+
+# ---------------------------------------------------------------------------
+# dominated dispatch tails dropped by the exhaustive pass
+
+
+def _mixed_setup(n: int, seed, rates: float | None = None):
+    """table1 with n EVs whose bids are seed-drawn floored pmfs, the last
+    on levels (0, 5, 10); ``rates`` replaces every generator and reserve
+    rate."""
+    cfg = preset_config("table1:n=1")
+    rng = np.random.default_rng(seed)
+    cfg["evs"] = [
+        dict(cfg["evs"][0], theta={"pmf": list(random_floored_pmf(rng, 5, 0.02)), "floor": 0.02})
+        for _ in range(n)
+    ]
+    cfg["evs"][-1]["levels"] = [0.0, 5.0, 10.0]
+    if rates is not None:
+        cfg["generator"]["rates"] = [rates] * cfg["horizon"]
+        cfg["reserves"]["rates"] = [rates] * cfg["horizon"]
+    return load_setup(cfg)
+
+
+def _windowed(market, specs, bids, levels, window: float):
+    """``market`` with reserves priced only for mismatches within
+    +-``window`` kWh: every other mismatch costs +inf, so many rows of the
+    pass sit at INF_PROXY."""
+    sums = [x for x, _, _ in StateSpace(specs, bids).action_groups]
+    slots = []
+    for slot, lt in enumerate(levels, 1):
+        mismatches = {market.demand[slot - 1] + x - g for x in sums for g in lt}
+        slots.append({m: market.reserve_cost_at(slot, m) for m in mismatches if abs(m) <= window})
+    return dataclasses.replace(market, reserves=costs.table(slots))
+
+
+def _pruning_instances():
+    """(name, market, specs, bids, levels) on which the pruned pass must
+    match the full grid."""
+    for n in (2, 3, 4, 5):
+        for profile in "ABCDE":
+            s = _table1_fleet(n, profile)
+            yield f"table1 n={n} {profile}", s.market, s.specs, s.params, grid_levels(
+                s.market, s.specs, s.solver
+            )
+    # the miss-fine probe's random profiles on table1 n=4
+    s = setup_for("table1:n=4")
+    levels = grid_levels(s.market, s.specs, s.solver)
+    rng = make_rng(J_M_PROBE_SEED)
+    for k in range(J_M_PROBE_TRIALS):
+        bids = tuple(
+            DeadlineDistribution(random_floored_pmf(rng, s.market.horizon, 0.02), floor=0.02)
+            for _ in s.specs
+        )
+        yield f"probe profile {k}", s.market, s.specs, bids, levels
+    # random small instances, zero-survival states, table reserves
+    for k, (market, specs, bids, config) in enumerate(_every_plan_instances()):
+        yield f"small {k}", market, specs, bids, grid_levels(market, specs, config)
+    # five unlike EVs (1,024 joint states) on a 20 kWh grid, which keeps
+    # the full grid's slot-2 layer near 10 MB
+    s = _mixed_setup(5, 7)
+    yield "mixed n=5", s.market, s.specs, s.params, grid_levels(s.market, s.specs, SolverConfig(20.0))
+    # reserves feasible only near demand: rows at INF_PROXY
+    s = _mixed_setup(3, 11)
+    levels = grid_levels(s.market, s.specs, s.solver)
+    yield "windowed", _windowed(s.market, s.specs, s.params, levels, 10.0), s.specs, s.params, levels
+    # near ties: identical EVs with rates near 1e-8 jittered by up to half,
+    # and the first payments-mixed3 fleet with every rate 1e-9, where no
+    # tail dominates
+    cfg = preset_config("table1:n=3")
+    jitter = np.random.default_rng(5).uniform(1.0, 1.5, size=(2, cfg["horizon"]))
+    cfg["generator"]["rates"] = list(1e-8 * jitter[0])
+    cfg["reserves"]["rates"] = list(1e-8 * jitter[1])
+    s = load_setup(cfg)
+    yield "jittered", s.market, s.specs, s.params, grid_levels(s.market, s.specs, s.solver)
+    s = _mixed_setup(3, [0, 2, 0], rates=1e-9)
+    yield "all ties", s.market, s.specs, s.params, grid_levels(s.market, s.specs, s.solver)
+
+
+def test_pruned_pass_matches_the_full_grid():
+    # the full grid, priced by the unpruned batched pass, is the reference:
+    # every kept plan has the same bits, the argmin is the same plan, and
+    # so is the set of plans within LUMP_TIE_TOL of it
+    kept = {}
+    for name, market, specs, bids, levels in _pruning_instances():
+        lumped = len(set(zip(specs, bids))) < len(specs)
+        space = CountSpace(specs, bids) if lumped else StateSpace(specs, bids)
+        full = _grid_gen_costs(market, levels) + _batched_inner_values(
+            market, space, _grid_stages(levels)
+        )
+        flat, q = _price_grid(market, space, specs, levels)
+        assert np.all(np.diff(flat) > 0), name
+        assert np.array_equal(q, full[flat]), name
+        best = int(np.argmin(full))
+        assert flat[np.argmin(q)] == best, name
+        near = np.flatnonzero(full <= full[best] + LUMP_TIE_TOL)
+        assert np.array_equal(flat[q <= q.min() + LUMP_TIE_TOL], near), name
+        kept[name] = (len(flat), len(full))
+    # 45 to 81 of 127,413 plans reach slot 1 on table1 n=4
+    assert all(kept[f"table1 n=4 {p}"][0] <= 81 for p in "ABCDE")
+    assert kept["windowed"][0] < kept["windowed"][1] // 100
+    assert kept["all ties"][0] == kept["all ties"][1]
+
+
+def test_layer_byte_bound_holds_on_the_pass(monkeypatch):
+    # the bound checked before each slot covers what the pass then holds
+    bounds = []
+    bound = dispatch._layer_bytes
+    monkeypatch.setattr(dispatch, "_layer_bytes", lambda *a: bounds.append(bound(*a)) or bounds[-1])
+    s = _mixed_setup(3, 11)
+    levels = grid_levels(s.market, s.specs, s.solver)
+    windowed = _windowed(s.market, s.specs, s.params, levels, 10.0)
+    ties = _mixed_setup(3, [0, 2, 0], rates=1e-9)
+    table1 = _table1_fleet(4)
+    for market, space, specs in (
+        (windowed, StateSpace(s.specs, s.params), s.specs),
+        (ties.market, StateSpace(ties.specs, ties.params), ties.specs),
+        (table1.market, CountSpace(table1.specs, table1.params), table1.specs),
+    ):
+        space.action_groups, space.initial_groups  # the space's own tables
+        bounds.clear()
+        tracemalloc.start()
+        try:
+            _price_grid(market, space, specs, grid_levels(market, specs, SolverConfig()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= max(bounds)
