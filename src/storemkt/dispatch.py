@@ -69,7 +69,6 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution
 from .mdp import (
-    ENUMERATION_GUARD,
     CountSpace,
     EVSpec,
     MarkovPolicy,
@@ -78,6 +77,7 @@ from .mdp import (
     StateSpace,
     ValueTable,
     check_dispatch,
+    iter_profiles,
     policy_artifact,
     solve_dp,
 )
@@ -190,9 +190,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The winning plan with its policy, plus the model and state space it
-    was solved on, so callers never rebuild them.  The space holds index
-    tables and hazards only; no batched value array outlives the search."""
+    """The winning plan with its policy, plus the model it was solved on,
+    so callers never rebuild it; the policy carries its state space.  The
+    space holds index tables and hazards only; no batched value array
+    outlives the search."""
 
     g_star: tuple[float, ...]
     q_star: float
@@ -200,7 +201,6 @@ class SolveResult:
     policy: MarkovPolicy
     candidates_evaluated: int
     model: MdpModel = field(repr=False, compare=False)
-    space: StateSpace = field(repr=False, compare=False)
 
     def to_jsonable(self) -> dict:
         import json
@@ -250,7 +250,7 @@ def beta_bar(
     """Expected total cost of dispatch ``g`` under the optimal storage
     policy: generator cost plus the DP value at the initial state."""
     model = MdpModel(market, tuple(specs), tuple(bids), tuple(g))
-    values, _ = solve_dp(model)
+    values, _ = solve_dp(model, StateSpace(model.specs, model.params))
     return market.generator_cost(g) + values.v0()
 
 
@@ -675,7 +675,7 @@ def solve_outer(
             f"batched and reference inner values disagree: "
             f"{batched_q} vs {q_star} at g={g_star}"
         )
-    return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated, model, space)
+    return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated, model)
 
 
 def _unflatten(idx: int, levels: list[list[float]]) -> tuple[float, ...]:
@@ -691,12 +691,12 @@ def conditional_beta(
     policy: MarkovPolicy,
     i: int,
     t: int,
-    space: StateSpace | None = None,
     outcomes: ProfileOutcomes | None = None,
 ) -> float:
     """Expected realized cost given EV ``i`` reports slot ``t``, others
-    drawn from their distributions.  Exact by enumeration; ``outcomes``
-    lets calls on one solve share their rollouts."""
+    drawn from their distributions.  Exact by enumeration
+    (``mdp.iter_profiles``); ``outcomes`` lets calls on one solve share
+    their rollouts."""
     if not 0 <= i < model.n_evs:
         raise IndexError(f"EV index {i} out of range")
     if not 1 <= t <= model.horizon:
@@ -704,24 +704,13 @@ def conditional_beta(
     if model.params[i].pmf[t - 1] <= 0.0:
         raise ValueError(f"slot {t} has zero probability for EV {i + 1}")
     if outcomes is None:
-        outcomes = ProfileOutcomes(model, policy, space)
-    others = [k for k in range(model.n_evs) if k != i]
-    count = model.horizon ** len(others)
-    if count > ENUMERATION_GUARD:
-        raise ValueError("conditional enumeration too large")
+        outcomes = ProfileOutcomes(model, policy)
+    others = model.params[:i] + model.params[i + 1 :]
     total = 0.0
-    slots = range(1, model.horizon + 1)
-    for combo in itertools.product(slots, repeat=len(others)):
-        p = 1.0
-        for k, tk in zip(others, combo):
-            p *= model.params[k].pmf[tk - 1]
+    for combo, p in iter_profiles(others, model.horizon):
         if p == 0.0:
             continue
-        profile = [0] * model.n_evs
-        profile[i] = t
-        for k, tk in zip(others, combo):
-            profile[k] = tk
-        total += p * outcomes[profile].system_cost
+        total += p * outcomes[combo[:i] + (t,) + combo[i:]].system_cost
     return total
 
 
@@ -757,7 +746,7 @@ def estimate_lipschitz_K(
         else:
             result = solve_outer(bids, config, market, specs)
         model = result.model
-        outcomes = ProfileOutcomes(model, result.policy, result.space)
+        outcomes = ProfileOutcomes(model, result.policy)
         for i in range(len(specs)):
             vec = np.array(
                 [

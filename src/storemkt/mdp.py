@@ -5,11 +5,12 @@ disconnects at most once; once disconnected its stored energy is frozen.
 The joint state at the end of slot t collects, per EV, a connected flag and
 a charge level drawn from that EV's admissible set.  Actions are per-EV
 charge deltas applied during a slot; the slot's reserve mismatch is
-``demand + sum(deltas) - dispatch``.  Policies store actions as those
-float deltas, but the solvers enumerate them by *target level index*: a
-connected EV may move to any of its levels, a disconnected EV stays.
-Charges are resolved back to level indices within ``LEVEL_TOL``, so
-levels that floats cannot represent exactly (0.07, 0.3, ...) work too.
+``demand + sum(deltas) - dispatch``.  The solvers enumerate actions by
+*target level index*: a connected EV may move to any of its levels, a
+disconnected EV stays.  A policy is the post-decision state each joint
+state moves to, per slot, on the ``StateSpace`` it was solved on; an
+action's deltas are read off that space's charges, and rollouts step
+joint ids, never re-resolving a float charge to a level.
 
 Connectivity evolves by the hazard implied by the EV's deadline
 distribution: an EV still connected at the end of slot t-1 disconnects at
@@ -41,7 +42,6 @@ energy at the market's ``ev_energy_value``.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -56,8 +56,6 @@ from .deadlines import DeadlineDistribution
 
 #: refuse exhaustive deadline-profile enumeration beyond this many profiles
 ENUMERATION_GUARD = 10_000_000
-#: kWh slack when resolving a charge to one of an EV's admissible levels
-LEVEL_TOL = 1e-9
 
 
 class UnreachableStateError(ValueError):
@@ -197,18 +195,15 @@ class StateSpace:
         self.total_charge = (
             self.charge_by_ev.sum(axis=0) if self.specs else np.zeros(self.n_states)
         )
+        # joint-id step of EV i leaving: connected at level k -> disconnected at k
+        self.leave_step = [
+            len(s.levels) * math.prod(self.n_per[i + 1 :]) for i, s in enumerate(self.specs)
+        ]
         # P(deadline > t) per EV, and the hazard of leaving during slot t
         self._survival = [np.maximum(p.survival(), 0.0) for p in self.params]
         self._hazard = [_hazards(surv, p.pmf) for p, surv in zip(self.params, self._survival)]
 
-    # ---- encoding ------------------------------------------------------
-
-    def encode(self, state: Sequence[tuple[bool, float]]) -> int:
-        joint = 0
-        for (connected, h), spec, n in zip(state, self.specs, self.n_per):
-            per = _level_index(spec.levels, h)
-            joint = joint * n + (per if connected else len(spec.levels) + per)
-        return joint
+    # ---- decoding ------------------------------------------------------
 
     def decode(self, joint: int) -> tuple[tuple[bool, float], ...]:
         out = []
@@ -356,18 +351,6 @@ class StateSpace:
         post-decision id mapped to its row of ``expect(..., connected_only=True)``."""
         levels = [len(s.levels) for s in self.specs]
         return _initial_groups(self.action_groups, self._digits, levels)
-
-
-def _level_index(levels: Sequence[float], x: float) -> int:
-    """Index of the admissible level within LEVEL_TOL of charge ``x``.
-
-    Charges and targets arrive as sums of float deltas, which need not
-    reproduce a non-dyadic level bit for bit.
-    """
-    k = bisect.bisect_left(levels, x - LEVEL_TOL)
-    if k < len(levels) and abs(levels[k] - x) <= LEVEL_TOL:
-        return k
-    raise ValueError(f"charge {x!r} is not an admissible level of {tuple(levels)}")
 
 
 def _group_by_sum(
@@ -622,29 +605,35 @@ class ValueTable:
         return [[float(x) for x in row] for row in self.values]
 
 
-@dataclass
+@dataclass(eq=False)
 class MarkovPolicy:
-    """Deterministic slot-indexed feedback policy on joint state ids: each
-    action as per-EV charge deltas, and the post-decision state it leads to
-    (``posts[slot - 1, joint]``, -1 where the state has no action)."""
+    """Deterministic slot-indexed feedback policy on the joint state ids of
+    ``space``, the space it was solved on: ``posts[slot - 1, joint]`` is the
+    post-decision state that state moves to, -1 where it has no action.  An
+    action's per-EV charge deltas are the post-decision state's charges
+    minus the state's, as ``solve_dp`` derived them."""
 
-    n_evs: int
-    actions: dict[tuple[int, int], tuple[float, ...]]
-    posts: np.ndarray = field(repr=False, compare=False)
+    space: StateSpace = field(repr=False)
+    posts: np.ndarray = field(repr=False)
 
     def action(self, slot: int, joint: int) -> tuple[float, ...]:
-        try:
-            return self.actions[(slot, joint)]
-        except KeyError:
-            raise UnreachableStateError(
-                f"policy has no action for slot {slot}, state {joint}"
-            ) from None
+        horizon, n_states = self.posts.shape
+        # bounds first: a negative index would wrap around
+        inside = 1 <= slot <= horizon and 0 <= joint < n_states
+        post = self.posts[slot - 1, joint] if inside else -1
+        if post < 0:
+            raise UnreachableStateError(f"policy has no action for slot {slot}, state {joint}")
+        charge = self.space.charge_by_ev
+        return tuple((charge[:, post] - charge[:, joint]).tolist())
 
     def to_jsonable(self) -> dict[str, list[float]]:
-        return {
-            f"{slot},{joint}": list(act)
-            for (slot, joint), act in sorted(self.actions.items())
-        }
+        charge = self.space.charge_by_ev
+        out: dict[str, list[float]] = {}
+        for slot, row in enumerate(self.posts, start=1):
+            joints = np.flatnonzero(row >= 0)
+            deltas = (charge[:, row[joints]] - charge[:, joints]).T.tolist()
+            out.update(zip((f"{slot},{j}" for j in joints.tolist()), deltas))
+        return out
 
 
 def policy_artifact(values: ValueTable, policy: MarkovPolicy) -> str:
@@ -653,7 +642,7 @@ def policy_artifact(values: ValueTable, policy: MarkovPolicy) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def solve_dp(model: MdpModel, space: StateSpace | None = None) -> tuple[ValueTable, MarkovPolicy]:
+def solve_dp(model: MdpModel, space: StateSpace) -> tuple[ValueTable, MarkovPolicy]:
     """Backward induction over all joint states (Puterman 1994, §4.5).
 
     The reference the batched pricing in ``dispatch`` is checked against,
@@ -669,9 +658,9 @@ def solve_dp(model: MdpModel, space: StateSpace | None = None) -> tuple[ValueTab
     target index.  States with no finite-cost continuation keep +inf (they
     may simply be unreachable); only an infeasible *initial* state raises
     ``NoFeasibleContinuation``.  Zero-survival states are assigned +inf and
-    get no action.
+    get no action.  ``space`` is the model's ``StateSpace``; the policy
+    keeps it.
     """
-    space = space or StateSpace(model.specs, model.params)
     market = model.market
     horizon = model.horizon
     values = np.empty((horizon + 1, space.n_states))
@@ -679,7 +668,6 @@ def solve_dp(model: MdpModel, space: StateSpace | None = None) -> tuple[ValueTab
     state, post, sigma = space.action_pairs()
     first = np.searchsorted(state, np.arange(space.n_states))  # each state's first pair
     sums, sum_of = np.unique(sigma, return_inverse=True)
-    actions: dict[tuple[int, int], tuple[float, ...]] = {}
     posts = np.full((horizon, space.n_states), -1, dtype=np.intp)
     for slot in range(horizon, 0, -1):
         demand, g = market.demand[slot - 1], model.dispatch[slot - 1]
@@ -701,20 +689,13 @@ def solve_dp(model: MdpModel, space: StateSpace | None = None) -> tuple[ValueTab
         rows = state[hit]
         lead = np.ones(len(rows), dtype=bool)
         lead[1:] = rows[1:] != rows[:-1]
-        pick = hit[lead]
-        # states choosing the same deltas share one action tuple
-        deltas = space.charge_by_ev[:, post[pick]] - space.charge_by_ev[:, state[pick]]
-        chosen, which = np.unique(deltas, axis=1, return_inverse=True)
-        moves = list(map(tuple, chosen.T.tolist()))
-        keys = [(slot, s) for s in rows[lead].tolist()]
-        actions.update(zip(keys, map(moves.__getitem__, which.tolist())))
-        posts[slot - 1, rows[lead]] = post[pick]
+        posts[slot - 1, rows[lead]] = post[hit[lead]]
     if not math.isfinite(values[0, space.initial]):
         raise NoFeasibleContinuation(
             f"no feasible continuation from the initial state "
             f"{space.decode(space.initial)} under dispatch {tuple(model.dispatch)}"
         )
-    return ValueTable(values), MarkovPolicy(len(model.specs), actions, posts)
+    return ValueTable(values), MarkovPolicy(space, posts)
 
 
 @dataclass(frozen=True)
@@ -727,15 +708,15 @@ class RolloutResult:
     terminal: np.ndarray  # (n_evs,) kWh at end of day (frozen at departure)
 
 
-def rollout(
-    model: MdpModel, policy: MarkovPolicy, reported: Sequence[int], space: StateSpace | None = None
-) -> RolloutResult:
+def rollout(model: MdpModel, policy: MarkovPolicy, reported: Sequence[int]) -> RolloutResult:
     """Deterministic unroll: EV j disconnects at the end of slot reported_j.
 
     The slot-``reported_j`` action still applies to EV j; afterwards its
-    storage is frozen, matching the implementability constraint.
+    storage is frozen, matching the implementability constraint.  Each
+    slot moves the joint id to its post-decision id, plus the ``leave_step``
+    of each EV leaving.  Storage is the running sum of the action deltas.
     """
-    space = space or StateSpace(model.specs, model.params)
+    leave_step = policy.space.leave_step
     horizon = model.horizon
     n_evs = len(model.specs)
     connected = [True] * n_evs
@@ -743,17 +724,19 @@ def rollout(
     storage = np.zeros((n_evs, horizon))
     mismatch = np.zeros(horizon)
     reserve_total = 0.0
+    joint = policy.space.initial
     for slot in range(1, horizon + 1):
-        state = tuple((connected[i], charge[i]) for i in range(n_evs))
-        action = policy.action(slot, space.encode(state))
+        action = policy.action(slot, joint)
+        joint = int(policy.posts[slot - 1, joint])
         for i in range(n_evs):
             charge[i] += action[i]
         m = model.market.demand[slot - 1] + float(sum(action)) - model.dispatch[slot - 1]
         mismatch[slot - 1] = m
         reserve_total += model.market.reserve_cost_at(slot, m)
         for i in range(n_evs):
-            if slot >= reported[i]:
+            if connected[i] and slot >= reported[i]:
                 connected[i] = False
+                joint += leave_step[i]
         storage[:, slot - 1] = charge
     return RolloutResult(storage, mismatch, float(reserve_total), storage[:, -1].copy())
 
@@ -772,15 +755,13 @@ class ProfileOutcomes:
     A day's realized schedule depends on nothing but its report profile,
     so each distinct profile is rolled out once however often it is asked
     for.  Nothing is enumerated up front: only profiles that are asked for
-    are rolled out, so there is no Tⁿ guard.
+    are rolled out, so there is no Tⁿ guard.  The system cost is dispatch
+    cost + reserve cost - value of the energy handed to EVs.
     """
 
-    def __init__(
-        self, model: MdpModel, policy: MarkovPolicy, space: StateSpace | None = None
-    ) -> None:
+    def __init__(self, model: MdpModel, policy: MarkovPolicy) -> None:
         self.model = model
         self.policy = policy
-        self.space = space or StateSpace(model.specs, model.params)
         self.generator_cost = model.market.generator_cost(model.dispatch)
         self._memo: dict[tuple[int, ...], ProfileOutcome] = {}
 
@@ -788,17 +769,10 @@ class ProfileOutcomes:
         key = tuple(int(t) for t in reported)
         out = self._memo.get(key)
         if out is None:
-            r = rollout(self.model, self.policy, key, self.space)
+            r = rollout(self.model, self.policy, key)
             cost = system_cost(self.model.market, self.generator_cost, r.reserve_cost, r.terminal)
             out = self._memo[key] = ProfileOutcome(r, cost)
         return out
-
-
-def beta(model: MdpModel, policy: MarkovPolicy, reported: Sequence[int],
-         space: StateSpace | None = None) -> float:
-    """Realized system cost for one reported-deadline profile:
-    dispatch cost + reserve cost - value of energy handed to EVs."""
-    return ProfileOutcomes(model, policy, space)[reported].system_cost
 
 
 @dataclass(frozen=True)
@@ -808,14 +782,12 @@ class ExpectedOutcome:
     beta: float
 
 
-def expected_outcome(
-    model: MdpModel, policy: MarkovPolicy, space: StateSpace | None = None
-) -> ExpectedOutcome:
+def expected_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
     """Exact expectations under the model's deadline beliefs by forward
     propagation of the state distribution through the policy: each state's
     mass moves to its action's post-decision state, then along that
     state's row of ``StateSpace.successor_table``."""
-    space = space or StateSpace(model.specs, model.params)
+    space = policy.space
     horizon = model.horizon
     mu = np.zeros(space.n_states)
     mu[space.initial] = 1.0
@@ -841,69 +813,38 @@ def expected_outcome(
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
 
 
-def iter_profiles(model: MdpModel) -> Iterable[tuple[tuple[int, ...], float]]:
-    """Yield every reported-deadline profile with its probability under the
-    model's beliefs.  Guarded against combinatorial blowup."""
-    horizon = model.horizon
-    count = horizon ** len(model.specs)
+def iter_profiles(
+    params: Sequence[DeadlineDistribution], horizon: int
+) -> Iterable[tuple[tuple[int, ...], float]]:
+    """Yield every report profile of EVs with beliefs ``params`` in
+    ``itertools.product`` order, its probability multiplied up in EV order.
+    Past ENUMERATION_GUARD profiles, raises ValueError before the first."""
+    count = horizon ** len(params)
     if count > ENUMERATION_GUARD:
         raise ValueError(
-            f"profile enumeration would visit {count} profiles; "
-            "use monte_carlo_outcome with an explicit sample count and seed"
+            f"profile enumeration would visit {count} profiles (limit {ENUMERATION_GUARD})"
         )
-    slots = range(1, horizon + 1)
-    for profile in itertools.product(slots, repeat=len(model.specs)):
+    for profile in itertools.product(range(1, horizon + 1), repeat=len(params)):
         p = 1.0
-        for dist, t in zip(model.params, profile):
+        for dist, t in zip(params, profile):
             p *= dist.pmf[t - 1]
         yield profile, p
 
 
-def enumerated_outcome(
-    model: MdpModel, policy: MarkovPolicy, space: StateSpace | None = None
-) -> ExpectedOutcome:
+def enumerated_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
     """Expectations by exhaustive deadline-profile enumeration.
 
     Independent of the forward-propagation path; tests hold the two to
     agree within 1e-9.
     """
-    space = space or StateSpace(model.specs, model.params)
     exp_reserve = 0.0
     terminal = np.zeros(len(model.specs))
-    for profile, p in iter_profiles(model):
+    for profile, p in iter_profiles(model.params, model.horizon):
         if p == 0.0:
             continue
-        r = rollout(model, policy, profile, space)
+        r = rollout(model, policy, profile)
         exp_reserve += p * r.reserve_cost
         terminal += p * r.terminal
     market = model.market
     total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
-
-
-def monte_carlo_outcome(
-    model: MdpModel,
-    policy: MarkovPolicy,
-    samples: int,
-    rng: np.random.Generator,
-    space: StateSpace | None = None,
-) -> ExpectedOutcome:
-    """Sampled stand-in for ``enumerated_outcome`` on oversized fleets.
-
-    Only used when enumeration is explicitly refused; never consulted by
-    exact code paths.
-    """
-    space = space or StateSpace(model.specs, model.params)
-    exp_reserve = 0.0
-    terminal = np.zeros(len(model.specs))
-    for _ in range(samples):
-        profile = tuple(int(d.sample(rng)) for d in model.params)
-        r = rollout(model, policy, profile, space)
-        exp_reserve += r.reserve_cost
-        terminal += r.terminal
-    exp_reserve /= samples
-    terminal /= samples
-    market = model.market
-    total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
-    return ExpectedOutcome(float(exp_reserve), terminal, float(total))
-

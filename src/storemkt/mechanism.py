@@ -234,7 +234,7 @@ def day_ahead(
     """
     bids, specs = tuple(bids), tuple(specs)
     solve = solve_outer(bids, solver, market, specs)
-    expected = expected_outcome(solve.model, solve.policy, solve.space)
+    expected = expected_outcome(solve.model, solve.policy)
     gen = market.generator_cost(solve.g_star)
     without: dict[tuple, SolveResult] = {}
     q_minus, p_da, residual = [], [], []

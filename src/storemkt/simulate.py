@@ -518,7 +518,7 @@ def run_horizon(
     da = day_ahead(bids, solver_config, market, specs)
     solve, p_da = da.solve, list(da.p_da)
     j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs, solve)
-    realized = ProfileOutcomes(solve.model, solve.policy, solve.space)
+    realized = ProfileOutcomes(solve.model, solve.policy)
     planned = realized[_nominal_reports(bids)].rollout.storage
 
     true_days = draw_deadlines(true_params, make_rng(seed), days)

@@ -44,6 +44,36 @@ def test_solve_artifact_bytes_are_frozen(preset, tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == SOLVE_ARTIFACT_SHA256[preset]
 
 
+# sha256 of the ``solve --out`` artifact and of a 300-day ``simulate``
+# trace on a table1 n=2 market whose levels floats do not hold exactly,
+# recorded while policies still stored their action tuples.  The artifact
+# holds inexact deltas such as 9.1 - 0.3 = 8.799999999999999
+NON_DYADIC_SHA256 = {
+    "solve": "a4eab4edd52f6dbe58cca2508f5aef0dfcf2d9029f6bd8e91e7e6c87dfd66c6b",
+    "simulate": "a6d53e9e03ad426af9aa6fe23e6ba0c2c8196132162557449bed14bfbad9ee9a",
+}
+
+
+def test_non_dyadic_level_bytes_are_frozen(tmp_path, capsys):
+    cfg = preset_config("table1:n=2")
+    cfg["evs"][0]["levels"] = [0.0, 0.7, 3.0, 7.3]
+    cfg["evs"][1]["levels"] = [0.0, 0.3, 9.1]
+    cfg["solver"]["step"] = 5.0
+    path = tmp_path / "non_dyadic.json"
+    path.write_text(emit(cfg))
+    solution, trace = tmp_path / "solution.json", tmp_path / "trace.csv"
+    assert main(["solve", str(path), "--out", str(solution)]) == 0
+    assert main(["simulate", str(path), "--days", "300", "--seed", "0", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    policy = json.loads(solution.read_text())["policy"]
+    assert 8.799999999999999 in {d for act in policy.values() for d in act}
+    got = {
+        "solve": hashlib.sha256(solution.read_bytes()).hexdigest(),
+        "simulate": hashlib.sha256(trace.read_bytes()).hexdigest(),
+    }
+    assert got == NON_DYADIC_SHA256
+
+
 def test_validate_prints_normal_form(tmp_path, capsys):
     assert main(["validate", "example1"]) == 0
     first = capsys.readouterr().out

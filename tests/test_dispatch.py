@@ -37,6 +37,7 @@ from storemkt.dispatch import (
 from storemkt.mdp import (
     CountSpace,
     EVSpec,
+    MarkovPolicy,
     MdpModel,
     NoFeasibleContinuation,
     StateSpace,
@@ -177,10 +178,10 @@ def test_six_ev_beam_solve_is_cross_checked():
     cfg["solver"]["mode"] = "beam"
     s = load_setup(cfg)
     res = solve_outer(s.params, s.solver, s.market, s.specs)
-    assert res.space.n_states == 4**6
-    [(batched, _)] = dispatch._price_plans(s.market, res.space, [res.g_star])
+    assert res.policy.space.n_states == 4**6
+    [(batched, _)] = dispatch._price_plans(s.market, res.policy.space, [res.g_star])
     assert abs(batched - res.q_star) <= CROSS_CHECK_TOL
-    assert len(res.policy.action(1, res.space.initial)) == 6
+    assert len(res.policy.action(1, res.policy.space.initial)) == 6
 
 
 def _every_plan_instances():
@@ -307,8 +308,8 @@ def test_non_dyadic_levels_solve(fleet, mode):
     batched_q = market.generator_cost(res.g_star) + inner[idx]
     assert abs(batched_q - res.q_star) <= CROSS_CHECK_TOL
     model = MdpModel(market, specs, bids, res.g_star)
-    fwd = expected_outcome(model, res.policy, space)
-    enum = enumerated_outcome(model, res.policy, space)
+    fwd = expected_outcome(model, res.policy)
+    enum = enumerated_outcome(model, res.policy)
     assert abs(fwd.beta - enum.beta) <= 1e-9
     assert abs(fwd.beta - res.q_star) <= 1e-9
 
@@ -316,7 +317,7 @@ def test_non_dyadic_levels_solve(fleet, mode):
 def test_conditional_beta_toy_values():
     s = setup_for("example1:p=0.19")
     model = MdpModel(s.market, s.specs, s.params, (1.0, 0.0))
-    _, policy = solve_dp(model)
+    _, policy = solve_dp(model, StateSpace(model.specs, model.params))
     assert conditional_beta(model, policy, 0, 1) == pytest.approx(10.0, abs=1e-12)
     assert conditional_beta(model, policy, 0, 2) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(IndexError):
@@ -333,14 +334,41 @@ def test_conditional_beta_total_expectation():
         market, specs, bids, config, _ = random_small_instance(rng)
         res = solve_outer(bids, config, market, specs)
         model = MdpModel(market, specs, bids, res.g_star)
-        space = StateSpace(specs, bids)
         for i in range(len(specs)):
             total = sum(
-                bids[i].pmf[t - 1] * conditional_beta(model, res.policy, i, t, space)
+                bids[i].pmf[t - 1] * conditional_beta(model, res.policy, i, t)
                 for t in range(1, market.horizon + 1)
                 if bids[i].pmf[t - 1] > 0.0
             )
             assert total == pytest.approx(res.q_star, abs=1e-9)
+
+
+def test_profile_enumeration_guard_fires_before_any_rollout(monkeypatch):
+    # enumerated_outcome visits T^n profiles, conditional_beta T^(n-1); both
+    # go through mdp.iter_profiles, whose guard must fire before any rollout
+    s = setup_for("table1:n=2")
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    rolled = []
+    real = mdp.rollout
+
+    def counted(model, policy, reported):
+        rolled.append(tuple(reported))
+        return real(model, policy, reported)
+
+    monkeypatch.setattr(mdp, "rollout", counted)
+    monkeypatch.setattr(mdp, "ENUMERATION_GUARD", 4)
+    with pytest.raises(ValueError, match="visit 25 profiles"):
+        enumerated_outcome(res.model, res.policy)
+    with pytest.raises(ValueError, match="visit 5 profiles"):
+        conditional_beta(res.model, res.policy, 0, 1)
+    assert rolled == []
+    # at the guard itself the conditional enumeration runs
+    monkeypatch.setattr(mdp, "ENUMERATION_GUARD", 5)
+    conditional_beta(res.model, res.policy, 0, 1)
+    assert len(rolled) == 5
+    with pytest.raises(ValueError, match="visit 25 profiles"):
+        enumerated_outcome(res.model, res.policy)
+    assert len(rolled) == 5
 
 
 def test_lipschitz_estimate_frozen_and_monotone():
@@ -364,15 +392,15 @@ def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
     rolled = []
     real = mdp.rollout
 
-    def counted(model, policy, reported, space=None):
+    def counted(model, policy, reported):
         rolled.append(tuple(reported))
-        return real(model, policy, reported, space)
+        return real(model, policy, reported)
 
     s = setup_for("table1:n=3")
     res = solve_outer(s.params, s.solver, s.market, s.specs)
     # one fresh memo per call is the reference the shared memo must match
     alone = [
-        conditional_beta(res.model, res.policy, i, t, res.space)
+        conditional_beta(res.model, res.policy, i, t)
         for i in range(3)
         for t in range(1, s.market.horizon + 1)
         if s.params[i].pmf[t - 1] > 0.0
@@ -381,7 +409,7 @@ def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
     k_hat = estimate_lipschitz_K([s.params], 1, s.solver, s.market, s.specs)
     support = math.prod(sum(p > 0.0 for p in law.pmf) for law in s.params)
     assert len(rolled) == len(set(rolled)) == support
-    outcomes = mdp.ProfileOutcomes(res.model, res.policy, res.space)
+    outcomes = mdp.ProfileOutcomes(res.model, res.policy)
     shared = [
         conditional_beta(res.model, res.policy, i, t, outcomes=outcomes)
         for i in range(3)
@@ -515,18 +543,20 @@ def test_solve_result_carries_its_model_and_space():
     res = solve_outer(s.params, s.solver, s.market, s.specs)
     assert res.model.dispatch == res.g_star
     assert res.model.specs == tuple(s.specs) and res.model.params == tuple(s.params)
-    assert res.space.specs == tuple(s.specs) and res.space.params == tuple(s.params)
+    space = res.policy.space
+    assert space.specs == tuple(s.specs) and space.params == tuple(s.params)
     rebuilt = expected_outcome(
-        MdpModel(s.market, s.specs, s.params, res.g_star), res.policy, StateSpace(s.specs, s.params)
+        MdpModel(s.market, s.specs, s.params, res.g_star),
+        MarkovPolicy(StateSpace(s.specs, s.params), res.policy.posts),
     )
-    kept = expected_outcome(res.model, res.policy, res.space)
+    kept = expected_outcome(res.model, res.policy)
     assert kept.reserve_cost == rebuilt.reserve_cost
     assert np.array_equal(kept.terminal_charge, rebuilt.terminal_charge)
     # the batched pass ran on this space (n_states x plans values), but the
     # space keeps only per-state tables: nothing scales with the plan count
     assert res.candidates_evaluated > 1000
-    bound = res.space.n_states * len(s.specs)
-    assert max(a.size for a in _arrays(vars(res.space))) <= bound
+    bound = space.n_states * len(s.specs)
+    assert max(a.size for a in _arrays(vars(space))) <= bound
 
 
 # ---------------------------------------------------------------------------

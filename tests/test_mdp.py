@@ -9,14 +9,14 @@ from storemkt.costs import MarketModel, asym_lin_quad, linear, table
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.mdp import (
     EVSpec,
+    MarkovPolicy,
     MdpModel,
     NoFeasibleContinuation,
     StateSpace,
+    ProfileOutcomes,
     UnreachableStateError,
-    beta,
     enumerated_outcome,
     expected_outcome,
-    monte_carlo_outcome,
     policy_artifact,
     rollout,
     solve_dp,
@@ -26,6 +26,14 @@ from storemkt.mdp import (
 from storemkt.scenarios import random_small_instance
 
 UNIFORM5 = DeadlineDistribution((0.2,) * 5)
+
+
+def state_id(space, state):
+    return next(s for s in range(space.n_states) if space.decode(s) == tuple(state))
+
+
+def solve(model):
+    return solve_dp(model, StateSpace(model.specs, model.params))
 
 
 def two_slot_market():
@@ -66,7 +74,7 @@ def test_feasible_actions_order():
 
     def actions(joint_state):
         out = []
-        for k in np.flatnonzero(state == space.encode(joint_state)):
+        for k in np.flatnonzero(state == state_id(space, joint_state)):
             moved = space.decode(int(post[k]))
             # the post-decision state keeps every connectivity flag
             assert [c for c, _ in moved] == [c for c, _ in joint_state]
@@ -95,7 +103,7 @@ def test_stage_and_terminal_cost():
     model = MdpModel(m, (half, half), (bid, bid), (0.0, 1.0))
     space = StateSpace(model.specs, model.params)
     values, _ = solve_dp(model, space)
-    assert values.values[2, space.encode(((False, 1.0), (True, 0.5)))] == -1.5
+    assert values.values[2, state_id(space, ((False, 1.0), (True, 0.5)))] == -1.5
 
 
 def test_hazard_values_uniform_profile():
@@ -156,7 +164,7 @@ def test_kernel_rows_are_stochastic():
             # the all-connected rows alone, in mixed-radix level order
             connected = space.expect(slot, values.copy(), connected_only=True)
             rows = [
-                space.encode(tuple((True, lvl) for lvl in combo))
+                state_id(space, tuple((True, lvl) for lvl in combo))
                 for combo in itertools.product(*(s.levels for s in specs))
             ]
             assert np.array_equal(connected, every[rows])
@@ -164,14 +172,14 @@ def test_kernel_rows_are_stochastic():
 
 def test_two_slot_value_is_ten_p():
     for p in (0.05, 0.19, 0.33):
-        values, policy = solve_dp(two_slot_model(p, (1.0, 0.0)))
+        values, policy = solve(two_slot_model(p, (1.0, 0.0)))
         assert values.v0() == pytest.approx(10.0 * p, abs=1e-12)
         # committed plan charges immediately
         assert policy.action(1, 0) == (1.0,)
 
 
 def test_two_slot_alternative_plan_value():
-    values, _ = solve_dp(two_slot_model(0.19, (0.0, 1.0)))
+    values, _ = solve(two_slot_model(0.19, (0.0, 1.0)))
     assert values.v0() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -189,7 +197,7 @@ def test_tied_actions_resolve_to_the_smallest_target_index():
     half = DeadlineDistribution((0.5, 0.5))
     # one EV: targets 1 and 2 tie at cost 0, target 1 wins
     one = MdpModel(market, (EVSpec(2.0, (0.0, 1.0, 2.0)),), (half,), (0.0, 0.0))
-    values, policy = solve_dp(one)
+    values, policy = solve(one)
     assert values.v0() == 0.0
     assert policy.action(1, 0) == (1.0,)
     # two EVs: (0, 1) and (1, 0) tie on the same charge sum, target (0, 1)
@@ -200,20 +208,20 @@ def test_tied_actions_resolve_to_the_smallest_target_index():
     values, policy = solve_dp(two, space)
     assert values.v0() == 0.0
     assert policy.action(1, space.initial) == (0.0, 1.0)
-    assert policy.action(2, space.encode(((True, 1.0), (True, 0.0)))) == (-1.0, 0.0)
-    assert policy.action(2, space.encode(((False, 1.0), (True, 1.0)))) == (0.0, -1.0)
+    assert policy.action(2, state_id(space, ((True, 1.0), (True, 0.0)))) == (-1.0, 0.0)
+    assert policy.action(2, state_id(space, ((False, 1.0), (True, 1.0)))) == (0.0, -1.0)
 
 
 def test_infeasible_initial_state_raises():
     # no EV to absorb the slot-1 surplus and the reserve table has no entry
     model = MdpModel(two_slot_market(), (), (), (1.0, 0.0))
     with pytest.raises(NoFeasibleContinuation):
-        solve_dp(model)
+        solve(model)
 
 
 def test_rollout_paths_and_departure_freeze():
     model = two_slot_model(0.19, (1.0, 0.0))
-    _, policy = solve_dp(model)
+    _, policy = solve(model)
     early = rollout(model, policy, (1,))
     assert early.storage.tolist() == [[1.0, 1.0]]
     assert early.terminal.tolist() == [1.0]
@@ -223,8 +231,33 @@ def test_rollout_paths_and_departure_freeze():
     assert late.storage.tolist() == [[1.0, 0.0]]
     assert late.terminal.tolist() == [0.0]
     assert late.reserve_cost == pytest.approx(0.0)
-    assert beta(model, policy, (1,)) == pytest.approx(10.0)
-    assert beta(model, policy, (2,)) == pytest.approx(0.0)
+    outcomes = ProfileOutcomes(model, policy)
+    assert outcomes[(1,)].system_cost == pytest.approx(10.0)
+    assert outcomes[(2,)].system_cost == pytest.approx(0.0)
+
+
+def test_rollout_steps_ids_and_sums_deltas():
+    # 0 -> 3 -> 0.7 adds 3.0 and 0.7 - 3.0, which ends an ulp above the
+    # level 0.7: stored charge keeps the running sum's bits, while the
+    # joint id follows the policy's table and each departure
+    market = MarketModel(
+        demand=(0.0, 0.0, 0.0),
+        generator=linear(1.0, 3),
+        reserves=asym_lin_quad(1.0, 3),
+        ev_energy_value=1.0,
+    )
+    spec = EVSpec(3.0, (0.0, 0.7, 3.0))
+    model = MdpModel(market, (spec,), (DeadlineDistribution((0.2, 0.3, 0.5)),), (0.0,) * 3)
+    space = StateSpace(model.specs, model.params)
+    # per-EV ids: connected at 0, 0.7, 3, then disconnected at 0, 0.7, 3
+    posts = np.tile(np.array([-1, -1, -1, 3, 4, 5]), (3, 1))
+    posts[0, 0], posts[1, 2], posts[2, 1] = 2, 1, 0
+    policy = MarkovPolicy(space, posts)
+    drift = 3.0 + (0.7 - 3.0)
+    assert drift != 0.7
+    assert rollout(model, policy, (3,)).storage.tolist() == [[3.0, drift, drift - 0.7]]
+    assert rollout(model, policy, (2,)).storage.tolist() == [[3.0, drift, drift]]
+    assert rollout(model, policy, (1,)).storage.tolist() == [[3.0, 3.0, 3.0]]
 
 
 def test_expected_outcome_matches_enumeration_and_dp():
@@ -235,10 +268,9 @@ def test_expected_outcome_matches_enumeration_and_dp():
         market, specs, bids, _, _ = random_small_instance(rng)
         dispatch = tuple(float(round(d, 0)) for d in market.demand)
         model = MdpModel(market, specs, bids, dispatch)
-        values, policy = solve_dp(model)
-        space = StateSpace(specs, bids)
-        fwd = expected_outcome(model, policy, space)
-        enum = enumerated_outcome(model, policy, space)
+        values, policy = solve(model)
+        fwd = expected_outcome(model, policy)
+        enum = enumerated_outcome(model, policy)
         assert fwd.beta == pytest.approx(enum.beta, abs=1e-9)
         assert fwd.reserve_cost == pytest.approx(enum.reserve_cost, abs=1e-9)
         assert np.allclose(fwd.terminal_charge, enum.terminal_charge, atol=1e-9)
@@ -247,17 +279,9 @@ def test_expected_outcome_matches_enumeration_and_dp():
         )
 
 
-def test_monte_carlo_outcome_converges():
-    model = two_slot_model(0.19, (1.0, 0.0))
-    _, policy = solve_dp(model)
-    est = monte_carlo_outcome(model, policy, 4000, make_rng(5))
-    # E[beta] = 10 p = 1.9, sigma = 10 sqrt(p(1-p)) / sqrt(n)
-    assert est.beta == pytest.approx(1.9, abs=5 * 10 * 0.392 / math.sqrt(4000))
-
-
 def test_policy_artifact_round_trip():
     model = two_slot_model(0.19, (1.0, 0.0))
-    values, policy = solve_dp(model)
+    values, policy = solve(model)
     payload = json.loads(policy_artifact(values, policy))
     assert "values" in payload and "policy" in payload
     key = next(iter(payload["policy"]))
@@ -266,18 +290,33 @@ def test_policy_artifact_round_trip():
 
 def test_policy_rejects_unknown_state():
     model = two_slot_model(0.19, (1.0, 0.0))
-    _, policy = solve_dp(model)
-    with pytest.raises(UnreachableStateError):
-        policy.action(1, 10**6)
+    _, policy = solve(model)
+    n_states = policy.space.n_states
+    # out of range either way: never an IndexError, never a wrapped-around row
+    for slot, joint in ((1, 10**6), (0, 0), (3, 0), (1, -1), (1, n_states)):
+        with pytest.raises(UnreachableStateError):
+            policy.action(slot, joint)
+    # an EV certain to leave after slot 1 has no slot-2 action while connected
+    gone = MdpModel(
+        two_slot_market(),
+        (EVSpec(1.0, (0.0, 1.0)),),
+        (DeadlineDistribution((1.0, 0.0), floor=0.0),),
+        (1.0, 0.0),
+    )
+    _, policy = solve(gone)
+    dead = np.flatnonzero(policy.posts[1] < 0).tolist()
+    assert dead and all(policy.space.decode(s)[0][0] for s in dead)
+    for s in dead:
+        with pytest.raises(UnreachableStateError):
+            policy.action(2, s)
 
 
-def test_state_space_encode_decode_round_trip():
+def test_state_space_decode_is_injective():
     specs = (EVSpec(1.0, (0.0, 1.0)), EVSpec(2.0, (0.0, 1.0, 2.0)))
     bids = (UNIFORM5, UNIFORM5)
     space = StateSpace(specs, bids)
-    assert space.initial == space.encode(((True, 0.0), (True, 0.0)))
-    for s in range(space.n_states):
-        assert space.encode(space.decode(s)) == s
+    assert len({space.decode(s) for s in range(space.n_states)}) == space.n_states
+    assert space.decode(space.initial) == ((True, 0.0), (True, 0.0))
 
 
 def test_model_validation():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from storemkt.config import load_setup
 from storemkt.deadlines import DeadlineDistribution
 from storemkt.dispatch import solve_outer
-from storemkt.mdp import ExpectedOutcome, MdpModel, StateSpace, expected_outcome, solve_dp
+from storemkt.mdp import ExpectedOutcome, MdpModel, expected_outcome, solve_dp
 from storemkt import mechanism
 from storemkt.mechanism import (
     EmpiricalRecord,
@@ -129,8 +129,7 @@ def test_day_ahead_payment_identity_enforced():
     res = solve_outer(s.params, s.solver, s.market, s.specs)
     minus = solve_outer((), s.solver, s.market, ())
     model = MdpModel(s.market, s.specs, s.params, res.g_star)
-    space = StateSpace(s.specs, s.params)
-    expected = expected_outcome(model, res.policy, space)
+    expected = expected_outcome(model, res.policy)
     gen = s.market.generator_cost(res.g_star)
     pay, residual = day_ahead_payment(0, res, minus, expected, gen, s.market.ev_energy_value)
     # externality: q*_{-i} - q* - credited energy

@@ -461,11 +461,11 @@ def test_settlement_columns_match_the_per_day_settlement():
     )
     assert 0 < res.accounts[0].penalties < 300 and res.accounts[0].missed > 0
     solve = res.solve
-    expected = expected_outcome(solve.model, solve.policy, solve.space).terminal_charge[0]
+    expected = expected_outcome(solve.model, solve.policy).terminal_charge[0]
     record = EmpiricalRecord(2)
     for row in res.trace_rows[1::2]:
         record.update(row["reported"])
-        realized = rollout(solve.model, solve.policy, (row["reported"],), solve.space)
+        realized = rollout(solve.model, solve.policy, (row["reported"],))
         want = settlement(
             row["day"], record, s.params[0], float(expected), float(realized.terminal[0]),
             s.window_schedule, s.penalty_schedule, s.market.ev_energy_value,
@@ -494,9 +494,9 @@ def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
     rolled = []
     real = mdp.rollout
 
-    def counted(model, policy, reported, space=None):
+    def counted(model, policy, reported):
         rolled.append(tuple(reported))
-        return real(model, policy, reported, space)
+        return real(model, policy, reported)
 
     monkeypatch.setattr(mdp, "rollout", counted)
     monkeypatch.setattr(simulate, "rollout", counted, raising=False)
