@@ -19,7 +19,8 @@ from storemkt.mechanism import (
     settlement,
     total_payment,
 )
-from storemkt.presets import preset_config
+from storemkt.presets import preset_config, table1_config
+from storemkt.scenarios import random_floored_pmf
 from storemkt.simulate import (
     BiddingStrategy,
     EarlyExit,
@@ -171,6 +172,59 @@ def test_resolve_j_m():
     assert resolve_j_m("auto", (), s.solver, s.market, ()) == 0.0
     auto = resolve_j_m("auto", s.params, s.solver, s.market, s.specs)
     assert auto == pytest.approx(EXAMPLE1_J_M, abs=1e-9)
+
+
+#: float.hex of resolve_j_m("auto", ...) on the bids of each config, frozen
+#: from the scalar probe (one mdp.rollout per report profile)
+J_M_AUTO_HEX = {
+    "table1:n=1,profile=A": "0x1.3c3694307d653p+8",
+    "table1:n=1,profile=B": "0x1.3c3694307d653p+8",
+    "table1:n=1,profile=C": "0x1.3c3694307d653p+8",
+    "table1:n=1,profile=D": "0x1.3c3694307d653p+8",
+    "table1:n=1,profile=E": "0x1.3c3694307d653p+8",
+    "table1:n=2,profile=A": "0x1.45f2c70b4da24p+10",
+    "table1:n=2,profile=B": "0x1.45f2c70b4da24p+10",
+    "table1:n=2,profile=C": "0x1.45f2c70b4da24p+10",
+    "table1:n=2,profile=D": "0x1.45f2c70b4da24p+10",
+    "table1:n=2,profile=E": "0x1.45f2c70b4da24p+10",
+    "table1:n=3,profile=A": "0x1.1e6bf4853df5dp+11",
+    "table1:n=3,profile=B": "0x1.1e6bf4853df5ap+11",
+    "table1:n=3,profile=C": "0x1.1e6bf4853df5bp+11",
+    "table1:n=3,profile=D": "0x1.1e6bf4853df5ap+11",
+    "table1:n=3,profile=E": "0x1.1e6bf4853df5ap+11",
+    "table1:n=4,profile=A": "0x1.99de8584d51a5p+11",
+    "table1:n=4,profile=B": "0x1.99de8584d51a5p+11",
+    "table1:n=4,profile=C": "0x1.99de8584d51a5p+11",
+    "table1:n=4,profile=D": "0x1.99de8584d51a5p+11",
+    "table1:n=4,profile=E": "0x1.99de8584d51a5p+11",
+    "example1:p=0.19": "0x1.1ad7bc01366b8p+8",
+    "theorem1": "0x1.1ad7bc01366b8p+8",
+    "mixed3:0": "0x1.1e6bf4853df5bp+11",
+    "mixed3:1": "0x1.1e6bf4853df5ap+11",
+    "mixed3:2": "0x1.1e6bf4853df5bp+11",
+}
+
+
+def _mixed3_config(j):
+    """The table1 market with 3 unlike EVs, as the benchmark's
+    payments-mixed3 workload draws its j-th fleet at seed 0: bids from
+    ``random_floored_pmf`` (floor 0.02), the last EV on levels (0, 5, 10)."""
+    rng = np.random.default_rng([0, 2, j])
+    cfg = table1_config(n=3)
+    for ev in cfg["evs"]:
+        pmf = random_floored_pmf(rng, cfg["horizon"], 0.02)
+        ev["theta"] = {"pmf": list(pmf), "floor": 0.02}
+    cfg["evs"][-1]["levels"] = [0.0, 5.0, 10.0]
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(J_M_AUTO_HEX))
+def test_auto_miss_fine_bits_are_frozen(name):
+    cfg = _mixed3_config(int(name[-1])) if name.startswith("mixed3") else preset_config(name)
+    s = load_setup(cfg)
+    bids = tuple(st.day_ahead_bid for st in s.strategies)
+    fine = resolve_j_m("auto", bids, s.solver, s.market, s.specs)
+    assert fine.hex() == J_M_AUTO_HEX[name]
 
 
 def test_probe_reuses_the_day_ahead_solve(monkeypatch):
