@@ -80,6 +80,7 @@ from .mdp import (
     iter_profiles,
     policy_artifact,
     solve_dp,
+    support_costs,
 )
 
 DEFAULT_STEP = 10.0
@@ -726,7 +727,8 @@ def estimate_lipschitz_K(
 
     For each of the first ``trials`` bid profiles (cycling through
     ``profiles``), solve the two-stage problem and take 2*sqrt(T) times
-    the l2 norm of the per-slot conditional costs; the estimate is the
+    the l2 norm of the per-slot conditional costs, read from one batched
+    rollout per solve (``_conditional_costs``); the estimate is the
     running max, so it is nondecreasing in ``trials``.  ``solved``, when
     given, is the solve of ``profiles[0]`` under ``config`` and is used in
     place of solving that profile again.
@@ -745,18 +747,36 @@ def estimate_lipschitz_K(
             result = solved
         else:
             result = solve_outer(bids, config, market, specs)
-        model = result.model
-        outcomes = ProfileOutcomes(model, result.policy)
-        for i in range(len(specs)):
-            vec = np.array(
-                [
-                    conditional_beta(model, result.policy, i, t, outcomes=outcomes)
-                    for t in range(1, horizon + 1)
-                    if model.params[i].pmf[t - 1] > 0.0
-                ]
-            )
+        for vec in _conditional_costs(result.model, result.policy):
             best = max(best, 2.0 * math.sqrt(horizon) * float(np.linalg.norm(vec)))
     return best
+
+
+def _conditional_costs(model: MdpModel, policy: MarkovPolicy) -> list[list[float]]:
+    """Per EV i, ``conditional_beta(model, policy, i, t)`` for each slot t
+    of its support, in slot order, bit for bit, from one batched rollout
+    (``mdp.support_costs``).  As there, each term is p times a profile's
+    cost, p multiplied up in EV order over the other EVs' slots; the terms
+    run in ``itertools.product`` order, p == 0 is skipped, and they are
+    added one at a time from 0.0."""
+    supports, costs = support_costs(model, policy, BATCH_BYTE_BUDGET)
+    weights = [[dist.pmf[t - 1] for t in s] for dist, s in zip(model.params, supports)]
+    out = []
+    for i, support in enumerate(supports):
+        p = np.ones(1)
+        for w in weights[:i] + weights[i + 1 :]:
+            p = np.multiply.outer(p, w).ravel()
+        # row k: the profiles in which EV i reports support[k]
+        axes = [i] + [j for j in range(len(supports)) if j != i]
+        terms = p * costs.transpose(axes).reshape(len(support), -1)
+        sums = []
+        for row in terms[:, p != 0.0].tolist():
+            total = 0.0
+            for x in row:
+                total += x
+            sums.append(total)
+        out.append(sums)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ fewer states, with binomial departures per class and level; ``dispatch``
 prices exhaustive grids on it when some class repeats.  The reference
 ``solve_dp``, the policies and every rollout stay on ``StateSpace``.
 
+``rollout`` unrolls one report profile.  ``support_costs`` unrolls every
+profile on the beliefs' support at once, as arrays of joint ids, with the
+same floats; the miss-fine probe in ``dispatch`` reads its conditional
+costs from it.
+
 Values are expected dollars to go.  The terminal layer credits stored
 energy at the market's ``ev_energy_value``.
 """
@@ -45,9 +50,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,10 +62,19 @@ from .deadlines import DeadlineDistribution
 
 #: refuse exhaustive deadline-profile enumeration beyond this many profiles
 ENUMERATION_GUARD = 10_000_000
+#: peak bytes ``support_costs`` holds per report profile: ROLLOUT_EV_BYTES
+#: per EV, 8 per slot and 8 more for its leave steps, and ROLLOUT_BYTES;
+#: 190 to 230 bytes in all were measured at 4 to 6 EVs and 5 slots
+ROLLOUT_EV_BYTES = 32
+ROLLOUT_BYTES = 128
 
 
 class UnreachableStateError(ValueError):
     """A kernel or policy query hit a zero-survival-probability state."""
+
+
+class RolloutBatchTooLarge(ValueError):
+    """A batched rollout's report profiles would not fit its byte budget."""
 
 
 class NoFeasibleContinuation(RuntimeError):
@@ -342,15 +357,43 @@ class StateSpace:
     def action_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
         """Every (state, action) pair of ``action_pairs``, grouped by the
         action's charge sum (see ``_group_by_sum``).  Built on first use;
-        only the batched pricing kernel needs it."""
-        return _group_by_sum(*self.action_pairs())
+        only the batched pricing kernel needs it.  It depends on the specs
+        alone, so spaces on equal specs share it (``_shared_groups``)."""
+        return _shared_groups(("action", self.specs), lambda: _group_by_sum(*self.action_pairs()))
 
     @cached_property
     def initial_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
         """``action_groups`` restricted to the initial state, with each
-        post-decision id mapped to its row of ``expect(..., connected_only=True)``."""
+        post-decision id mapped to its row of ``expect(..., connected_only=True)``;
+        shared like ``action_groups``."""
         levels = [len(s.levels) for s in self.specs]
-        return _initial_groups(self.action_groups, self._digits, levels)
+        return _shared_groups(
+            ("initial", self.specs),
+            lambda: _initial_groups(self.action_groups, self._digits, levels),
+        )
+
+
+class _Groups(list):
+    """Charge-sum groups as a list that can be weakly referenced."""
+
+
+#: each specs' ``action_groups`` and ``initial_groups``, held while some
+#: ``StateSpace`` holds them
+_SHARED_GROUPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_groups(key: tuple, build: Callable[[], list]) -> _Groups:
+    """The groups cached under ``key``; if there are none, ``build()``'s,
+    made read-only and cached.  The cache holds them weakly, so solves on
+    the same specs share one set while any space holds it, and no set
+    outlives its last space."""
+    groups = _SHARED_GROUPS.get(key)
+    if groups is None:
+        groups = _SHARED_GROUPS[key] = _Groups(build())
+        for _, rows, ranks in groups:
+            for a in (rows, *ranks):
+                a.flags.writeable = False
+    return groups
 
 
 def _group_by_sum(
@@ -773,6 +816,74 @@ class ProfileOutcomes:
             cost = system_cost(self.model.market, self.generator_cost, r.reserve_cost, r.terminal)
             out = self._memo[key] = ProfileOutcome(r, cost)
         return out
+
+
+def support_costs(
+    model: MdpModel, policy: MarkovPolicy, budget: int
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Realized system cost of every report profile on the support of the
+    model's beliefs, from one batched rollout.
+
+    ``supports[i]`` lists the slots EV i reports with positive probability;
+    ``costs[k_1, ..., k_n]`` is the cost of profile (supports[0][k_1], ...),
+    so ``costs.ravel()`` runs in ``itertools.product`` order.  The profiles
+    step through ``policy.posts`` together, and every float is the one
+    ``rollout`` and ``ProfileOutcomes`` compute: each EV's charge is the
+    running sum of its deltas, a slot's mismatch adds ``sum(action)`` to
+    the demand, the reserve cost (looked up once per distinct mismatch) is
+    added slot by slot from 0.0, and the terminal charge is summed per
+    profile row as ``terminal.sum()`` sums it.  Past ``budget`` bytes the
+    pass raises ``RolloutBatchTooLarge`` before it allocates.
+    """
+    horizon = model.horizon
+    supports = [
+        tuple(t for t in range(1, horizon + 1) if d.pmf[t - 1] > 0.0) for d in model.params
+    ]
+    shape = tuple(len(s) for s in supports)
+    count, n_evs = math.prod(shape), len(shape)
+    need = count * (ROLLOUT_EV_BYTES * n_evs + 8 * (horizon + 1) + ROLLOUT_BYTES)
+    if need > budget:
+        raise RolloutBatchTooLarge(
+            f"a batched rollout of {count} report profiles would hold about {need} bytes "
+            f"(limit {budget})"
+        )
+    space, market = policy.space, model.market
+    # leaves[t]: the joint-id step of each profile's EVs that leave at the
+    # end of slot t (their leave_step); profiles in product order
+    picks = np.indices(shape).reshape(n_evs, count)
+    leaves = np.zeros((horizon + 1, count), dtype=np.intp)
+    every = np.arange(count)
+    for s, k, step in zip(supports, picks, space.leave_step):
+        leaves[np.array(s)[k], every] += step
+    charge_by_ev = space.charge_by_ev
+    charge = np.zeros((count, n_evs))
+    reserve = np.zeros(count)
+    rank = np.zeros(space.n_states, dtype=np.intp)
+    # the distinct states the profiles are in, and each profile's one
+    states, at = np.array([space.initial]), np.zeros(count, dtype=np.intp)
+    for slot in range(1, horizon + 1):
+        posts = policy.posts[slot - 1, states]
+        if posts.min() < 0:
+            raise UnreachableStateError(
+                f"policy has no action for slot {slot}, state {states[posts < 0][0]}"
+            )
+        deltas = (charge_by_ev[:, posts] - charge_by_ev[:, states]).T
+        charge += deltas[at]
+        demand, g = market.demand[slot - 1], model.dispatch[slot - 1]
+        mismatch = [demand + sum(action) - g for action in deltas.tolist()]
+        cost = {m: market.reserve_cost_at(slot, m) for m in dict.fromkeys(mismatch)}
+        reserve += np.array([cost[m] for m in mismatch])[at]
+        if slot < horizon:
+            joint = posts[at] + leaves[slot]
+            rank[joint] = 1
+            states = np.flatnonzero(rank)
+            rank[states] = np.arange(len(states))
+            at = rank[joint]
+            rank[states] = 0
+    terminal = charge.sum(axis=1)  # row by row, as a (n_evs,) terminal sums
+    generator_cost = market.generator_cost(model.dispatch)
+    costs = generator_cost + reserve - market.ev_energy_value * terminal
+    return supports, costs.reshape(shape)
 
 
 @dataclass(frozen=True)

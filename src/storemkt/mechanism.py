@@ -53,6 +53,13 @@ class WindowSchedule:
             raise ValueError("day index starts at 1")
         return self.scale * math.sqrt(self.gamma * math.log(l + 1) / l)
 
+    def windows(self, days: int) -> np.ndarray:
+        """``window(l)`` for l = 1..days, the same floats: ``math.log`` per
+        day (``np.log`` may differ from it in the last bit), then the
+        same IEEE operations elementwise."""
+        logs = np.fromiter(map(math.log, range(2, days + 2)), float, days)
+        return self.scale * np.sqrt(self.gamma * logs / np.arange(1, days + 1))
+
 
 def window_closing_day(
     window_schedule: WindowSchedule, truth: Sequence[float], bid: Sequence[float]
@@ -97,6 +104,11 @@ class PenaltySchedule:
         if l < 1:
             raise ValueError("day index starts at 1")
         return self.coefficient * float(l) ** self.exponent
+
+    def penalties(self, days: np.ndarray) -> np.ndarray:
+        """``penalty(l)`` for every day index l in ``days``, the same floats
+        (Python's power per day, as ``np.power`` may round differently)."""
+        return self.coefficient * np.array([float(l) ** self.exponent for l in days.tolist()])
 
 
 @dataclass

@@ -522,7 +522,7 @@ def run_horizon(
     planned = realized[_nominal_reports(bids)].rollout.storage
 
     true_days = draw_deadlines(true_params, make_rng(seed), days)
-    windows = np.array([window_schedule.window(l) for l in range(1, days + 1)])
+    windows = window_schedule.windows(days)
     reports = np.empty_like(true_days)
     for i, strategy in enumerate(strategies):
         reports[i] = _report_days(strategy, true_days[i], planned[i], windows)
@@ -546,9 +546,11 @@ def run_horizon(
     event_days = np.array(
         [_window_events(reports[i], bids[i], windows) for i in range(n_evs)], dtype=bool
     ).reshape(shape)
+    # one fine per day with a window event, for every EV it hits
+    hit = np.flatnonzero(event_days.any(axis=0))
     penalty_days = np.zeros(shape)
-    for i, l in zip(*np.nonzero(event_days)):
-        penalty_days[i, l] = penalty_schedule.penalty(int(l) + 1)
+    fines = penalty_schedule.penalties(hit + 1)
+    penalty_days[:, hit] = np.where(event_days[:, hit], fines, 0.0)
     ev_cost_days = np.where(missed, j_m_value, kept_days)
     payment_days = np.array(p_da).reshape(n_evs, 1) + (charge_gap_days - penalty_days)
     utility_days = payment_days - ev_cost_days

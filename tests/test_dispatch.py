@@ -388,36 +388,140 @@ def test_lipschitz_estimate_frozen_and_monotone():
         estimate_lipschitz_K([s.params], 0, s.solver, s.market, s.specs)
 
 
+def _scalar_conditional_costs(res):
+    """A fresh scalar ``conditional_beta`` per EV and support slot: one
+    ``mdp.rollout`` per report profile."""
+    params = res.model.params
+    return [
+        [conditional_beta(res.model, res.policy, i, t)
+         for t in range(1, res.model.horizon + 1) if params[i].pmf[t - 1] > 0.0]
+        for i in range(len(params))
+    ]
+
+
 def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
-    rolled = []
-    real = mdp.rollout
-
-    def counted(model, policy, reported):
-        rolled.append(tuple(reported))
-        return real(model, policy, reported)
-
     s = setup_for("table1:n=3")
-    res = solve_outer(s.params, s.solver, s.market, s.specs)
-    # one fresh memo per call is the reference the shared memo must match
-    alone = [
-        conditional_beta(res.model, res.policy, i, t)
-        for i in range(3)
-        for t in range(1, s.market.horizon + 1)
-        if s.params[i].pmf[t - 1] > 0.0
+    rng = make_rng(J_M_PROBE_SEED)
+    profiles = [tuple(s.params)] + [
+        tuple(DeadlineDistribution(random_floored_pmf(rng, 5, 0.02), floor=0.02) for _ in s.specs)
+        for _ in range(2)
     ]
-    monkeypatch.setattr(mdp, "rollout", counted)
-    k_hat = estimate_lipschitz_K([s.params], 1, s.solver, s.market, s.specs)
-    support = math.prod(sum(p > 0.0 for p in law.pmf) for law in s.params)
-    assert len(rolled) == len(set(rolled)) == support
+    solves = [solve_outer(bids, s.solver, s.market, s.specs) for bids in profiles]
+    # the reference: a fresh scalar conditional_beta per cost
+    want = [_scalar_conditional_costs(res) for res in solves]
+    passes, got, rolled = [], [], []
+    batched, conditional, scalar = mdp.support_costs, dispatch._conditional_costs, mdp.rollout
+
+    def counted_pass(model, policy, budget):
+        passes.append(model.params)
+        return batched(model, policy, budget)
+
+    def kept_costs(model, policy):
+        got.append(conditional(model, policy))
+        return got[-1]
+
+    def counted_rollout(model, policy, reported):
+        rolled.append(tuple(reported))
+        return scalar(model, policy, reported)
+
+    monkeypatch.setattr(dispatch, "support_costs", counted_pass)
+    monkeypatch.setattr(dispatch, "_conditional_costs", kept_costs)
+    monkeypatch.setattr(mdp, "rollout", counted_rollout)
+    k_hat = estimate_lipschitz_K(profiles, 3, s.solver, s.market, s.specs, solves[0])
+    # one batched pass per solve, and no scalar rollout
+    assert passes == [tuple(bids) for bids in profiles]
+    assert rolled == []
+    assert got == want  # bit-identical, not approximately
+    norm = 2.0 * math.sqrt(s.market.horizon)
+    assert k_hat == max(norm * float(np.linalg.norm(np.array(v))) for w in want for v in w)
+
+
+def _assert_batched_costs_are_scalar(res):
+    supports, got = mdp.support_costs(res.model, res.policy, dispatch.BATCH_BYTE_BUDGET)
+    horizon = res.model.horizon
+    assert supports == [
+        tuple(t for t in range(1, horizon + 1) if law.pmf[t - 1] > 0.0) for law in res.model.params
+    ]
+    assert got.shape == tuple(len(x) for x in supports)
     outcomes = mdp.ProfileOutcomes(res.model, res.policy)
-    shared = [
-        conditional_beta(res.model, res.policy, i, t, outcomes=outcomes)
-        for i in range(3)
-        for t in range(1, s.market.horizon + 1)
-        if s.params[i].pmf[t - 1] > 0.0
-    ]
-    assert shared == alone  # bit-identical, not approximately
-    assert k_hat > 0.0
+    want = [outcomes[p].system_cost for p in itertools.product(*supports)]
+    assert got.ravel().tolist() == want  # every entry ==
+    assert dispatch._conditional_costs(res.model, res.policy) == _scalar_conditional_costs(res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(1, 99), st.integers(1, 99)), max_size=3),
+)
+def test_batched_costs_equal_the_scalar_rollouts(seed, tenths):
+    # levels on a 0.1 kWh grid make charge sums round, so the order of
+    # every addition shows; without tenths the instance keeps its EVs
+    rng = make_rng(seed)
+    market, specs, bids, config, _ = random_small_instance(rng)
+    if tenths:
+        specs = tuple(EVSpec(10.0, tuple(sorted({0.0, a / 10, b / 10}))) for a, b in tenths)
+        bids = tuple(
+            DeadlineDistribution(random_floored_pmf(rng, market.horizon, 0.02), floor=0.02)
+            for _ in specs
+        )
+    res = solve_outer(bids, config, market, specs)
+    _assert_batched_costs_are_scalar(res)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_costs_on_table1_profile_e(n):
+    # profile E's bids put zero mass on slots 1..4, which the support skips
+    s = setup_for(f"table1:n={n},profile=E")
+    assert any(p == 0.0 for law in s.params for p in law.pmf)
+    _assert_batched_costs_are_scalar(solve_outer(s.params, s.solver, s.market, s.specs))
+
+
+def test_batched_rollout_skips_zero_probability_slots():
+    # EV 1 bids no mass past slot 2, so its connected states have zero
+    # survival from slot 3 on and the policy has no action there: a
+    # profile in which it reports slot 3 reaches such a state
+    s = setup_for("table1:n=2")
+    bids = (DeadlineDistribution((0.5, 0.5, 0.0, 0.0, 0.0), floor=0.0), s.params[1])
+    res = solve_outer(bids, s.solver, s.market, s.specs)
+    assert (res.policy.posts[2:] < 0).any()
+    with pytest.raises(mdp.UnreachableStateError, match="no action"):
+        mdp.rollout(res.model, res.policy, (3, 1))
+    # the batched pass rolls out the support only
+    _assert_batched_costs_are_scalar(res)
+    # under beliefs that do put mass there, it fails by name as well
+    model = MdpModel(s.market, s.specs, s.params, res.g_star)
+    with pytest.raises(mdp.UnreachableStateError, match="no action for slot 3"):
+        mdp.support_costs(model, res.policy, dispatch.BATCH_BYTE_BUDGET)
+
+
+def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
+    s = setup_for("table1:n=4")
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    count, horizon = 5**4, s.market.horizon
+    need = count * (mdp.ROLLOUT_EV_BYTES * 4 + 8 * (horizon + 1) + mdp.ROLLOUT_BYTES)
+    rolled = []
+    scalar = mdp.rollout
+    monkeypatch.setattr(mdp, "rollout", lambda *a: rolled.append(a) or scalar(*a))
+    monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
+            estimate_lipschitz_K([s.params], 1, s.solver, s.market, s.specs, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # nothing was rolled out: less was allocated than the profiles'
+    # (count, n_evs) charge array alone
+    assert rolled == [] and peak < 8 * count * 4
+    # at the budget the pass runs, within its estimate
+    tracemalloc.start()
+    try:
+        mdp.support_costs(res.model, res.policy, need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * count * 4 < peak <= need
 
 
 def test_dominated_pair_check_reuses_the_shifted_solve(monkeypatch):

@@ -1,10 +1,13 @@
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from storemkt import mdp
 from storemkt.costs import MarketModel, asym_lin_quad, linear, table
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.mdp import (
@@ -326,3 +329,39 @@ def test_model_validation():
         two_slot_model(0.19, (0.0,))
     with pytest.raises(ValueError):
         two_slot_model(0.19, (-1.0, 0.0))
+
+
+def test_spec_tables_are_shared_read_only_and_freed():
+    # levels no other test uses, so no other live space holds these tables
+    specs = (EVSpec(7.0, (0.0, 3.5, 7.0)), EVSpec(2.0, (0.0, 1.25, 2.0)))
+    one = StateSpace(specs, (UNIFORM5, UNIFORM5))
+    other = StateSpace(specs, (DeadlineDistribution((0.1, 0.2, 0.3, 0.2, 0.2)), UNIFORM5))
+    assert one.action_groups is other.action_groups
+    assert one.initial_groups is other.initial_groups
+    # the shared groups are the ones a fresh build gives
+    state, post, sigma = one.action_pairs()
+    fresh = mdp._group_by_sum(state, post, sigma)
+    assert [g[0] for g in fresh] == [g[0] for g in one.action_groups]
+    for (_, rows, ranks), (_, rows2, ranks2) in zip(fresh, one.action_groups):
+        assert np.array_equal(rows, rows2)
+        assert all(np.array_equal(a, b) for a, b in zip(ranks, ranks2, strict=True))
+    _, rows, ranks = one.action_groups[0]
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        one.initial_groups[0][2][0][0] = 1
+    # the cache holds them only while a space does
+    held = [weakref.ref(one.action_groups), weakref.ref(one.initial_groups)]
+    del one, other, rows, ranks
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
+
+
+def test_row_sums_are_the_one_dimensional_sums():
+    # support_costs sums each profile's terminal charges as one row of a
+    # C-contiguous (profiles, n_evs) array, where rollout sums an (n_evs,)
+    # array; numpy sums pairwise from 8 terms on, so the orders must agree
+    rng = np.random.default_rng(3)
+    for n in range(24):
+        a = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-6, 7, (50, n))
+        assert a.sum(axis=1).tolist() == [float(a[p].copy().sum()) for p in range(50)]

@@ -62,6 +62,23 @@ def test_penalty_schedule():
         p.penalty(0)
 
 
+@pytest.mark.parametrize("gamma,scale", [(1.0, 1.0), (0.51, 1.0), (2.3, 1.7)])
+def test_window_column_is_the_per_day_window(gamma, scale):
+    w = WindowSchedule(gamma=gamma, scale=scale)
+    days = 200_000
+    got = w.windows(days)
+    assert got.shape == (days,)
+    assert got.tolist() == [w.window(l) for l in range(1, days + 1)]  # every bit
+
+
+@pytest.mark.parametrize("coefficient,exponent", [(1.0, 2.0), (0.3, 1.5), (2.0, 2.7)])
+def test_penalty_column_is_the_per_day_penalty(coefficient, exponent):
+    p = PenaltySchedule(coefficient=coefficient, exponent=exponent)
+    days = np.array([1, 2, 3, 10, 999, 5000, 50_943, 123_457])
+    assert p.penalties(days).tolist() == [p.penalty(int(l)) for l in days]  # every bit
+    assert p.penalties(days[:0]).shape == (0,)
+
+
 def test_empirical_record_lifecycle():
     rec = EmpiricalRecord(5)
     with pytest.raises(ValueError):
