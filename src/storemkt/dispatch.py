@@ -5,16 +5,16 @@ prices each one by solving the storage MDP.  ``beta_bar(g)`` is that
 price for one plan by the reference recursion: dispatch cost plus the
 optimal expected recourse value from the initial state.
 
-Grid and beam plans are priced by one batched backward pass whose columns
-are dispatch tails; the value at layer t depends only on the tail, so
-tails shared by many plans are priced once.  Each slot is a post-decision
-step.  The zero-action expectation runs once over the value array, in
-place, one EV axis at a time (the product-form kernel never becomes a
-dense matrix).  An action's continuation is then the row of its
-post-decision state.  The stage cost depends only on the action's charge
-sum, so the kernel takes the min over actions of equal sum first and
-adds each sum's reserve cost once per dispatch level.  Slot 1 forms only
-the initial state's row.
+Every plan is priced by one batched backward pass whose columns are
+dispatch tails; the value at layer t depends only on the tail, so tails
+shared by many plans are priced once.  The pass runs on one state space,
+``mdp.CountSpace``.  Each slot is a post-decision step.  The zero-action
+expectation runs once over the value array, in place, one class of EVs
+at a time (the kernel never becomes a dense matrix).  An action's
+continuation is then the row of its post-decision state.  The stage cost
+depends only on the action's charge sum, so the kernel takes the min
+over actions of equal sum first and adds each sum's reserve cost once
+per dispatch level.  Slot 1 takes that min for the initial state only.
 
 The exhaustive search prices the whole grid in one such pass, and drops
 dominated tails as it goes (Morin & Marsten, *Oper. Res.* 24(4), 1976;
@@ -28,34 +28,35 @@ between two computed plan costs plus LUMP_TIE_TOL (see PRUNE_ROUNDING),
 and kept columns run exactly the full grid's operations, so the argmin,
 the near-tie set and every kept plan's bits are the full grid's.
 ``SolveResult.candidates_evaluated`` still counts the whole grid.  When
-two or more EVs share a spec and a bid, that pass runs on the occupancy
-counts of ``mdp.CountSpace`` instead of the joint states: 35 rows
-instead of 256 for four table1 EVs.  Lumped prices agree with
-joint-state prices only up to rounding.  So when more than one plan
-lies within LUMP_TIE_TOL of the lumped minimum, those plans are
-re-priced on the joint states, which pick the winner (ties to the
-smaller plan, as everywhere); a lone such plan is the joint-state argmin
-already.  Before each slot allocates, its bytes are bounded from the
-tails kept so far; past BATCH_BYTE_BUDGET the pass fails with
+two or more EVs share a spec and a bid, that pass lumps them: it runs on
+their occupancy counts instead of the joint states, 35 rows instead of
+256 for four table1 EVs.  Lumped prices agree with joint-state prices
+only up to rounding.  So when more than one plan lies within
+LUMP_TIE_TOL of the lumped minimum, those plans are re-priced with every
+EV in its own class, on the joint states, which pick the winner (ties to
+the smaller plan, as everywhere); a lone such plan is the joint-state
+argmin already.  Before each slot allocates, its bytes are bounded from
+the tails kept so far; past BATCH_BYTE_BUDGET the pass fails with
 ``BatchTooLarge`` instead.  Every mode first estimates, from the specs
-alone, the joint-state tables and the (state, action) pair table that
-pricing and the winner's re-solve build, and fails the same way when
-those would not fit.
+alone, the joint-state tables, the (state, action) pair table and the
+successor tables that pricing and the winner's re-solve build, and fails
+the same way when those would not fit.
 
 Beam search prices every extended prefix of a depth in one pass: the
 columns are the prefixes, completed by the greedy tail they all share.
 An explicit candidate list is priced the same way, as full-length
-prefixes with an empty tail.  Neither lumps.
+prefixes with an empty tail.  Neither lumps: every EV is its own class,
+so lumped rounding cannot reorder near-tied prefixes.
 
 Every search mode ends alike: the winning plan is re-solved by the
-reference recursion (``mdp.solve_dp``) on the joint states, lumped or
-not, which also yields its policy, and the two values must agree;
-disagreement is a bug, not a tolerance question.  The reference is
-table-driven too, but it encodes the kernel differently: it lists every
-(state, action) pair and each post-decision state's successors
-explicitly and minimises per (state, action), where the pricing here
-applies ``expect`` axis by axis and takes its min over equal-sum
-actions.  So the cross-check compares two encodings.
+reference recursion (``mdp.solve_dp``) on the joint states of
+``mdp.StateSpace``, lumped or not, which also yields its policy, and the
+two values must agree; disagreement is a bug, not a tolerance question.
+The reference is table-driven too, but it encodes the kernel
+differently: it lists every (state, action) pair and each post-decision
+state's successors explicitly and minimises per (state, action), where
+the pricing here applies ``expect`` class by class and takes its min
+over equal-sum actions.  So the cross-check compares two encodings.
 """
 from __future__ import annotations
 
@@ -98,6 +99,10 @@ BATCH_BYTE_BUDGET = 2 * 2**30
 #: peak bytes ``mdp._product_pairs`` holds per (state, action) pair while it
 #: builds the pair table (about 75 measured, for 2 to 5 levels per EV)
 PAIR_BYTES = 80
+#: peak bytes ``mdp.solve_dp`` holds per joint state and listed successor
+#: (2**n_evs at most) for a slot's successor table, beyond its pairs: about
+#: 41 in a fit over 4 to 7 EVs
+SUCCESSOR_BYTES = 64
 #: grid plans priced within this of the lumped minimum are re-priced on
 #: the joint states, which pick the winner
 LUMP_TIE_TOL = 1e-9
@@ -192,9 +197,11 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """The winning plan with its policy, plus the model it was solved on,
-    so callers never rebuild it; the policy carries its state space.  The
-    space holds index tables and hazards only; no batched value array
-    outlives the search."""
+    so callers never rebuild it; the policy carries its state space.
+    ``pricing`` is the space the winner was priced on: while the result
+    lives, solves on the same class layout share its tables.  Both spaces
+    hold index tables and hazards only; no batched value array outlives
+    the search."""
 
     g_star: tuple[float, ...]
     q_star: float
@@ -202,6 +209,7 @@ class SolveResult:
     policy: MarkovPolicy
     candidates_evaluated: int
     model: MdpModel = field(repr=False, compare=False)
+    pricing: CountSpace = field(repr=False, compare=False)
 
     def to_jsonable(self) -> dict:
         import json
@@ -302,7 +310,7 @@ def _prefix_stages(
 
 
 def _batched_inner_values(
-    market: MarketModel, space: StateSpace, stages: list[Stage]
+    market: MarketModel, space: CountSpace, stages: list[Stage]
 ) -> np.ndarray:
     """Inner DP value v0 for a batch of dispatch plans, suffix-shared.
 
@@ -315,18 +323,15 @@ def _batched_inner_values(
     ``space.expect`` runs once, in place; an action's continuation is the
     row of its post-decision state; the min over actions with equal charge
     sums is taken before the reserve cost of that sum is added per block.
-    Slot 1 forms only the initial state's row.  Returns the flat layer-0
-    row; entries at or above INF_THRESHOLD mean no finite-cost policy
-    exists.
+    Slot 1 takes that min for the initial state only.  Returns the flat
+    layer-0 row; entries at or above INF_THRESHOLD mean no finite-cost
+    policy exists.
     """
     v = (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
     for slot in range(market.horizon, 0, -1):
-        if slot > 1:
-            post = space.expect(slot, v)
-            groups, n_rows = space.action_groups, space.n_states
-        else:
-            post = space.expect(1, v, connected_only=True)
-            groups, n_rows = space.initial_groups, 1
+        groups = space.action_groups if slot > 1 else space.initial_groups
+        n_rows = space.n_states if slot > 1 else 1
+        post = space.expect(slot, v)
         v = _min_over_actions(market, slot, post, groups, stages[slot - 1], n_rows)
     return v[0]
 
@@ -388,16 +393,19 @@ def _min_over_actions(
 def _space_bytes(specs: Sequence[EVSpec]) -> int:
     """Peak bytes of the joint-state tables of ``specs``, from the level
     counts alone: ``StateSpace``'s charge table, total charge and per-EV
-    digits (8 bytes × (2·n_evs + 1) per joint state), plus the pair table
-    of ``StateSpace.action_pairs`` (a connected EV may move to any level,
-    a disconnected one stays)."""
+    digits, and the digits and total charge of an unlumped ``CountSpace``
+    (8 bytes × (3·n_evs + 2) per joint state), the pair table of
+    ``StateSpace.action_pairs`` (a connected EV may move to any level, a
+    disconnected one stays), and the successor tables ``mdp.solve_dp``
+    reads it with."""
     n_states = math.prod(2 * len(s.levels) for s in specs)
     n_pairs = math.prod(len(s.levels) ** 2 + len(s.levels) for s in specs)
-    return 8 * (2 * len(specs) + 1) * n_states + PAIR_BYTES * n_pairs
+    successors = SUCCESSOR_BYTES * n_states * 2 ** len(specs)
+    return 8 * (3 * len(specs) + 2) * n_states + PAIR_BYTES * n_pairs + successors
 
 
 def _prune_margin(
-    market: MarketModel, space: StateSpace, specs: Sequence[EVSpec], levels: list[list[float]]
+    market: MarketModel, space: CountSpace, specs: Sequence[EVSpec], levels: list[list[float]]
 ) -> tuple[float, float]:
     """The dominance margin m of the exhaustive pass and the bound H above
     which a cost stems from INF_PROXY (see PRUNE_ROUNDING).
@@ -509,7 +517,7 @@ def _undominated(v: np.ndarray, tail_gen: np.ndarray, margin: float, high: float
 
 
 def _price_grid(
-    market: MarketModel, space: StateSpace, specs: Sequence[EVSpec], levels: list[list[float]]
+    market: MarketModel, space: CountSpace, specs: Sequence[EVSpec], levels: list[list[float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Price the exhaustive grid in one batched pass that drops dominated
     dispatch tails after every slot t >= 2.
@@ -547,9 +555,8 @@ def _price_grid(
                 f"{need / 2**30:.1f} GiB at slot {slot}, {width} dispatch tails "
                 f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use beam search"
             )
-        post = space.expect(slot, v, connected_only=slot == 1)
         blocks = [(g, None) for g in levels[slot - 1]]
-        v = _min_over_actions(market, slot, post, groups, blocks, n_rows)
+        v = _min_over_actions(market, slot, space.expect(slot, v), groups, blocks, n_rows)
         level = np.repeat(np.arange(n_levels), len(tails))
         tails = level * stride + np.tile(tails, n_levels)
         tail_gen = gen[slot - 1][level] + np.tile(tail_gen, n_levels)
@@ -566,7 +573,7 @@ def _price_grid(
 
 def _price_plans(
     market: MarketModel,
-    space: StateSpace,
+    space: CountSpace,
     plans: Sequence[tuple[float, ...]],
     tail: Sequence[float] = (),
 ) -> list[tuple[float, tuple[float, ...]]]:
@@ -586,7 +593,7 @@ def _price_plans(
 def _solve_beam(
     levels: list[list[float]],
     market: MarketModel,
-    space: StateSpace,
+    space: CountSpace,
     width: int,
 ) -> tuple[tuple[float, ...], float, int]:
     """Keep the ``width`` best prefixes per depth, each scored as the plan
@@ -622,24 +629,25 @@ def solve_outer(
     need = _space_bytes(specs)
     if need > BATCH_BYTE_BUDGET:
         raise BatchTooLarge(
-            f"the joint states and (state, action) pairs of {len(specs)} EVs would hold "
-            f"about {need / 2**30:.1f} GiB (limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); "
-            "use fewer EVs or fewer charge levels"
+            f"the joint states, (state, action) pairs and successors of {len(specs)} EVs "
+            f"would hold about {need / 2**30:.1f} GiB "
+            f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use fewer EVs or fewer charge levels"
         )
-    space = StateSpace(specs, bids)
     if config.candidates is not None:
         candidates = config.candidates
         if not candidates:
             raise InfeasibleModel("every candidate dispatch is infeasible")
         for g in candidates:
             check_dispatch(g, market.horizon)
-        batched_q, g_star = _price_plans(market, space, candidates)[0]
+        pricing = CountSpace(specs, bids, lump=False)
+        batched_q, g_star = _price_plans(market, pricing, candidates)[0]
         if batched_q == math.inf:
             raise InfeasibleModel("every candidate dispatch is infeasible")
         evaluated = len(candidates)
     elif config.mode == "beam":
         levels = grid_levels(market, specs, config)
-        g_star, batched_q, evaluated = _solve_beam(levels, market, space, config.beam_width)
+        pricing = CountSpace(specs, bids, lump=False)
+        g_star, batched_q, evaluated = _solve_beam(levels, market, pricing, config.beam_width)
     else:
         levels = grid_levels(market, specs, config)
         total = 1
@@ -651,9 +659,9 @@ def solve_outer(
                 f"(limit {config.max_candidates}); use beam search"
             )
         # identical EVs price on occupancy counts, everything else on the
-        # product space the winner is re-solved on
+        # joint states the winner is re-solved on
         lumped = len(set(zip(specs, bids))) < len(specs)
-        pricing = CountSpace(specs, bids) if lumped else space
+        pricing = CountSpace(specs, bids, lump=lumped)
         flat, q = _price_grid(market, pricing, specs, levels)
         best = int(np.argmin(q))
         if q[best] >= INF_THRESHOLD:
@@ -667,16 +675,17 @@ def solve_outer(
             # the product prices of the near-minimal plans pick the winner;
             # a lone near plan is the product argmin already
             plans = [_unflatten(int(k), levels) for k in near]
-            batched_q, g_star = _price_plans(market, space, plans)[0]
+            pricing = CountSpace(specs, bids, lump=False)
+            batched_q, g_star = _price_plans(market, pricing, plans)[0]
     model = MdpModel(market, specs, bids, g_star)
-    values, policy = solve_dp(model, space)
+    values, policy = solve_dp(model, StateSpace(specs, bids))
     q_star = market.generator_cost(g_star) + values.v0()
     if abs(q_star - batched_q) > CROSS_CHECK_TOL:
         raise RuntimeError(
             f"batched and reference inner values disagree: "
             f"{batched_q} vs {q_star} at g={g_star}"
         )
-    return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated, model)
+    return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated, model, pricing)
 
 
 def _unflatten(idx: int, levels: list[list[float]]) -> tuple[float, ...]:
@@ -687,25 +696,17 @@ def _unflatten(idx: int, levels: list[list[float]]) -> tuple[float, ...]:
     return tuple(reversed(out))
 
 
-def conditional_beta(
-    model: MdpModel,
-    policy: MarkovPolicy,
-    i: int,
-    t: int,
-    outcomes: ProfileOutcomes | None = None,
-) -> float:
+def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> float:
     """Expected realized cost given EV ``i`` reports slot ``t``, others
     drawn from their distributions.  Exact by enumeration
-    (``mdp.iter_profiles``); ``outcomes`` lets calls on one solve share
-    their rollouts."""
+    (``mdp.iter_profiles``)."""
     if not 0 <= i < model.n_evs:
         raise IndexError(f"EV index {i} out of range")
     if not 1 <= t <= model.horizon:
         raise ValueError(f"slot {t} outside 1..{model.horizon}")
     if model.params[i].pmf[t - 1] <= 0.0:
         raise ValueError(f"slot {t} has zero probability for EV {i + 1}")
-    if outcomes is None:
-        outcomes = ProfileOutcomes(model, policy)
+    outcomes = ProfileOutcomes(model, policy)
     others = model.params[:i] + model.params[i + 1 :]
     total = 0.0
     for combo, p in iter_profiles(others, model.horizon):

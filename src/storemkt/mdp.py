@@ -15,27 +15,26 @@ joint ids, never re-resolving a float charge to a level.
 Connectivity evolves by the hazard implied by the EV's deadline
 distribution: an EV still connected at the end of slot t-1 disconnects at
 the end of slot t with probability pmf(t) / P(deadline >= t).  Each
-``StateSpace`` computes these hazards once.  States whose survival
+space computes these hazards once.  States whose survival
 probability is exactly zero are unreachable; the solver assigns them +inf
 and skips them, and explicit kernel queries on them raise.
 
 An action only moves EVs to their target levels; the hazard then acts on
 the resulting *post-decision* state.  So the kernel of every action is
-the zero-action kernel read at the post-decision row.  The space encodes
-that kernel two ways.  The batched pricing in ``dispatch`` applies it
-once per slot, one EV axis at a time (``StateSpace.expect``).  The
-reference recursion ``solve_dp`` and the forward pass ``expected_outcome``
-read explicit tables instead: every (state, action) pair with its
-post-decision id (``StateSpace.action_pairs``), and per slot each
-post-decision state's padded successor list (``StateSpace.successor_table``).
+the zero-action kernel read at the post-decision row.  Two spaces encode
+that kernel.  ``StateSpace`` holds the reference's explicit tables: every
+(state, action) pair with its post-decision id (``action_pairs``), and
+per slot each post-decision state's successors (``successor_table``).
+``solve_dp``, ``expected_outcome``, the policies and every rollout read
+those.  ``CountSpace`` is the one space of the batched pricing in
+``dispatch``, which applies the kernel once per slot, in place.
 
 EVs with the same spec and bid are exchangeable, so the joint chain lumps
 exactly onto occupancy counts: how many EVs of each such class sit in
-each (connected, level) cell.  ``CountSpace`` is that lumped chain.  It
-offers the batched pricing the same operators as ``StateSpace`` on far
-fewer states, with binomial departures per class and level; ``dispatch``
-prices exhaustive grids on it when some class repeats.  The reference
-``solve_dp``, the policies and every rollout stay on ``StateSpace``.
+each (connected, level) cell.  ``CountSpace`` is that lumped chain, or,
+with every EV its own class, the product chain on ``StateSpace``'s joint
+ids.  ``dispatch`` lumps only the exhaustive grid of a fleet in which
+some class repeats.
 
 ``rollout`` unrolls one report profile.  ``support_costs`` unrolls every
 profile on the beliefs' support at once, as arrays of joint ids, with the
@@ -184,8 +183,8 @@ def transition_prob(
 
 
 class StateSpace:
-    """Dense mixed-radix indexing of joint EV states, cached hazards, and the
-    per-slot expectation operator.
+    """Dense mixed-radix indexing of joint EV states, cached hazards, and
+    the reference's explicit tables.
 
     Per-EV state ids place connected charge levels first (ascending), then
     disconnected ones; EV 1 is the most significant digit of the joint id,
@@ -233,11 +232,7 @@ class StateSpace:
     def initial(self) -> int:
         return 0
 
-    # ---- survival / validity -------------------------------------------
-
-    def survival(self, i: int) -> np.ndarray:
-        """P(deadline > t) for t = 0..T of EV ``i``, cached; do not mutate."""
-        return self._survival[i]
+    # ---- validity ------------------------------------------------------
 
     def valid_mask(self, layer: int) -> np.ndarray:
         """States with positive probability of existing at the given layer.
@@ -266,9 +261,10 @@ class StateSpace:
         charge deltas are ``charge_by_ev[:, post] - charge_by_ev[:, state]``.
         Returns (state, post-decision id, charge sum); the sum adds those
         deltas EV by EV from 0.0, exactly as ``sum`` over an action tuple.
-        Built on each call: the space keeps per-state tables only.
+        Built on each call, from each EV's one-EV class moves (``_Cells``):
+        the space keeps per-state tables only.
         """
-        tables = [_ev_move_table(spec) for spec in self.specs]
+        tables = [_cells(spec, 1).move_table for spec in self.specs]
         return _product_pairs(self.n_states, self._digits, tables)
 
     def successor_table(
@@ -318,93 +314,39 @@ class StateSpace:
         probs[pad] = 0.0
         return ids, probs, count
 
-    # ---- batched operators -------------------------------------------------
-
-    def expect(self, slot: int, values: np.ndarray, connected_only: bool = False) -> np.ndarray:
-        """Apply the zero-action kernel K_{slot,0} to ``values`` in place.
-
-        ``values`` is (n_states, S), one column per dispatch tail; row s
-        becomes sum_s' K(s, s') values[s'], the expected value of ending
-        the slot from post-decision state s.  The product-form kernel is
-        applied one EV axis at a time: a connected EV at level k stays
-        connected at k with probability 1 - hazard and leaves at k
-        otherwise; a disconnected EV stays put.  With ``connected_only``
-        only the rows where every EV is connected are formed, returned as
-        a (prod of level counts, S) array in mixed-radix level order.
-        """
-        if not values.flags.c_contiguous:
-            raise ValueError("values must be C-contiguous: they are updated in place")
-        width = values.shape[1]
-        x = values.reshape(*self.n_per, width)
-        for i, spec in enumerate(self.specs):
-            nl = len(spec.levels)
-            hazard = self._hazard[i][slot - 1]
-            lead = (slice(None),) * i
-            for k in range(nl):
-                stay = x[lead + (k,)]
-                leave = x[lead + (nl + k,)]
-                stay *= 1.0 - hazard
-                if connected_only:
-                    leave *= hazard  # rows dropped below: no temporary
-                    stay += leave
-                else:
-                    stay += hazard * leave
-            if connected_only:
-                x = x[lead + (slice(0, nl),)]
-        return x.reshape(-1, width) if connected_only else values
-
-    @cached_property
-    def action_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
-        """Every (state, action) pair of ``action_pairs``, grouped by the
-        action's charge sum (see ``_group_by_sum``).  Built on first use;
-        only the batched pricing kernel needs it.  It depends on the specs
-        alone, so spaces on equal specs share it (``_shared_groups``)."""
-        return _shared_groups(("action", self.specs), lambda: _group_by_sum(*self.action_pairs()))
-
-    @cached_property
-    def initial_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
-        """``action_groups`` restricted to the initial state, with each
-        post-decision id mapped to its row of ``expect(..., connected_only=True)``;
-        shared like ``action_groups``."""
-        levels = [len(s.levels) for s in self.specs]
-        return _shared_groups(
-            ("initial", self.specs),
-            lambda: _initial_groups(self.action_groups, self._digits, levels),
-        )
-
 
 class _Groups(list):
     """Charge-sum groups as a list that can be weakly referenced."""
 
 
-#: each specs' ``action_groups`` and ``initial_groups``, held while some
-#: ``StateSpace`` holds them
+#: each class layout's action and initial groups, held while some space
+#: holds them
 _SHARED_GROUPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _shared_groups(key: tuple, build: Callable[[], list]) -> _Groups:
+def _shared_groups(key: tuple, build: Callable[[], _Groups]) -> _Groups:
     """The groups cached under ``key``; if there are none, ``build()``'s,
-    made read-only and cached.  The cache holds them weakly, so solves on
-    the same specs share one set while any space holds it, and no set
-    outlives its last space."""
+    cached.  The cache holds them weakly, so spaces of one class layout
+    share one set while any of them holds it, and no set outlives its last
+    space."""
     groups = _SHARED_GROUPS.get(key)
     if groups is None:
-        groups = _SHARED_GROUPS[key] = _Groups(build())
-        for _, rows, ranks in groups:
-            for a in (rows, *ranks):
-                a.flags.writeable = False
+        groups = _SHARED_GROUPS[key] = build()
     return groups
 
 
-def _group_by_sum(
-    state: np.ndarray, post: np.ndarray, sigma: np.ndarray
-) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _group_by_sum(state: np.ndarray, post: np.ndarray, sigma: np.ndarray) -> _Groups:
     """Group (state, post-decision id) pairs by sum: per distinct sum,
-    (sigma, rows, ranks).  ``rows`` lists the states having such an
-    action, those with the most first; ``ranks[r]`` holds the r-th such
-    action's post-decision id for ``rows[: len(ranks[r])]``."""
+    (sigma, rows, ranks), read-only.  ``rows`` lists the states having
+    such an action, those with the most first; ``ranks[r]`` holds the r-th
+    such action's post-decision id for ``rows[: len(ranks[r])]``."""
     keys, inv = np.unique(sigma, return_inverse=True)
-    out = []
+    out = _Groups()
     for j, key in enumerate(keys):
         order = np.flatnonzero(inv == j)
         order = order[np.argsort(state[order], kind="stable")]
@@ -412,6 +354,7 @@ def _group_by_sum(
         most = np.argsort(-counts, kind="stable")
         rows, first, counts = rows[most], first[most], counts[most]
         ranks = [post[order[first[counts > r] + r]] for r in range(int(counts[0]))]
+        _read_only(rows, *ranks)
         out.append((float(key), rows, ranks))
     return out
 
@@ -451,18 +394,6 @@ def _move_table(
     return np.cumsum(count) - count, count, to, charge[to] - charge[src]
 
 
-@cache
-def _ev_move_table(spec: EVSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One EV's ``_move_table``: a connected EV may move to any level, a
-    disconnected one stays.  Shared, so read-only."""
-    nl = len(spec.levels)
-    moves = [range(nl)] * nl + [[d] for d in range(nl, 2 * nl)]
-    table = _move_table(moves, np.array(spec.levels * 2))
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
 def _product_pairs(
     n_states: int, digits: Sequence[np.ndarray], tables: Sequence[tuple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -481,25 +412,14 @@ def _product_pairs(
     return state, post, sigma
 
 
-def _initial_groups(
-    groups: list[tuple[float, np.ndarray, list[np.ndarray]]],
-    digits: Sequence[np.ndarray],
-    connected: Sequence[int],
-) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
-    """``groups`` restricted to the initial state 0, each post-decision id
-    mapped to its row of ``expect(..., connected_only=True)``: the
-    mixed-radix id over each axis's first ``connected[i]`` digits, those
-    whose EVs are all connected."""
-    out = []
+def _initial_groups(groups: _Groups) -> _Groups:
+    """``groups`` restricted to the initial state 0: per sum with an
+    action from state 0, (sigma, [0], one post-decision id per rank)."""
+    out = _Groups()
     for sigma, rows, ranks in groups:
         at = np.flatnonzero(rows == 0)
-        if not len(at):
-            continue
-        posts = np.array([r[at[0]] for r in ranks if len(r) > at[0]])
-        sub = np.zeros(len(posts), dtype=np.intp)
-        for n, digit in zip(connected, digits):
-            sub = sub * n + digit[posts]
-        out.append((sigma, rows[at], [sub[r : r + 1] for r in range(len(sub))]))
+        if len(at):
+            out.append((sigma, rows[at], [r[at[0] : at[0] + 1] for r in ranks if len(r) > at[0]]))
     return out
 
 
@@ -519,16 +439,19 @@ def _binomial(count: int, p: float) -> list[float]:
     return [math.comb(count, j) * p**j * (1.0 - p) ** (count - j) for j in range(count + 1)]
 
 
-class _Occupancy:
-    """The count vectors of one class of m exchangeable EVs and their moves.
+class _Cells:
+    """The count vectors of one class of m exchangeable EVs on ``spec``'s
+    levels, and their moves; no bid enters, so ``_cells`` shares them,
+    read-only.
 
     ``cells[s]`` counts the class's EVs per cell: connected at each level,
     then disconnected at each level.  States with every EV connected come
-    first (``n_connected`` of them), so state 0 has all m connected at
-    level 0.  For m = 1 this is ``StateSpace``'s per-EV id order.
+    first, so state 0 has all m connected at level 0.  For m = 1 this is
+    ``StateSpace``'s per-EV id order, and ``move_table`` is the per-EV
+    move table of ``StateSpace.action_pairs``.
     """
 
-    def __init__(self, spec: EVSpec, dist: DeadlineDistribution, m: int):
+    def __init__(self, spec: EVSpec, m: int):
         nl = len(spec.levels)
         cells = [
             conn + gone
@@ -536,21 +459,20 @@ class _Occupancy:
             for conn in _compositions(m - left, nl)
             for gone in _compositions(left, nl)
         ]
+        self.m = m
         self.cells = np.array(cells)
-        self.n_connected = math.comb(m + nl - 1, nl - 1)
+        self.n_levels = nl
         self.charge = self.cells @ np.array(spec.levels * 2)
-        self.hazard = _hazards(np.maximum(dist.survival(), 0.0), dist.pmf)
         index = {c: s for s, c in enumerate(cells)}
         # an action spreads the connected EVs over the levels in any way
         alike: dict[tuple, list[int]] = {}
         for s, c in enumerate(cells):
             alike.setdefault((sum(c[:nl]), c[nl:]), []).append(s)
-        self.moves = [alike[(sum(c[:nl]), c[nl:])] for c in cells]
+        self.move_table = _move_table([alike[(sum(c[:nl]), c[nl:])] for c in cells], self.charge)
+        _read_only(self.cells, self.charge, *self.move_table)
         # departures at level k, per count c >= 1 of EVs connected there
         # (largest first, so an in-place update reads only unwritten rows):
-        # the states with that count, and where j = 0..c leavers take each,
-        # for every state and for the states a connected-only pass keeps
-        # (nobody disconnected at levels <= k)
+        # the states with that count, and where j = 0..c leavers take each
         self.departures = []
         for k in range(nl):
             per_count = []
@@ -561,77 +483,107 @@ class _Occupancy:
                     shift = np.zeros(2 * nl, dtype=int)
                     shift[k], shift[nl + k] = -j, j
                     targets[:, j] = [index[tuple(v)] for v in self.cells[rows] + shift]
-                kept = self.cells[rows, nl : nl + k + 1].sum(axis=1) == 0
-                per_count.append((c, (rows, targets), (rows[kept], targets[kept])))
+                _read_only(rows, targets)
+                per_count.append((c, rows, targets))
             self.departures.append(per_count)
 
 
-class CountSpace:
-    """The fleet's occupancy counts: the lumped chain that prices plans for
-    fleets in which EVs repeat.
+@cache
+def _cells(spec: EVSpec, m: int) -> _Cells:
+    """The ``_Cells`` of m EVs on ``spec``, built once: they are small, and
+    every space with such a class shares them."""
+    return _Cells(spec, m)
 
-    EVs with equal ``(EVSpec, DeadlineDistribution)`` form a class.  They
-    face one hazard and the stage cost reads only the charge sum, so the
-    joint chain of ``StateSpace`` is exactly lumpable onto the number of a
+
+class CountSpace:
+    """The state space of the batched pricing: the fleet's occupancy counts.
+
+    With ``lump``, EVs with equal ``(EVSpec, DeadlineDistribution)`` form a
+    class; without it, every EV is a class of its own.  A class's EVs face
+    one hazard and the stage cost reads only the charge sum, so the joint
+    chain of ``StateSpace`` is exactly lumpable onto the number of a
     class's EVs in each (connected, level) cell (Kemeny & Snell, *Finite
     Markov Chains*, 1960; Buchholz, *J. Appl. Prob.* 1994).  m EVs of one
     class with L levels have C(m + 2L - 1, 2L - 1) count states against
-    (2L)^m product states: 35 against 256 for table1 at n = 4.  Departures
-    within a class are binomial per connected level.  An action moves a
-    class's connected EVs to any levels; it is kept once per (state,
-    post-decision counts), its charge sum the charge difference.
+    (2L)^m product states: 35 against 256 for table1 at n = 4.  An action
+    moves a class's connected EVs to any levels; it is kept once per
+    (state, post-decision counts), its charge sum the charge difference.
 
     The joint id is mixed-radix over the classes, ordered by their first
-    EV, the first most significant; id 0 is the initial state.  The space
-    carries only what ``dispatch._batched_inner_values`` reads
-    (``n_states``, ``total_charge``, ``expect``, ``action_groups``,
-    ``initial_groups``), each meaning what it means on ``StateSpace``.
+    EV, the first most significant; id 0 is the initial state.  With one
+    EV per class the ids are ``StateSpace``'s.  Only the hazards depend on
+    the bids: each class's ``_Cells`` are built once per (spec, m), and
+    spaces of one class layout ((spec, m) per class, in order) share their
+    ``action_groups`` and ``initial_groups``, all read-only.
     """
 
-    def __init__(self, specs: Sequence[EVSpec], params: Sequence[DeadlineDistribution]):
+    def __init__(
+        self, specs: Sequence[EVSpec], params: Sequence[DeadlineDistribution], lump: bool = True
+    ):
         sizes: dict[tuple[EVSpec, DeadlineDistribution], int] = {}
         for key in zip(specs, params):
             sizes[key] = sizes.get(key, 0) + 1
-        self._classes = [_Occupancy(spec, dist, m) for (spec, dist), m in sizes.items()]
-        self.n_states, self._digits = _radix_digits([len(c.cells) for c in self._classes])
-        self.total_charge = sum(c.charge[d] for c, d in zip(self._classes, self._digits))
+        classes = sizes.items() if lump else [(key, 1) for key in zip(specs, params)]
+        self._layout = tuple((spec, m) for (spec, _), m in classes)
+        self._classes = [
+            (_cells(spec, m), _hazards(np.maximum(dist.survival(), 0.0), dist.pmf))
+            for (spec, dist), m in classes
+        ]
+        self.n_states, self._digits = _radix_digits([len(c.cells) for c, _ in self._classes])
+        self.total_charge = sum(
+            (c.charge[d] for (c, _), d in zip(self._classes, self._digits)),
+            np.zeros(self.n_states),
+        )
 
-    def expect(self, slot: int, values: np.ndarray, connected_only: bool = False) -> np.ndarray:
-        """``StateSpace.expect`` on counts: in place, one connected level of
-        one class at a time, j of its c EVs leaving with binomial
-        probability.  ``connected_only`` returns the rows with every EV
-        connected, in mixed-radix order over the classes' connected ids."""
+    def expect(self, slot: int, values: np.ndarray) -> np.ndarray:
+        """Apply the zero-action kernel K_{slot,0} to ``values`` in place.
+
+        ``values`` is (n_states, S), one column per dispatch tail; row s
+        becomes sum_s' K(s, s') values[s'], the expected value of ending
+        the slot from post-decision state s.  The kernel is applied one
+        class at a time, one connected level at a time: j of the c EVs
+        connected there leave with binomial probability.  A class of one
+        EV stays with probability 1 - hazard and leaves otherwise, updated
+        through two views of the level.
+        """
         if not values.flags.c_contiguous:
             raise ValueError("values must be C-contiguous: they are updated in place")
-        width = values.shape[1]
-        x = values.reshape(*(len(c.cells) for c in self._classes), width)
-        for i, cls in enumerate(self._classes):
+        x = values.reshape(*(len(c.cells) for c, _ in self._classes), values.shape[1])
+        for i, (cls, hazards) in enumerate(self._classes):
             lead = (slice(None),) * i
-            hazard = cls.hazard[slot - 1]
+            hazard = hazards[slot - 1]
+            if cls.m == 1:
+                nl = cls.n_levels
+                for k in range(nl):
+                    stay = x[lead + (k,)]
+                    stay *= 1.0 - hazard
+                    stay += hazard * x[lead + (nl + k,)]
+                continue
             for per_count in cls.departures:
-                for c, every, kept in per_count:
-                    rows, targets = kept if connected_only else every
+                for c, rows, targets in per_count:
                     acc = None
                     for j, p in enumerate(_binomial(c, hazard)):
                         if p != 0.0:
                             term = p * x[lead + (targets[:, j],)]
                             acc = term if acc is None else np.add(acc, term, out=acc)
                     x[lead + (rows,)] = acc
-            if connected_only:
-                x = x[lead + (slice(0, cls.n_connected),)]
-        return x.reshape(-1, width) if connected_only else values
+        return values
 
     @cached_property
-    def action_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
+    def action_groups(self) -> _Groups:
         """Every (state, action) pair grouped by charge sum (``_group_by_sum``)."""
-        tables = [_move_table(c.moves, c.charge) for c in self._classes]
-        return _group_by_sum(*_product_pairs(self.n_states, self._digits, tables))
+        tables = [c.move_table for c, _ in self._classes]
+        return _shared_groups(
+            ("action", self._layout),
+            lambda: _group_by_sum(*_product_pairs(self.n_states, self._digits, tables)),
+        )
 
     @cached_property
-    def initial_groups(self) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
-        """``action_groups`` restricted to the initial state (see ``_initial_groups``)."""
-        connected = [c.n_connected for c in self._classes]
-        return _initial_groups(self.action_groups, self._digits, connected)
+    def initial_groups(self) -> _Groups:
+        """``action_groups`` restricted to the initial state (``_initial_groups``)."""
+        return _shared_groups(
+            ("initial", self._layout), lambda: _initial_groups(self.action_groups)
+        )
 
 
 @dataclass

@@ -16,7 +16,6 @@ bounded per-day gain survives it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,7 +28,6 @@ from .dispatch import SolveResult, SolverConfig, solve_outer
 from .mdp import EVSpec, ExpectedOutcome, expected_outcome
 
 IDENTITY_TOL = 1e-9
-DEVIATION_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,17 +69,21 @@ def window_closing_day(
     From that day on a reporter drawing from ``truth`` sits outside the
     window around ``bid`` beyond sampling noise, so the penalty fires.
     Both terms shrink with l, so the condition holds on every later day.
+    Days are tested in doubling blocks through ``WindowSchedule.windows``,
+    with the floats of ``window(l) + 3.0 * max(sqrt(t * (1 - t) / l))``.
     """
     drift = max(abs(t - b) for t, b in zip(truth, bid))
     if drift == 0.0:
         raise ValueError("the bid equals the truth: no window closes over it")
-    return next(
-        l
-        for l in itertools.count(1)
-        if window_schedule.window(l)
-        + 3.0 * max(math.sqrt(t * (1.0 - t) / l) for t in truth)
-        < drift
-    )
+    spread = [t * (1.0 - t) for t in truth]
+    days = 1024
+    while True:
+        l = np.arange(1, days + 1)
+        noise = np.max([np.sqrt(v / l) for v in spread], axis=0)
+        closed = np.flatnonzero(window_schedule.windows(days) + 3.0 * noise < drift)
+        if len(closed):
+            return int(closed[0]) + 1
+        days *= 2
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -25,6 +26,8 @@ from storemkt.dispatch import (
     _greedy_tail,
     _prefix_stages,
     _price_grid,
+    _price_plans,
+    _solve_beam,
     beta_bar,
     brute_force_oracle,
     conditional_beta,
@@ -179,7 +182,9 @@ def test_six_ev_beam_solve_is_cross_checked():
     s = load_setup(cfg)
     res = solve_outer(s.params, s.solver, s.market, s.specs)
     assert res.policy.space.n_states == 4**6
-    [(batched, _)] = dispatch._price_plans(s.market, res.policy.space, [res.g_star])
+    # beam prices with every EV its own class, on the reference's joint ids
+    assert res.pricing.n_states == 4**6
+    [(batched, _)] = dispatch._price_plans(s.market, res.pricing, [res.g_star])
     assert abs(batched - res.q_star) <= CROSS_CHECK_TOL
     assert len(res.policy.action(1, res.policy.space.initial)) == 6
 
@@ -205,12 +210,13 @@ def test_batched_values_match_reference_on_every_plan():
     # reference recursion
     infeasible = 0
     for market, specs, bids, config in _every_plan_instances():
-        space = StateSpace(specs, bids)
+        space = CountSpace(specs, bids, lump=False)
         levels = grid_levels(market, specs, config)
 
         def reference(plan):
             try:
-                values, _ = solve_dp(MdpModel(market, specs, bids, plan), space)
+                model = MdpModel(market, specs, bids, plan)
+                values, _ = solve_dp(model, StateSpace(specs, bids))
             except NoFeasibleContinuation:
                 return math.inf
             return values.v0()
@@ -299,7 +305,7 @@ def test_non_dyadic_levels_solve(fleet, mode):
     market = NON_DYADIC_MARKET
     config = SolverConfig(step=0.5, mode=mode)
     res = solve_outer(bids, config, market, specs)
-    space = StateSpace(specs, bids)
+    space = CountSpace(specs, bids, lump=False)
     levels = grid_levels(market, specs, config)
     inner = _batched_inner_values(market, space, _grid_stages(levels))
     idx = 0
@@ -689,8 +695,8 @@ def test_lumped_prices_match_product_prices_on_every_plan():
     for s in _lumpable_setups():
         levels = grid_levels(s.market, s.specs, s.solver)
         counts = CountSpace(s.specs, s.params)
-        product = StateSpace(s.specs, s.params)
-        assert counts.n_states < product.n_states
+        product = CountSpace(s.specs, s.params, lump=False)
+        assert counts.n_states < product.n_states == StateSpace(s.specs, s.params).n_states
         lumped = _batched_inner_values(s.market, counts, _grid_stages(levels))
         exact = _batched_inner_values(s.market, product, _grid_stages(levels))
         infeasible = exact >= INF_THRESHOLD
@@ -698,6 +704,51 @@ def test_lumped_prices_match_product_prices_on_every_plan():
         assert np.abs(lumped - exact)[~infeasible].max() <= 1e-9
         seen += 1
     assert seen == 17
+
+
+#: sha256 of what the batched pricing returns on ``_pricing_instances``,
+#: recorded when unlumped fleets still priced on the product space's own
+#: kernel: every exhaustive grid's (flat, q) bytes, every width-8 beam
+#: search's (winner, float.hex score, count), and the costs of about 50
+#: explicit plans per instance
+PRICING_SHA256 = {
+    "grid": "e5642fce9fec2b9ce9805cde4842373f723a6d0466bcbe74df832eecc716ac93",
+    "beam": "ed0e36c6839f0ee543c5a0f642409286a45f8bd9a7e1bcbadcc579d148584d24",
+    "plans": "44132277822a17c931cc3edc356eb6786eeb3b5bd814042f1ba500116faf9692",
+}
+
+
+def _pricing_instances():
+    for n in range(5):
+        for profile in "ABCDE":
+            yield _table1_fleet(n, profile)
+    for n in (2, 3, 4, 5):
+        yield _mixed_setup(n, 7)
+    odd = dict(capacity=10.0, levels=[0.0, 5.0, 10.0], theta={"pmf": [0.1, 0.2, 0.3, 0.2, 0.2]})
+    yield _table1_fleet(2, "B", [odd])
+    yield setup_for("example1:p=0.19")
+    yield setup_for("theorem1")
+
+
+def test_pricing_bits_are_frozen():
+    # the exhaustive grid lumps only fleets with repeats; beam and explicit
+    # plans put every EV in its own class
+    digests = {key: hashlib.sha256() for key in PRICING_SHA256}
+    for s in _pricing_instances():
+        specs, bids = tuple(s.specs), tuple(s.params)
+        levels = grid_levels(s.market, specs, SolverConfig())
+        lumped = len(set(zip(specs, bids))) < len(specs)
+        singles = CountSpace(specs, bids, lump=False)
+        flat, q = _price_grid(s.market, CountSpace(specs, bids, lump=lumped), specs, levels)
+        digests["grid"].update(flat.astype(np.int64).tobytes() + q.tobytes())
+        g, score, evaluated = _solve_beam(levels, s.market, singles, 8)
+        digests["beam"].update(repr((g, score.hex(), evaluated)).encode())
+        size = math.prod(len(lt) for lt in levels)
+        picks = np.random.default_rng(0).integers(0, size, 48).tolist() + flat[:8].tolist()
+        plans = [dispatch._unflatten(k, levels) for k in sorted(set(picks))]
+        scored = _price_plans(s.market, singles, plans)
+        digests["plans"].update(repr([(c.hex(), p) for c, p in scored]).encode())
+    assert {key: h.hexdigest() for key, h in digests.items()} == PRICING_SHA256
 
 
 def test_count_space_sizes():
@@ -709,19 +760,36 @@ def test_count_space_sizes():
 
 def test_singleton_classes_price_like_the_product_space():
     # with no repeated EV every class holds one EV, whose count states are
-    # the product space's per-EV ids: the two spaces price bit for bit alike
+    # the product space's per-EV ids: lumping changes nothing, and the
+    # space has the joint ids and total charges of the reference's space
     rng = make_rng(5)
     for _ in range(4):
         market, specs, bids, config, _ = random_small_instance(rng)
+        assert len(set(zip(specs, bids))) == len(specs)
         levels = grid_levels(market, specs, config)
-        counts = _batched_inner_values(market, CountSpace(specs, bids), _grid_stages(levels))
-        product = _batched_inner_values(market, StateSpace(specs, bids), _grid_stages(levels))
-        assert np.array_equal(counts, product)
+        counts = CountSpace(specs, bids)
+        singles = CountSpace(specs, bids, lump=False)
+        assert counts.action_groups is singles.action_groups
+        product = StateSpace(specs, bids)
+        assert np.array_equal(counts.total_charge, product.total_charge)
+        state, post, _ = product.action_pairs()
+        pairs = {(int(s), int(p)) for s, p in zip(state, post)}
+        grouped = {
+            (int(r), int(q[k]))
+            for _, rows, ranks in counts.action_groups
+            for q in ranks
+            for k, r in enumerate(rows[: len(q)])
+        }
+        assert grouped == pairs
+        lumped = _batched_inner_values(market, counts, _grid_stages(levels))
+        unlumped = _batched_inner_values(market, singles, _grid_stages(levels))
+        assert np.array_equal(lumped, unlumped)
 
 
 def _product_argmin(s) -> tuple[float, ...]:
     levels = grid_levels(s.market, s.specs, s.solver)
-    inner = _batched_inner_values(s.market, StateSpace(s.specs, s.params), _grid_stages(levels))
+    singles = CountSpace(s.specs, s.params, lump=False)
+    inner = _batched_inner_values(s.market, singles, _grid_stages(levels))
     q_flat = _grid_gen_costs(s.market, levels) + inner
     return dispatch._unflatten(int(np.argmin(q_flat)), levels)
 
@@ -733,7 +801,7 @@ def _jittered(amplitude: float):
 
     def jittered(market, space, specs, levels):
         flat, q = price(market, space, specs, levels)
-        if isinstance(space, CountSpace):
+        if space.n_states < math.prod(2 * len(s.levels) for s in specs):  # lumped
             size = math.prod(len(lt) for lt in levels)
             signs = np.random.default_rng(3).choice([-amplitude, amplitude], size=size)
             q = q + signs[flat]
@@ -770,36 +838,42 @@ def test_near_ties_are_settled_on_product_prices(monkeypatch):
 
 
 def test_count_space_only_prices_exhaustive_grids_with_repeats(monkeypatch):
-    built = []
+    # every pricing space is a CountSpace; one with a class of two or more
+    # EVs is built only for the exhaustive grid of a fleet with repeats
+    built = []  # the largest class of each space built
 
     class Spy(CountSpace):
-        def __init__(self, specs, params):
-            built.append(len(specs))
-            super().__init__(specs, params)
+        def __init__(self, specs, params, lump=True):
+            super().__init__(specs, params, lump)
+            built.append(max((c.m for c, _ in self._classes), default=0))
 
     monkeypatch.setattr(dispatch, "CountSpace", Spy)
     rng = make_rng(47)
-    unlike = []
-    while len(unlike) < 3:
+    fleets = []
+    while len(fleets) < 3:
         market, specs, bids, config, _ = random_small_instance(rng)
         if len(specs) == len(set(zip(specs, bids))):
-            unlike.append((market, specs, bids))
-    for market, specs, bids in unlike:
+            fleets.append((market, specs, bids))
+    s = _table1_fleet(3)
+    fleets.append((s.market, s.specs, s.params))
+    runs = 0
+    for market, specs, bids in fleets:
+        repeats = len(set(zip(specs, bids))) < len(specs)
         for config in (
             SolverConfig(step=10.0),
             SolverConfig(step=10.0, mode="beam"),
             SolverConfig(step=10.0, candidates=((0.0,) * market.horizon,)),
         ):
+            built.clear()
             try:
                 solve_outer(bids, config, market, specs)
             except InfeasibleModel:
                 pass
-    s = _table1_fleet(3)
-    solve_outer(s.params, SolverConfig(step=10.0, mode="beam"), s.market, s.specs)
-    plan = solve_outer(s.params, s.solver, s.market, s.specs).g_star
-    assert built == [3]  # the exhaustive grid on the identical fleet only
-    solve_outer(s.params, SolverConfig(candidates=(plan,)), s.market, s.specs)
-    assert built == [3]
+            grid = config.mode == "exhaustive" and config.candidates is None
+            assert built, config  # every mode prices on a CountSpace
+            assert [m for m in built if m > 1] == ([3] if repeats and grid else []), config
+            runs += 1
+    assert runs == 12
 
 
 def _table1_like_evs(shared: bool, n: int = 7):
@@ -850,10 +924,14 @@ def test_oversized_joint_space_fails_by_name_in_every_mode(monkeypatch):
 
     s = _table1_like_evs(shared=False, n=11)
     assert len(set(s.params)) == 11
-    # 4**11 joint states (0.7 GiB of tables) and 6**11 (state, action)
-    # pairs (27 GiB while they are built)
-    assert dispatch._space_bytes(s.specs) == 8 * 23 * 4**11 + dispatch.PAIR_BYTES * 6**11
+    # 4**11 joint states (1.1 GiB of tables, the reference's and the
+    # pricing's), 6**11 (state, action) pairs (27 GiB while they are built)
+    # and 8**11 listed successors
+    assert dispatch._space_bytes(s.specs) == (
+        8 * 35 * 4**11 + dispatch.PAIR_BYTES * 6**11 + dispatch.SUCCESSOR_BYTES * 8**11
+    )
     monkeypatch.setattr(StateSpace, "__init__", never)
+    monkeypatch.setattr(CountSpace, "__init__", never)
     plan = (0.0,) * s.market.horizon
     for config in (
         SolverConfig(step=10.0, mode="beam"),
@@ -862,6 +940,20 @@ def test_oversized_joint_space_fails_by_name_in_every_mode(monkeypatch):
     ):
         with pytest.raises(BatchTooLarge, match="11 EVs"):
             solve_outer(s.params, config, s.market, s.specs)
+
+
+def test_space_byte_bound_holds_on_the_reference_resolve():
+    # the estimate checked before any table is built covers what the
+    # winner's reference re-solve then holds, its successor tables included
+    for s in (_table1_like_evs(shared=False, n=4), _mixed_setup(5, 7), _mixed_setup(6, 7)):
+        model = MdpModel(s.market, s.specs, s.params, tuple(s.market.demand))
+        tracemalloc.start()
+        try:
+            solve_dp(model, StateSpace(s.specs, s.params))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= dispatch._space_bytes(s.specs)
 
 
 def test_shared_bid_fleet_of_seven_is_admitted(monkeypatch):
@@ -903,7 +995,7 @@ def _windowed(market, specs, bids, levels, window: float):
     """``market`` with reserves priced only for mismatches within
     +-``window`` kWh: every other mismatch costs +inf, so many rows of the
     pass sit at INF_PROXY."""
-    sums = [x for x, _, _ in StateSpace(specs, bids).action_groups]
+    sums = [x for x, _, _ in CountSpace(specs, bids).action_groups]
     slots = []
     for slot, lt in enumerate(levels, 1):
         mismatches = {market.demand[slot - 1] + x - g for x in sums for g in lt}
@@ -960,8 +1052,7 @@ def test_pruned_pass_matches_the_full_grid():
     # so is the set of plans within LUMP_TIE_TOL of it
     kept = {}
     for name, market, specs, bids, levels in _pruning_instances():
-        lumped = len(set(zip(specs, bids))) < len(specs)
-        space = CountSpace(specs, bids) if lumped else StateSpace(specs, bids)
+        space = CountSpace(specs, bids)
         full = _grid_gen_costs(market, levels) + _batched_inner_values(
             market, space, _grid_stages(levels)
         )
@@ -990,8 +1081,8 @@ def test_layer_byte_bound_holds_on_the_pass(monkeypatch):
     ties = _mixed_setup(3, [0, 2, 0], rates=1e-9)
     table1 = _table1_fleet(4)
     for market, space, specs in (
-        (windowed, StateSpace(s.specs, s.params), s.specs),
-        (ties.market, StateSpace(ties.specs, ties.params), ties.specs),
+        (windowed, CountSpace(s.specs, s.params), s.specs),
+        (ties.market, CountSpace(ties.specs, ties.params), ties.specs),
         (table1.market, CountSpace(table1.specs, table1.params), table1.specs),
     ):
         space.action_groups, space.initial_groups  # the space's own tables

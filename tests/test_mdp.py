@@ -1,5 +1,4 @@
 import gc
-import itertools
 import json
 import math
 import weakref
@@ -11,6 +10,7 @@ from storemkt import mdp
 from storemkt.costs import MarketModel, asym_lin_quad, linear, table
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.mdp import (
+    CountSpace,
     EVSpec,
     MarkovPolicy,
     MdpModel,
@@ -142,35 +142,39 @@ def test_disconnected_transitions_freeze():
 
 
 def test_kernel_rows_are_stochastic():
-    # the per-slot expectation operator is a stochastic kernel: a constant
-    # value vector maps to that constant on every reachable row, and any
-    # vector maps to its scalar-kernel expectation under the zero action
+    # the batched pricing's per-slot expectation operator is a stochastic
+    # kernel: a constant value vector maps to that constant on every
+    # reachable row, and any vector maps to its scalar-kernel expectation
+    # under the zero action.  With every EV its own class, the space's
+    # joint ids are the reference space's, which decodes them
     rng = make_rng(11)
     for _ in range(5):
         market, specs, bids, _, _ = random_small_instance(rng)
-        space = StateSpace(specs, bids)
+        space = CountSpace(specs, bids, lump=False)
+        states = StateSpace(specs, bids)
         n = space.n_states
+        assert n == states.n_states
         for slot in range(1, len(market.demand) + 1):
-            valid = space.valid_mask(slot - 1)
+            valid = states.valid_mask(slot - 1)
             const = np.full((n, 3), 7.25)
             assert space.expect(slot, const) is const
             assert np.all(np.abs(const[valid] - 7.25) < 1e-9)
             values = rng.normal(size=(n, 2))
             want = np.zeros((n, 2))
             for s in np.flatnonzero(valid):
-                state = space.decode(int(s))
+                state = states.decode(int(s))
                 for s2 in range(n):
-                    p = transition_prob(bids, slot, state, (0.0,) * len(specs), space.decode(s2))
+                    p = transition_prob(bids, slot, state, (0.0,) * len(specs), states.decode(s2))
                     want[s] += p * values[s2]
             every = space.expect(slot, values.copy())
             assert np.allclose(every[valid], want[valid], atol=1e-12)
-            # the all-connected rows alone, in mixed-radix level order
-            connected = space.expect(slot, values.copy(), connected_only=True)
-            rows = [
-                state_id(space, tuple((True, lvl) for lvl in combo))
-                for combo in itertools.product(*(s.levels for s in specs))
-            ]
-            assert np.array_equal(connected, every[rows])
+        # the first EV twice: a lumped class of two, whose binomial rows
+        # are stochastic too (a zero-survival slot takes the stub hazard 1)
+        lumped = CountSpace((specs[0],) + specs, (bids[0],) + bids)
+        for slot in range(1, len(market.demand) + 1):
+            const = np.full((lumped.n_states, 2), 7.25)
+            lumped.expect(slot, const)
+            assert np.all(np.abs(const - 7.25) < 1e-9)
 
 
 def test_two_slot_value_is_ten_p():
@@ -334,12 +338,23 @@ def test_model_validation():
 def test_spec_tables_are_shared_read_only_and_freed():
     # levels no other test uses, so no other live space holds these tables
     specs = (EVSpec(7.0, (0.0, 3.5, 7.0)), EVSpec(2.0, (0.0, 1.25, 2.0)))
-    one = StateSpace(specs, (UNIFORM5, UNIFORM5))
-    other = StateSpace(specs, (DeadlineDistribution((0.1, 0.2, 0.3, 0.2, 0.2)), UNIFORM5))
+    skewed = DeadlineDistribution((0.1, 0.2, 0.3, 0.2, 0.2))
+    one = CountSpace(specs, (UNIFORM5, UNIFORM5))
+    other = CountSpace(specs, (skewed, UNIFORM5))
     assert one.action_groups is other.action_groups
     assert one.initial_groups is other.initial_groups
-    # the shared groups are the ones a fresh build gives
-    state, post, sigma = one.action_pairs()
+    # two lumped spaces on one class layout, with different bids
+    pair = CountSpace(specs[:1] * 2, (UNIFORM5, UNIFORM5))
+    other_pair = CountSpace(specs[:1] * 2, (skewed, skewed))
+    assert pair.n_states == 21  # C(2 + 5, 5) counts over six cells
+    assert pair.action_groups is other_pair.action_groups
+    assert pair.initial_groups is other_pair.initial_groups
+    (cells, hazards), (other_cells, other_hazards) = pair._classes[0], other_pair._classes[0]
+    assert cells is other_cells and hazards != other_hazards
+    assert pair.action_groups is not one.action_groups
+    # the shared groups are the ones a fresh build gives; with one EV per
+    # class, from the reference space's own pairs
+    state, post, sigma = StateSpace(specs, (UNIFORM5, UNIFORM5)).action_pairs()
     fresh = mdp._group_by_sum(state, post, sigma)
     assert [g[0] for g in fresh] == [g[0] for g in one.action_groups]
     for (_, rows, ranks), (_, rows2, ranks2) in zip(fresh, one.action_groups):
@@ -350,11 +365,15 @@ def test_spec_tables_are_shared_read_only_and_freed():
         rows[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         one.initial_groups[0][2][0][0] = 1
-    # the cache holds them only while a space does
-    held = [weakref.ref(one.action_groups), weakref.ref(one.initial_groups)]
-    del one, other, rows, ranks
+    with pytest.raises(ValueError, match="read-only"):
+        cells.cells[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        cells.departures[0][0][2][0, 0] = 1
+    # the cache holds the groups only while a space does
+    held = [weakref.ref(x) for x in (one.action_groups, one.initial_groups, pair.action_groups)]
+    del one, other, pair, other_pair, rows, ranks
     gc.collect()
-    assert [ref() for ref in held] == [None, None]
+    assert [ref() for ref in held] == [None] * 3
 
 
 def test_row_sums_are_the_one_dimensional_sums():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from storemkt.mechanism import (
     penalty_event,
     settlement,
     total_payment,
+    window_closing_day,
 )
 from storemkt.presets import preset_config
 
@@ -77,6 +79,40 @@ def test_penalty_column_is_the_per_day_penalty(coefficient, exponent):
     days = np.array([1, 2, 3, 10, 999, 5000, 50_943, 123_457])
     assert p.penalties(days).tolist() == [p.penalty(int(l)) for l in days]  # every bit
     assert p.penalties(days[:0]).shape == (0,)
+
+
+def _closing_day_by_walk(schedule, truth, bid):
+    """The closing day by the definition, one day at a time."""
+    drift = max(abs(t - b) for t, b in zip(truth, bid))
+    return next(
+        l
+        for l in itertools.count(1)
+        if schedule.window(l) + 3.0 * max(math.sqrt(t * (1.0 - t) / l) for t in truth) < drift
+    )
+
+
+@pytest.mark.parametrize(
+    "schedule, truth, bid, day",
+    [
+        # theorem1's two-point underbid: several doubling blocks
+        (WindowSchedule(), (0.21, 0.79), (0.19, 0.81), 50_943),
+        # a certain reporter far off its bid: the window closes on day 1
+        (WindowSchedule(), (1.0, 0.0), (0.0, 1.0), 1),
+        (WindowSchedule(), (0.21, 0.79), (1.0, 0.0), 13),
+        (WindowSchedule(gamma=2.0, scale=1.5), (0.2, 0.3, 0.5), (0.25, 0.3, 0.45), 27_433),
+        (WindowSchedule(gamma=0.75), (0.2,) * 5, (0.1, 0.2, 0.3, 0.2, 0.2), 1_233),
+        (WindowSchedule(scale=3.0), (0.5, 0.5), (0.47, 0.53), 156_708),
+        (WindowSchedule(gamma=1.2, scale=1.1), (0.05, 0.9, 0.05), (0.0, 0.9, 0.1), 8_160),
+    ],
+)
+def test_window_closing_day_matches_the_daily_walk(schedule, truth, bid, day):
+    assert window_closing_day(schedule, truth, bid) == day
+    assert _closing_day_by_walk(schedule, truth, bid) == day
+
+
+def test_window_closing_day_needs_a_drift():
+    with pytest.raises(ValueError, match="no window closes"):
+        window_closing_day(WindowSchedule(), (0.21, 0.79), (0.21, 0.79))
 
 
 def test_empirical_record_lifecycle():
