@@ -5,9 +5,9 @@ Positional configs accept either a JSON file path or a built-in scenario
 name ("example1", "table1", "theorem1", optionally parameterized like
 "example1:p=0.25" or "table1:n=2,profile=C").
 
-Exit codes: 0 success, 2 configuration problem, 3 infeasible model,
-4 an experiment or oracle assertion failed.  --seed overrides the config
-seed where a command consumes one.
+Exit codes: 0 success, 2 configuration problem or a run over its memory
+budget, 3 infeasible model, 4 an experiment or oracle assertion failed.
+--seed overrides the config seed where a command consumes one.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .dispatch import (
     solve_outer,
 )
 from .experiments import SUITES, payments_csv, payments_table, to_json
-from .mdp import NoFeasibleContinuation
+from .mdp import NoFeasibleContinuation, RolloutBatchTooLarge
 from .presets import is_preset, preset_config
 from .scenarios import random_tiny_instance
 from .simulate import resolve_j_m, run_horizon
@@ -82,10 +82,10 @@ def cmd_solve(args) -> int:
 def cmd_payments(args) -> int:
     setup = load_setup(_load_config(args.config))
     solve, rows = payments_table(setup)
-    csv = payments_csv(rows)
-    _write(args.out, csv)
     bids = tuple(s.day_ahead_bid for s in setup.strategies)
+    # probe before writing, so a run that fails leaves no CSV behind
     fine = resolve_j_m("auto", bids, setup.solver, setup.market, setup.specs, solve)
+    _write(args.out, payments_csv(rows))
     print(
         f"sampled cost-sensitivity bound k_hat = {fine / 10.0:.6g}; "
         f"recommended miss fine j_m = {fine:.6g}",
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return 2
-    except GridTooLarge as exc:
+    except (GridTooLarge, RolloutBatchTooLarge) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (InfeasibleModel, NoFeasibleContinuation) as exc:

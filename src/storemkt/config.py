@@ -2,31 +2,24 @@
 
 Configs are plain JSON with explicit units.  Rates are $/MWh (guarded by a
 mandatory ``rate_units`` field), energies kWh, the EV energy credit
-$/kWh.  ``validate_config`` returns per-field diagnostics instead of
-raising so the CLI can print them all at once; ``load_setup`` converts a
-validated config into solver-ready objects.
+$/kWh.  This module checks only the JSON shape; every value rule lives in
+the domain constructor, whose ValueError becomes the diagnostic
+``"<field path>: <message>"``.  ``validate_config`` and ``load_setup``
+share one builder, so a config that validates also loads.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 from .costs import CostForm, MarketModel, asym_lin_quad, linear, table
-from .deadlines import DEFAULT_FLOOR, DeadlineDistribution, violations
+from .deadlines import DEFAULT_FLOOR, DeadlineDistribution
 from .dispatch import SolverConfig
-from .mdp import EVSpec
+from .mdp import EVSpec, check_dispatch
 from .mechanism import PenaltySchedule, WindowSchedule
-from .simulate import (
-    BiddingStrategy,
-    EarlyExit,
-    Fixed,
-    HistogramMatch,
-    RealtimeRule,
-    Truthful,
-)
+from .simulate import BiddingStrategy, EarlyExit, Fixed, HistogramMatch, Truthful
 
 log = logging.getLogger("storemkt")
 
@@ -59,6 +52,10 @@ class RunSetup:
     seeds: tuple[int, ...]
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -80,180 +77,201 @@ DEFAULTS = {
         "penalty_exponent": 2.0,
         "j_m": "auto",
     },
-    "solver": {
-        "step": 10.0,
-        "mode": "exhaustive",
-        "beam_width": 8,
-        "caps": None,
-        "candidates": None,
-        "max_candidates": 2_000_000,
-    },
+    "solver": {f.name: f.default for f in fields(SolverConfig)},
     "simulation": {"days": 1, "seeds": [0], "strategies": None},
 }
 
 
-def _merged(section: str, raw: dict) -> dict:
-    out = dict(DEFAULTS[section])
-    out.update(raw or {})
-    return out
+def _merged(section: str, raw: dict, diags: list[str]) -> dict:
+    given = raw.get(section) or {}
+    if not isinstance(given, dict):
+        diags.append(f"{section}: must be an object")
+        given = {}
+    return {**DEFAULTS[section], **given}
 
 
-def _check_cost_form(spec, horizon: int, path: str, out: list[str]) -> None:
+def _numbers(section: dict, path: str, keys: tuple[str, ...], diags: list[str]) -> bool:
+    """True when each of ``keys`` holds a number; one diagnostic per miss."""
+    missing = [key for key in keys if not _is_num(section.get(key))]
+    diags.extend(f"{path}.{key}: must be a number" for key in missing)
+    return not missing
+
+
+def _make(diags: list[str], path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or None with its ValueError noted at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        diags.append(f"{path}: {exc}")
+        return None
+
+
+def _cost_form(spec, horizon: int, path: str, diags: list[str]) -> CostForm | None:
     if not isinstance(spec, dict) or spec.get("form") not in COST_FORMS:
-        out.append(f"{path}.form: must be one of {COST_FORMS}")
-        return
-    form = spec["form"]
-    if form in ("linear", "asym_lin_quad"):
+        diags.append(f"{path}.form: must be one of {COST_FORMS}")
+        return None
+    if spec["form"] != "table":
         rates = spec.get("rates")
-        if _is_num(rates):
-            return
-        if not _num_list(rates, horizon):
-            out.append(f"{path}.rates: need a number or list of {horizon} numbers")
-        elif any(r < 0 for r in rates):
-            out.append(f"{path}.rates: rates must be nonnegative")
+        if not (_is_num(rates) or _num_list(rates, horizon)):
+            diags.append(f"{path}.rates: need a number or list of {horizon} numbers")
+            return None
+        build = linear if spec["form"] == "linear" else asym_lin_quad
+        return _make(diags, f"{path}.rates", build, rates, horizon)
+    slots = spec.get("slots")
+    if not isinstance(slots, list) or len(slots) != horizon:
+        diags.append(f"{path}.slots: need {horizon} per-slot tables")
+        return None
+    bad = [
+        f"{path}.slots[{t}]: need a nonempty mapping from energies to numbers"
+        for t, slot in enumerate(slots)
+        if not isinstance(slot, dict) or not slot or not all(map(_is_real, slot.values()))
+    ]
+    diags.extend(bad)
+    return None if bad else _make(diags, f"{path}.slots", table, slots)
+
+
+def _optional_pmf(pmf, horizon: int, path: str, diags: list[str]):
+    """A floor-0 ``DeadlineDistribution``, or None for null and on error."""
+    if pmf is None:
+        return None
+    if not _num_list(pmf, horizon):
+        diags.append(f"{path}: need null or a list of {horizon} numbers")
+        return None
+    return _make(diags, path, DeadlineDistribution, tuple(pmf), 0.0)
+
+
+def _strategy(strat, horizon: int, path: str, diags: list[str]):
+    """One ``simulation.strategies`` entry as (bid, rule): the bid is None
+    when the entry keeps the true distribution.  None when it is invalid."""
+    if not isinstance(strat, dict):
+        diags.append(f"{path}: must be an object")
+        return None
+    n = len(diags)
+    bid = _optional_pmf(strat.get("bid_pmf"), horizon, f"{path}.bid_pmf", diags)
+    rule = strat.get("rule", {"kind": "truthful"})
+    kind = rule.get("kind") if isinstance(rule, dict) else None
+    if kind == "truthful":
+        rule = Truthful()
+    elif kind == "early_exit":
+        rule = EarlyExit()
+    elif kind == "fixed":
+        slot = rule.get("slot")
+        if not isinstance(slot, int) or not 1 <= slot <= horizon:
+            diags.append(f"{path}.rule.slot: must be an integer in 1..{horizon}")
+        rule = Fixed(slot)
+    elif kind == "histogram_match":
+        target = rule.get("target_pmf")
+        rule = HistogramMatch(_optional_pmf(target, horizon, f"{path}.rule.target_pmf", diags))
     else:
-        slots = spec.get("slots")
-        if not isinstance(slots, list) or len(slots) != horizon:
-            out.append(f"{path}.slots: need {horizon} per-slot tables")
-            return
-        for t, slot in enumerate(slots):
-            if not isinstance(slot, dict) or not slot:
-                out.append(f"{path}.slots[{t}]: need a nonempty mapping")
-                continue
-            for k, v in slot.items():
-                try:
-                    float(k)
-                except (TypeError, ValueError):
-                    out.append(f"{path}.slots[{t}]: key {k!r} is not numeric")
-                if not _is_num(v):
-                    out.append(f"{path}.slots[{t}][{k}]: cost must be finite")
+        diags.append(f"{path}.rule.kind: must be one of {RULE_KINDS}")
+    return (bid, rule) if len(diags) == n else None
 
 
-def validate_config(raw: dict) -> tuple[dict | None, list[str]]:
-    """Return (normalized config with defaults filled, diagnostics).
-
-    Normalized config is None when any diagnostic is fatal.  The single
-    logged-but-allowed relaxation is a probability floor of exactly zero,
-    which fixed presets with deterministic deadlines need.
-    """
-    diags: list[str] = []
+def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
+    """(normalized config with defaults filled, its ``RunSetup``, diagnostics);
+    both None on any diagnostic.  The one relaxation, logged but not fatal,
+    is a probability floor of exactly zero, which fixed presets need."""
     if not isinstance(raw, dict):
-        return None, ["config: top level must be a JSON object"]
+        return None, None, ["config: top level must be a JSON object"]
     horizon = raw.get("horizon")
     if not isinstance(horizon, int) or horizon < 1:
-        diags.append("horizon: must be a positive integer")
-        return None, diags
+        return None, None, ["horizon: must be a positive integer"]
+    diags: list[str] = []
     norm: dict = {"horizon": horizon}
 
     demand = raw.get("demand")
     if not _num_list(demand, horizon):
         diags.append(f"demand: need a list of {horizon} numbers")
-    elif any(d < 0 for d in demand):
-        bad = next(i for i, d in enumerate(demand) if d < 0)
-        diags.append(f"demand[{bad}]: negative demand {demand[bad]}")
-    else:
-        norm["demand"] = [float(d) for d in demand]
-
+    forms = []
     for section in ("generator", "reserves"):
         spec = raw.get(section)
-        _check_cost_form(spec, horizon, section, diags)
+        forms.append(_cost_form(spec, horizon, section, diags))
         if isinstance(spec, dict):
             norm[section] = spec
-
-    units = _merged("units", raw.get("units"))
+    units = norm["units"] = _merged("units", raw, diags)
     if units.get("rate_units") != RATE_UNITS:
         diags.append(
             f"units.rate_units: must be {RATE_UNITS!r} (got {units.get('rate_units')!r})"
         )
-    if not _is_num(units.get("ev_energy_value")) or units["ev_energy_value"] <= 0:
-        diags.append("units.ev_energy_value: must be a positive number ($/kWh)")
-    norm["units"] = units
+    value_ok = _numbers(units, "units", ("ev_energy_value",), diags)
+    market = None
+    if value_ok and _num_list(demand, horizon) and None not in forms:
+        norm["demand"] = [float(d) for d in demand]
+        value = float(units["ev_energy_value"])
+        market = _make(diags, "market", MarketModel, tuple(norm["demand"]), *forms, value)
 
     evs = raw.get("evs", [])
     if not isinstance(evs, list):
         diags.append("evs: must be a list")
         evs = []
-    norm_evs = []
-    zero_floor = []
+    norm_evs, specs, params, zero_floor = [], [], [], []
     for k, ev in enumerate(evs):
         path = f"evs[{k}]"
         if not isinstance(ev, dict):
             diags.append(f"{path}: must be an object")
             continue
-        cap = ev.get("capacity")
-        levels = ev.get("levels")
         theta = ev.get("theta", {})
-        if not _is_num(cap) or cap <= 0:
-            diags.append(f"{path}.capacity: must be positive")
-        if not _num_list(levels) or not levels or levels[0] != 0:
-            diags.append(f"{path}.levels: must be a list starting at 0")
-        elif any(b <= a for a, b in zip(levels, levels[1:])):
-            diags.append(f"{path}.levels: must be strictly increasing")
-        elif _is_num(cap) and levels[-1] > cap:
-            diags.append(f"{path}.levels: top level exceeds capacity")
-        pmf = theta.get("pmf") if isinstance(theta, dict) else None
-        floor = theta.get("floor", DEFAULT_FLOOR) if isinstance(theta, dict) else DEFAULT_FLOOR
+        theta = {"floor": DEFAULT_FLOOR, **theta} if isinstance(theta, dict) else {}
+        cap, levels = ev.get("capacity"), ev.get("levels")
+        pmf, floor = theta.get("pmf"), theta.get("floor")
+        n = len(diags)
+        _numbers(ev, path, ("capacity",), diags)
+        _numbers(theta, f"{path}.theta", ("floor",), diags)
+        if not _num_list(levels):
+            diags.append(f"{path}.levels: must be a list of numbers")
         if not _num_list(pmf, horizon):
             diags.append(f"{path}.theta.pmf: need a list of {horizon} numbers")
-        else:
-            if not _is_num(floor) or floor < 0:
-                diags.append(f"{path}.theta.floor: must be a nonnegative number")
-            else:
-                if floor == 0.0:
-                    zero_floor.append(f"{path}.theta")
-                for msg in violations(pmf, floor):
-                    diags.append(f"{path}.theta: {msg}")
-        norm_evs.append(
-            {
-                "capacity": cap,
-                "levels": [float(x) for x in (levels or [])],
-                "theta": {"pmf": [float(x) for x in (pmf or [])], "floor": floor},
-            }
+        if len(diags) > n:
+            continue
+        if floor == 0.0:
+            zero_floor.append(f"{path}.theta")
+        levels, pmf = [float(x) for x in levels], [float(x) for x in pmf]
+        specs.append(_make(diags, path, EVSpec, cap, tuple(levels)))
+        params.append(
+            _make(diags, f"{path}.theta", DeadlineDistribution, tuple(pmf), float(floor))
         )
+        norm_evs.append({"capacity": cap, "levels": levels, "theta": {"pmf": pmf, "floor": floor}})
     norm["evs"] = norm_evs
     if zero_floor:
         log.warning(
             "%s: probability floor 0 accepted (preset exception)", ", ".join(zero_floor)
         )
 
-    mech = _merged("mechanism", raw.get("mechanism"))
-    if not _is_num(mech.get("gamma")) or mech["gamma"] <= 0.5:
-        diags.append("mechanism.gamma: must exceed 0.5")
-    if not _is_num(mech.get("window_scale")) or mech["window_scale"] < 1.0:
-        diags.append("mechanism.window_scale: must be >= 1")
-    if not _is_num(mech.get("penalty_coefficient")) or mech["penalty_coefficient"] <= 0:
-        diags.append("mechanism.penalty_coefficient: must be positive")
-    if not _is_num(mech.get("penalty_exponent")) or mech["penalty_exponent"] <= 1.0:
-        diags.append("mechanism.penalty_exponent: must exceed 1")
+    mech = norm["mechanism"] = _merged("mechanism", raw, diags)
+    window = penalty = None
+    if _numbers(mech, "mechanism", ("gamma", "window_scale"), diags):
+        window = _make(diags, "mechanism", WindowSchedule, mech["gamma"], mech["window_scale"])
+    if _numbers(mech, "mechanism", ("penalty_coefficient", "penalty_exponent"), diags):
+        coefficient, exponent = mech["penalty_coefficient"], mech["penalty_exponent"]
+        penalty = _make(diags, "mechanism", PenaltySchedule, coefficient, exponent)
     jm = mech.get("j_m")
     if jm != "auto" and (not _is_num(jm) or jm <= 0):
         diags.append('mechanism.j_m: must be "auto" or a positive number')
-    norm["mechanism"] = mech
 
-    solver = _merged("solver", raw.get("solver"))
-    if not _is_num(solver.get("step")) or solver["step"] <= 0:
-        diags.append("solver.step: must be positive")
-    if solver.get("mode") not in ("exhaustive", "beam"):
-        diags.append('solver.mode: must be "exhaustive" or "beam"')
-    if not isinstance(solver.get("beam_width"), int) or solver["beam_width"] < 1:
-        diags.append("solver.beam_width: must be a positive integer")
-    if solver.get("caps") is not None and not _num_list(solver["caps"], horizon):
+    solver = norm["solver"] = _merged("solver", raw, diags)
+    n = len(diags)
+    _numbers(solver, "solver", ("step",), diags)
+    for key in ("beam_width", "max_candidates"):
+        if not isinstance(solver.get(key), int):
+            diags.append(f"solver.{key}: must be an integer")
+    caps = solver.get("caps")
+    if caps is not None and not _num_list(caps, horizon):
         diags.append(f"solver.caps: need null or a list of {horizon} numbers")
     cands = solver.get("candidates")
-    if cands is not None:
-        if not isinstance(cands, list) or not cands:
-            diags.append("solver.candidates: need null or a nonempty list of plans")
+    if cands is not None and (not isinstance(cands, list) or not cands):
+        diags.append("solver.candidates: need null or a nonempty list of plans")
+    for k, plan in enumerate(cands if isinstance(cands, list) else []):
+        if not _num_list(plan):
+            diags.append(f"solver.candidates[{k}]: need a list of numbers")
         else:
-            for k, plan in enumerate(cands):
-                if not _num_list(plan, horizon) or any(g < 0 for g in plan):
-                    diags.append(
-                        f"solver.candidates[{k}]: need {horizon} nonnegative energies"
-                    )
-    if not isinstance(solver.get("max_candidates"), int) or solver["max_candidates"] < 1:
-        diags.append("solver.max_candidates: must be a positive integer")
-    norm["solver"] = solver
+            _make(diags, f"solver.candidates[{k}]", check_dispatch, plan, horizon)
+    solver_config = None
+    if len(diags) == n:
+        args = {f.name: solver[f.name] for f in fields(SolverConfig)}
+        args["step"] = float(args["step"])
+        solver_config = _make(diags, "solver", SolverConfig, **args)
 
-    sim = _merged("simulation", raw.get("simulation"))
+    sim = norm["simulation"] = _merged("simulation", raw, diags)
     if not isinstance(sim.get("days"), int) or sim["days"] < 1:
         diags.append("simulation.days: must be a positive integer")
     seeds = sim.get("seeds")
@@ -264,123 +282,48 @@ def validate_config(raw: dict) -> tuple[dict | None, list[str]]:
     ):
         diags.append("simulation.seeds: must be a nonempty list of integers")
     strategies = sim.get("strategies")
-    if strategies is not None:
-        if not isinstance(strategies, list) or len(strategies) != len(norm_evs):
-            diags.append(
-                f"simulation.strategies: need one entry per EV ({len(norm_evs)})"
-            )
-        else:
-            for k, strat in enumerate(strategies):
-                diags.extend(_check_strategy(strat, horizon, f"simulation.strategies[{k}]"))
-    norm["simulation"] = sim
+    if strategies is None:
+        strategies = [(None, Truthful())] * len(evs)
+    elif not isinstance(strategies, list) or len(strategies) != len(evs):
+        diags.append(f"simulation.strategies: need one entry per EV ({len(evs)})")
+    else:
+        strategies = [
+            _strategy(strat, horizon, f"simulation.strategies[{k}]", diags)
+            for k, strat in enumerate(strategies)
+        ]
 
     if diags:
-        return None, diags
-    return norm, []
+        return None, None, diags
+    return norm, RunSetup(
+        market=market,
+        specs=tuple(specs),
+        params=tuple(params),
+        strategies=tuple(
+            BiddingStrategy(truth if bid is None else bid, rule)
+            for (bid, rule), truth in zip(strategies, params)
+        ),
+        window_schedule=window,
+        penalty_schedule=penalty,
+        j_m=jm,
+        solver=solver_config,
+        days=sim["days"],
+        seeds=tuple(seeds),
+    ), []
 
 
-def _check_strategy(strat, horizon: int, path: str) -> list[str]:
-    out: list[str] = []
-    if not isinstance(strat, dict):
-        return [f"{path}: must be an object"]
-    bid = strat.get("bid_pmf")
-    if bid is not None and not _num_list(bid, horizon):
-        out.append(f"{path}.bid_pmf: need null or a list of {horizon} numbers")
-    rule = strat.get("rule", {"kind": "truthful"})
-    if not isinstance(rule, dict) or rule.get("kind") not in RULE_KINDS:
-        out.append(f"{path}.rule.kind: must be one of {RULE_KINDS}")
-        return out
-    if rule["kind"] == "fixed":
-        slot = rule.get("slot")
-        if not isinstance(slot, int) or not 1 <= slot <= horizon:
-            out.append(f"{path}.rule.slot: must be an integer in 1..{horizon}")
-    if rule["kind"] == "histogram_match":
-        target = rule.get("target_pmf")
-        if target is not None and not _num_list(target, horizon):
-            out.append(f"{path}.rule.target_pmf: need null or a list of {horizon} numbers")
-    return out
-
-
-def _build_cost(spec: dict, horizon: int) -> CostForm:
-    if spec["form"] == "linear":
-        return linear(spec["rates"], horizon)
-    if spec["form"] == "asym_lin_quad":
-        return asym_lin_quad(spec["rates"], horizon)
-    return table([{float(k): float(v) for k, v in slot.items()} for slot in spec["slots"]])
-
-
-def _build_rule(rule: dict, horizon: int) -> RealtimeRule:
-    kind = rule.get("kind", "truthful")
-    if kind == "truthful":
-        return Truthful()
-    if kind == "early_exit":
-        return EarlyExit()
-    if kind == "fixed":
-        return Fixed(rule["slot"])
-    target = rule.get("target_pmf")
-    return HistogramMatch(
-        DeadlineDistribution(tuple(target), floor=0.0) if target is not None else None
-    )
+def validate_config(raw: dict) -> tuple[dict | None, list[str]]:
+    """Return (normalized config with defaults filled, diagnostics); the
+    config is None on any diagnostic, and ``load_setup`` succeeds otherwise."""
+    norm, _, diags = _build(raw)
+    return norm, diags
 
 
 def load_setup(raw: dict) -> RunSetup:
     """Validate and convert to domain objects; raises ConfigError."""
-    norm, diags = validate_config(raw)
-    if norm is None:
+    _, setup, diags = _build(raw)
+    if setup is None:
         raise ConfigError(diags)
-    horizon = norm["horizon"]
-    market = MarketModel(
-        demand=tuple(norm["demand"]),
-        generator=_build_cost(norm["generator"], horizon),
-        reserves=_build_cost(norm["reserves"], horizon),
-        ev_energy_value=float(norm["units"]["ev_energy_value"]),
-    )
-    specs = tuple(
-        EVSpec(ev["capacity"], tuple(ev["levels"])) for ev in norm["evs"]
-    )
-    params = tuple(
-        DeadlineDistribution(tuple(ev["theta"]["pmf"]), floor=float(ev["theta"]["floor"]))
-        for ev in norm["evs"]
-    )
-    raw_strats = norm["simulation"].get("strategies")
-    strategies = []
-    for i in range(len(specs)):
-        if raw_strats is None:
-            strategies.append(BiddingStrategy(params[i], Truthful()))
-            continue
-        strat = raw_strats[i]
-        bid_pmf = strat.get("bid_pmf")
-        bid = (
-            DeadlineDistribution(tuple(float(x) for x in bid_pmf), floor=0.0)
-            if bid_pmf is not None
-            else params[i]
-        )
-        strategies.append(BiddingStrategy(bid, _build_rule(strat.get("rule", {}), horizon)))
-    mech = norm["mechanism"]
-    solver = norm["solver"]
-    return RunSetup(
-        market=market,
-        specs=specs,
-        params=params,
-        strategies=tuple(strategies),
-        window_schedule=WindowSchedule(mech["gamma"], mech["window_scale"]),
-        penalty_schedule=PenaltySchedule(
-            mech["penalty_coefficient"], mech["penalty_exponent"]
-        ),
-        j_m=mech["j_m"],
-        solver=SolverConfig(
-            step=float(solver["step"]),
-            mode=solver["mode"],
-            beam_width=solver["beam_width"],
-            caps=tuple(solver["caps"]) if solver["caps"] is not None else None,
-            candidates=tuple(tuple(c) for c in solver["candidates"])
-            if solver["candidates"] is not None
-            else None,
-            max_candidates=solver["max_candidates"],
-        ),
-        days=norm["simulation"]["days"],
-        seeds=tuple(norm["simulation"]["seeds"]),
-    )
+    return setup
 
 
 def emit(config: dict) -> str:

@@ -36,10 +36,13 @@ def _as_rates(rates: float | Sequence[float], horizon: int | None) -> tuple[floa
     if np.isscalar(rates):
         if horizon is None:
             raise CostModelError("scalar rate needs an explicit horizon")
-        return (float(rates),) * horizon
-    out = tuple(float(r) for r in rates)  # type: ignore[union-attr]
+        out = (float(rates),) * horizon
+    else:
+        out = tuple(float(r) for r in rates)  # type: ignore[union-attr]
     if horizon is not None and len(out) != horizon:
         raise CostModelError(f"expected {horizon} per-slot rates, got {len(out)}")
+    if any(r < 0 for r in out):
+        raise CostModelError("rates must be nonnegative")
     return out
 
 
@@ -143,6 +146,9 @@ class MarketModel:
         horizon = len(self.demand)
         if horizon == 0:
             raise CostModelError("demand must cover at least one slot")
+        for t, d in enumerate(self.demand):
+            if d < 0:
+                raise CostModelError(f"negative demand {d} at demand[{t}]")
         for name, form in (("generator", self.generator), ("reserves", self.reserves)):
             if form.horizon != horizon:
                 raise CostModelError(

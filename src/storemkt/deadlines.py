@@ -164,8 +164,3 @@ def coupled_sample(
     f = int(np.searchsorted(lam_tilde.cdf(), u, side="left"))
     horizon = lam.horizon
     return min(t, horizon - 1) + 1, min(f, horizon - 1) + 1
-
-
-def profile_ok(profile: Sequence[int], horizon: int) -> bool:
-    """True when every reported deadline lies in 1..T."""
-    return all(1 <= int(t) <= horizon for t in profile)

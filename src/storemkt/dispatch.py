@@ -184,6 +184,10 @@ class SolverConfig:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.beam_width < 1:
             raise ValueError("beam width must be >= 1")
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be >= 1")
+        if self.caps is not None and any(c < 0 for c in self.caps):
+            raise ValueError("caps must be nonnegative")
         if self.candidates is not None:
             object.__setattr__(
                 self,

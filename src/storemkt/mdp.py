@@ -88,6 +88,8 @@ class EVSpec:
     levels: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not self.capacity > 0:
+            raise ValueError("capacity must be positive")
         levels = tuple(float(h) for h in self.levels)
         if not levels or levels[0] != 0.0:
             raise ValueError("levels must start at 0")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from storemkt import mdp
 from storemkt.cli import main
 from storemkt.config import emit
 from storemkt.presets import preset_config
@@ -153,6 +154,16 @@ def test_grid_budget_exit_code(tmp_path, capsys):
     path.write_text(emit(cfg))
     assert main(["solve", str(path)]) == 2
     assert "beam" in capsys.readouterr().err
+
+
+def test_payments_rollout_budget_exits_2_without_csv(tmp_path, capsys, monkeypatch):
+    # the j_m probe's batched rollout refuses its report profiles; the run
+    # must exit 2 with the reason, before the CSV is written
+    monkeypatch.setattr(mdp, "ROLLOUT_BYTES", 10**18)
+    out = tmp_path / "payments.csv"
+    assert main(["payments", "table1:n=2", "--out", str(out)]) == 2
+    assert "report profiles would hold about" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_payments_csv_and_fine(capsys):

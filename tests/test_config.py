@@ -1,6 +1,12 @@
-import pytest
+import copy
+import math
 
-from storemkt.config import ConfigError, emit, load_setup, parse, validate_config
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from storemkt.config import ConfigError, RunSetup, emit, load_setup, parse, validate_config
+from storemkt.dispatch import solve_outer
 from storemkt.presets import (
     is_preset,
     parse_preset_name,
@@ -154,3 +160,99 @@ def test_zero_floor_is_logged_not_fatal(caplog):
     assert diags == []
     assert norm is not None
     assert any("floor 0 accepted" in r.message for r in caplog.records)
+
+
+# Base configs for the agreement test: presets plus the optional fields they
+# leave null (strategies with bids, targets and fixed slots; caps).
+_STRATEGY_BASES = {
+    "example1": [
+        {"bid_pmf": [0.5, 0.5], "rule": {"kind": "histogram_match", "target_pmf": [0.5, 0.5]}}
+    ],
+    "table1:n=2": [{"rule": {"kind": "fixed", "slot": 3}}, {"rule": {"kind": "early_exit"}}],
+}
+_BASES = {}
+for _name, _strategies in _STRATEGY_BASES.items():
+    _BASES[_name] = preset_config(_name)
+    _BASES[_name]["simulation"]["strategies"] = _strategies
+_BASES["table1:n=2"]["solver"]["caps"] = [100.0] * 5
+
+
+def _nodes(node, path=()):
+    """Every path below ``node``: dict keys and list indices, leaves and
+    containers alike."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+_NODES = [(name, path) for name, cfg in _BASES.items() for path in _nodes(cfg)]
+_VALUES = [
+    0, 0.0, 1, -1, -10.0, 0.6, 1e-13, 2.5, 1e9, math.inf, math.nan, True, None,
+    "auto", "x", [], {}, [0.5, 0.6], [-0.5, 1.5], [0.2] * 5, [-10.0] + [100.0] * 4,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_NODES), st.sampled_from(_VALUES))
+@example(("example1", ("simulation", "strategies", 0, "bid_pmf", 1)), 0.6)
+def test_validation_and_loading_agree(node, value):
+    name, path = node
+    cfg = copy.deepcopy(_BASES[name])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    norm, diags = validate_config(cfg)
+    if not diags:
+        assert norm is not None
+        assert isinstance(load_setup(cfg), RunSetup)
+    else:
+        assert norm is None
+        with pytest.raises(ConfigError) as err:
+            load_setup(cfg)
+        assert err.value.diagnostics == diags
+
+
+@pytest.mark.parametrize(
+    "section, key, value, diag",
+    [
+        ("demand", 1, -1.0, "market: negative demand -1.0 at demand[1]"),
+        ("units", "ev_energy_value", -0.5, "market: ev_energy_value must be nonnegative"),
+        ("generator", "rates", -1.0, "generator.rates: rates must be nonnegative"),
+        ("evs", 0, {"capacity": 0.0, "levels": [0.0], "theta": {"pmf": [0.2] * 5}},
+         "evs[0]: capacity must be positive"),
+        ("solver", "caps", [-10.0] + [100.0] * 4, "solver: caps must be nonnegative"),
+        ("solver", "max_candidates", 0, "solver: max_candidates must be >= 1"),
+        ("solver", "candidates", [[0.0] * 4],
+         "solver.candidates[0]: dispatch length does not match horizon"),
+        ("solver", "candidates", [[0.0, -1.0, 0.0, 0.0, 0.0]],
+         "solver.candidates[0]: dispatch must be nonnegative"),
+    ],
+)
+def test_value_rules_report_the_domain_message(section, key, value, diag):
+    cfg = preset_config("table1:n=2")
+    cfg[section][key] = value
+    assert validate_config(cfg) == (None, [diag])
+
+
+def test_energy_value_zero_loads_and_solves():
+    cfg = preset_config("table1:n=2")
+    cfg["units"]["ev_energy_value"] = 0
+    s = load_setup(cfg)
+    assert s.market.ev_energy_value == 0.0
+    bids = tuple(strat.day_ahead_bid for strat in s.strategies)
+    assert math.isfinite(solve_outer(bids, s.solver, s.market, s.specs).q_star)
+
+
+def test_top_level_follows_the_ev_spec_slack():
+    cfg = preset_config("example1")
+    cfg["evs"][0]["levels"] = [0.0, 1.0 + 1e-13]
+    assert load_setup(cfg).specs[0].levels[-1] == 1.0 + 1e-13
+    cfg["evs"][0]["levels"] = [0.0, 1.0 + 1e-11]
+    assert validate_config(cfg) == (None, ["evs[0]: levels exceed capacity"])

@@ -10,7 +10,6 @@ from storemkt.deadlines import (
     coupled_sample,
     dominates,
     make_rng,
-    profile_ok,
     violations,
 )
 from storemkt.scenarios import random_floored_pmf, shift_mass_earlier
@@ -98,12 +97,6 @@ def test_coupled_sample_orders_draws():
 def test_coupled_sample_requires_dominance():
     with pytest.raises(DistributionError):
         coupled_sample(UNIFORM5, LAST_ONLY, make_rng(0))
-
-
-def test_profile_ok():
-    assert profile_ok((1, 5, 3), 5)
-    assert not profile_ok((0, 2), 5)
-    assert not profile_ok((6,), 5)
 
 
 @given(floored_pmfs())
