@@ -41,12 +41,11 @@ for line in lines[:7]:
 print(f"  ... {len(lines) - 1} rows total")
 
 # the ledger identity, checked on every EV row of the month
-for row in res.trace_rows:
-    if row.get("ev") is None:
-        continue
-    lhs = row["total_payment"]
-    rhs = row["p_da"] + row["charge_gap"] - row["penalty"]
-    assert abs(lhs - rhs) <= 1e-12, (row["day"], lhs, rhs)
+for i, p_da in enumerate(res.p_da):
+    for d in range(res.days):
+        lhs = res.payment_days[i, d]
+        rhs = p_da + res.charge_gap_days[i, d] - res.penalty_days[i, d]
+        assert abs(lhs - rhs) <= 1e-12, (d + 1, i + 1, lhs, rhs)
 print()
 print("every EV row satisfies total_payment = p_da + charge_gap - penalty")
 

@@ -67,7 +67,8 @@ for days in (5_000, 50_000):
     adv = run(underbid, days)
     diff = adv.utility_days[0] - base.utility_days[0]
     band = 3.0 * float(np.std(diff, ddof=1)) / np.sqrt(days)
-    first = next((r["day"] for r in adv.trace_rows if r.get("event")), None)
+    events = np.flatnonzero(adv.event_days[0])
+    first = int(events[0]) + 1 if events.size else None
     print(
         f"  {days:>6} days: gap over truthful {float(diff.mean()):+.6g}"
         f" (band {band:.3g}), penalties {adv.accounts[0].penalties}"

@@ -52,6 +52,10 @@ class RunSetup:
     seeds: tuple[int, ...]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -156,7 +160,7 @@ def _strategy(strat, horizon: int, path: str, diags: list[str]):
         rule = EarlyExit()
     elif kind == "fixed":
         slot = rule.get("slot")
-        if not isinstance(slot, int) or not 1 <= slot <= horizon:
+        if not _is_int(slot) or not 1 <= slot <= horizon:
             diags.append(f"{path}.rule.slot: must be an integer in 1..{horizon}")
         rule = Fixed(slot)
     elif kind == "histogram_match":
@@ -174,7 +178,7 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
     if not isinstance(raw, dict):
         return None, None, ["config: top level must be a JSON object"]
     horizon = raw.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_int(horizon) or horizon < 1:
         return None, None, ["horizon: must be a positive integer"]
     diags: list[str] = []
     norm: dict = {"horizon": horizon}
@@ -252,7 +256,7 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
     n = len(diags)
     _numbers(solver, "solver", ("step",), diags)
     for key in ("beam_width", "max_candidates"):
-        if not isinstance(solver.get(key), int):
+        if not _is_int(solver.get(key)):
             diags.append(f"solver.{key}: must be an integer")
     caps = solver.get("caps")
     if caps is not None and not _num_list(caps, horizon):
@@ -272,13 +276,13 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
         solver_config = _make(diags, "solver", SolverConfig, **args)
 
     sim = norm["simulation"] = _merged("simulation", raw, diags)
-    if not isinstance(sim.get("days"), int) or sim["days"] < 1:
+    if not _is_int(sim.get("days")) or sim["days"] < 1:
         diags.append("simulation.days: must be a positive integer")
     seeds = sim.get("seeds")
     if (
         not isinstance(seeds, list)
         or not seeds
-        or not all(isinstance(s, int) for s in seeds)
+        or not all(map(_is_int, seeds))
     ):
         diags.append("simulation.seeds: must be a nonempty list of integers")
     strategies = sim.get("strategies")

@@ -74,14 +74,15 @@ from .mdp import (
     EVSpec,
     MarkovPolicy,
     MdpModel,
-    ProfileOutcomes,
     StateSpace,
     ValueTable,
     check_dispatch,
     iter_profiles,
     policy_artifact,
+    rollout,
     solve_dp,
     support_costs,
+    system_cost,
 )
 
 DEFAULT_STEP = 10.0
@@ -710,19 +711,19 @@ def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> f
         raise ValueError(f"slot {t} outside 1..{model.horizon}")
     if model.params[i].pmf[t - 1] <= 0.0:
         raise ValueError(f"slot {t} has zero probability for EV {i + 1}")
-    outcomes = ProfileOutcomes(model, policy)
+    generator_cost = model.market.generator_cost(model.dispatch)
     others = model.params[:i] + model.params[i + 1 :]
     total = 0.0
     for combo, p in iter_profiles(others, model.horizon):
         if p == 0.0:
             continue
-        total += p * outcomes[combo[:i] + (t,) + combo[i:]].system_cost
+        r = rollout(model, policy, combo[:i] + (t,) + combo[i:])
+        total += p * system_cost(model.market, generator_cost, r.reserve_cost, r.terminal)
     return total
 
 
 def estimate_lipschitz_K(
     profiles: Sequence[Sequence[DeadlineDistribution]],
-    trials: int,
     config: SolverConfig,
     market: MarketModel,
     specs: Sequence[EVSpec],
@@ -730,28 +731,26 @@ def estimate_lipschitz_K(
 ) -> float:
     """Sampled bound on the cost sensitivity to belief perturbations.
 
-    For each of the first ``trials`` bid profiles (cycling through
-    ``profiles``), solve the two-stage problem and take 2*sqrt(T) times
-    the l2 norm of the per-slot conditional costs, read from one batched
-    rollout per solve (``_conditional_costs``); the estimate is the
-    running max, so it is nondecreasing in ``trials``.  ``solved``, when
-    given, is the solve of ``profiles[0]`` under ``config`` and is used in
-    place of solving that profile again.
+    For each bid profile in ``profiles``, solve the two-stage problem and
+    take 2*sqrt(T) times the l2 norm of the per-slot conditional costs,
+    read from one batched rollout per solve (``_conditional_costs``); the
+    estimate is the max over the profiles.  ``solved``, when given, is the
+    solve of ``profiles[0]`` under ``config`` and is used in place of
+    solving that profile again.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not profiles:
+        raise ValueError("need at least one bid profile")
     if solved is not None and (
         solved.model.params != tuple(profiles[0]) or solved.model.specs != tuple(specs)
     ):
         raise ValueError("solved is not the solve of profiles[0] on these EVs")
     best = 0.0
     horizon = market.horizon
-    for k in range(trials):
-        bids = tuple(profiles[k % len(profiles)])
-        if solved is not None and k % len(profiles) == 0:
+    for k, bids in enumerate(profiles):
+        if solved is not None and k == 0:
             result = solved
         else:
-            result = solve_outer(bids, config, market, specs)
+            result = solve_outer(tuple(bids), config, market, specs)
         for vec in _conditional_costs(result.model, result.policy):
             best = max(best, 2.0 * math.sqrt(horizon) * float(np.linalg.norm(vec)))
     return best

@@ -29,6 +29,7 @@ from .simulate import (
     BiddingStrategy,
     Fixed,
     HistogramMatch,
+    SimResult,
     Truthful,
     default_adversary_suite,
     run_horizon,
@@ -228,7 +229,7 @@ def dominated_pair_check(rng: np.random.Generator) -> dict | None:
     shifted = solve_outer(with_focal(lam_tilde), config, market, specs)
     q_shift = shifted.q_star
     k_hat = estimate_lipschitz_K(
-        [with_focal(lam_tilde), with_focal(lam)], 2, config, market, specs, shifted
+        [with_focal(lam_tilde), with_focal(lam)], config, market, specs, shifted
     )
     gap = q_shift - q_base
     return {
@@ -263,6 +264,17 @@ def dominated_pair_suite(pairs: int, seed: int = PAIR_SEED) -> dict:
 # lemma-checks: the four empirical guarantees
 
 
+def _simulate(
+    setup: RunSetup, strategies: Sequence[BiddingStrategy], days: int, seed: int
+) -> SimResult:
+    """``run_horizon`` on ``setup``'s market, EVs, true laws, schedules,
+    solver and miss fine, under ``strategies``."""
+    return run_horizon(
+        setup.market, setup.specs, setup.params, strategies, days, seed,
+        setup.window_schedule, setup.penalty_schedule, setup.solver, setup.j_m,
+    )
+
+
 def window_compliance_suite(seeds: int = 20, days: int = 2000) -> dict:
     """Truthful reporters stay inside the shrinking frequency window:
     across seeds, at most one run may show any penalty event from day 50
@@ -272,18 +284,7 @@ def window_compliance_suite(seeds: int = 20, days: int = 2000) -> dict:
     bad = []
     events_total = 0
     for seed in range(seeds):
-        res = run_horizon(
-            setup.market,
-            setup.specs,
-            setup.params,
-            setup.strategies,
-            days,
-            seed,
-            setup.window_schedule,
-            setup.penalty_schedule,
-            setup.solver,
-            setup.j_m,
-        )
+        res = _simulate(setup, setup.strategies, days, seed)
         events_total += int(res.event_days.sum())
         if res.event_days[:, 49:].any():  # an event on day 50 or later
             bad.append(seed)
@@ -305,18 +306,7 @@ def deadline_missing_suite(days: int = 5000, seed: int = 0) -> dict:
     bid = DeadlineDistribution((0.01, 0.99), floor=0.001)
     a = alpha(truth, bid)
     strategies = (BiddingStrategy(bid, HistogramMatch()),)
-    res = run_horizon(
-        setup.market,
-        setup.specs,
-        setup.params,
-        strategies,
-        days,
-        seed,
-        setup.window_schedule,
-        setup.penalty_schedule,
-        setup.solver,
-        setup.j_m,
-    )
+    res = _simulate(setup, strategies, days, seed)
     acct = res.accounts[0]
     rate = acct.missed / days
     return {
@@ -335,18 +325,7 @@ def penalty_growth_suite(days: int = 120, seed: int = 0) -> dict:
     penalty exceed 1000 by day 100 and grow monotonically from day 10."""
     setup = load_setup(table1_config(n=1, profile="A"))
     strategies = (BiddingStrategy(setup.params[0], Fixed(1)),)
-    res = run_horizon(
-        setup.market,
-        setup.specs,
-        setup.params,
-        strategies,
-        days,
-        seed,
-        setup.window_schedule,
-        setup.penalty_schedule,
-        setup.solver,
-        setup.j_m,
-    )
+    res = _simulate(setup, strategies, days, seed)
     running = np.cumsum(res.penalty_days[0]) / np.arange(1, days + 1)
     monotone = bool(np.all(np.diff(running[9:]) >= -1e-12))
     event_days = np.flatnonzero(res.event_days[0]) + 1

@@ -738,40 +738,6 @@ def rollout(model: MdpModel, policy: MarkovPolicy, reported: Sequence[int]) -> R
     return RolloutResult(storage, mismatch, float(reserve_total), storage[:, -1].copy())
 
 
-@dataclass(frozen=True)
-class ProfileOutcome:
-    """One report profile's realized day and its realized system cost."""
-
-    rollout: RolloutResult
-    system_cost: float
-
-
-class ProfileOutcomes:
-    """Lazy memo of a committed policy's realized day per report profile.
-
-    A day's realized schedule depends on nothing but its report profile,
-    so each distinct profile is rolled out once however often it is asked
-    for.  Nothing is enumerated up front: only profiles that are asked for
-    are rolled out, so there is no Tⁿ guard.  The system cost is dispatch
-    cost + reserve cost - value of the energy handed to EVs.
-    """
-
-    def __init__(self, model: MdpModel, policy: MarkovPolicy) -> None:
-        self.model = model
-        self.policy = policy
-        self.generator_cost = model.market.generator_cost(model.dispatch)
-        self._memo: dict[tuple[int, ...], ProfileOutcome] = {}
-
-    def __getitem__(self, reported: Sequence[int]) -> ProfileOutcome:
-        key = tuple(int(t) for t in reported)
-        out = self._memo.get(key)
-        if out is None:
-            r = rollout(self.model, self.policy, key)
-            cost = system_cost(self.model.market, self.generator_cost, r.reserve_cost, r.terminal)
-            out = self._memo[key] = ProfileOutcome(r, cost)
-        return out
-
-
 def support_costs(
     model: MdpModel, policy: MarkovPolicy, budget: int
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -782,7 +748,7 @@ def support_costs(
     ``costs[k_1, ..., k_n]`` is the cost of profile (supports[0][k_1], ...),
     so ``costs.ravel()`` runs in ``itertools.product`` order.  The profiles
     step through ``policy.posts`` together, and every float is the one
-    ``rollout`` and ``ProfileOutcomes`` compute: each EV's charge is the
+    ``rollout`` and ``system_cost`` compute: each EV's charge is the
     running sum of its deltas, a slot's mismatch adds ``sum(action)`` to
     the demand, the reserve cost (looked up once per distinct mismatch) is
     added slot by slot from 0.0, and the terminal charge is summed per

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,8 +33,9 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
 from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K
-from .mdp import EVSpec, ProfileOutcome, ProfileOutcomes
+from .mdp import EVSpec, RolloutResult, rollout, system_cost
 from .mechanism import (
+    DayAhead,
     EmpiricalRecord,
     PenaltySchedule,
     WindowSchedule,
@@ -79,7 +80,7 @@ def resolve_j_m(
                 for _ in specs
             )
         )
-    k_hat = estimate_lipschitz_K(profiles, len(profiles), solver_config, market, specs, solved)
+    k_hat = estimate_lipschitz_K(profiles, solver_config, market, specs, solved)
     return 10.0 * k_hat
 
 
@@ -263,9 +264,6 @@ TRACE_COLUMNS = (
     "reserve_cost", "beta", "p_da", "charge_gap", "penalty", "event",
     "total_payment", "ev_cost", "utility",
 )
-#: an EV row's fields fixed by its (profile, true deadline) pair, even on
-#: a window-event day: the columns after the day through ``charge_gap``
-_FIXED_EV_COLUMNS = TRACE_COLUMNS[1 : TRACE_COLUMNS.index("penalty")]
 
 
 @dataclass
@@ -273,7 +271,9 @@ class SimResult:
     """Per-day columns plus aggregates for one simulated horizon.
 
     Day ``d`` realized the report profile ``outcomes[profile_days[d]]``;
-    the other per-day columns hold what varies within a profile.
+    the other per-day columns hold what varies within a profile.  The
+    columns are the run's ledger, and ``to_csv`` writes the trace from
+    them.
     """
 
     days: int
@@ -294,71 +294,50 @@ class SimResult:
     ev_cost_days: np.ndarray  # (n_evs, L)
     diagnostics: dict = field(default_factory=dict)
 
-    def _system_row(self, d: int) -> dict:
-        return {"day": d + 1, **_system_fields(self.outcomes[self.profile_days[d]])}
-
-    def _ev_row(self, i: int, d: int) -> dict:
-        o = self.outcomes[self.profile_days[d]]
-        return {
-            "day": d + 1,
-            "row": "ev",
-            "ev": i + 1,
-            "true_delta": int(self.true_days[i, d]),
-            "reported": o.reported[i],
-            "storage": o.storage[i],
-            "p_da": self.p_da[i],
-            "charge_gap": o.charge_gap[i],
-            "penalty": float(self.penalty_days[i, d]),
-            "event": bool(self.event_days[i, d]),
-            "total_payment": float(self.payment_days[i, d]),
-            "ev_cost": float(self.ev_cost_days[i, d]),
-            "utility": float(self.utility_days[i, d]),
-        }
-
-    @cached_property
-    def trace_rows(self) -> list[dict]:
-        """The trace as dicts: per day one system row, then one row per EV."""
-        rows = []
-        for d in range(self.days):
-            rows.append(self._system_row(d))
-            rows.extend(self._ev_row(i, d) for i in range(len(self.accounts)))
-        return rows
-
     def _ev_fields(self, i: int) -> list[str]:
         """EV ``i``'s CSV fields after the day, per day.
 
-        Without a window event a row is fixed by (profile, true deadline),
-        so each such pair's row is formatted once.  With one, only the
-        penalty, payment and utility vary by day: the pair's fields
-        through ``charge_gap`` and its ``ev_cost`` are formatted once, and
-        the day's three numbers are set between them."""
-        out, plain, fixed = [], {}, {}
+        A row's head, ``ev`` through ``charge_gap``, and its ``ev_cost``
+        are fixed by its (profile, true deadline) pair, so they are
+        formatted once per pair.  Without a window event so is the whole
+        row; on an event day the day's penalty, payment and utility are
+        formatted around them."""
+        p_da, out, fixed, plain = _fmt(self.p_da[i]), [], {}, {}
         keys = zip(self.profile_days.tolist(), self.true_days[i].tolist())
         events = self.event_days[i].tolist()
-        penalty, payment, utility = (
-            a[i].tolist() for a in (self.penalty_days, self.payment_days, self.utility_days)
+        penalty, payment, cost, utility = (
+            a[i].tolist()
+            for a in (self.penalty_days, self.payment_days, self.ev_cost_days, self.utility_days)
         )
         for d, key in enumerate(keys):
-            if not events[d]:
-                if key not in plain:
-                    plain[key] = _csv_fields(self._ev_row(i, d))
+            event = events[d]
+            if not event and key in plain:
                 out.append(plain[key])
                 continue
             if key not in fixed:
-                row = self._ev_row(i, d)
-                fixed[key] = (_csv_fields(row, _FIXED_EV_COLUMNS), _fmt(row["ev_cost"]))
-            head, cost = fixed[key]
-            # _fmt of a float, inline: +0.0 folds negative zero
-            out.append(
-                f"{head},{penalty[d] + 0.0:.12g},1,{payment[d] + 0.0:.12g},{cost},"
-                f"{utility[d] + 0.0:.12g}"
+                o = self.outcomes[key[0]]
+                head = (
+                    f"ev,{i + 1},{key[1]},{o.reported[i]},{o.storage[i]},,,,{p_da},"
+                    f"{_fmt(o.charge_gap[i])}"
+                )
+                fixed[key] = head, _fmt(cost[d])
+            head, cost_field = fixed[key]
+            line = (
+                f"{head},{_fmt(penalty[d])},{'1' if event else '0'},{_fmt(payment[d])},"
+                f"{cost_field},{_fmt(utility[d])}"
             )
+            if not event:
+                plain[key] = line
+            out.append(line)
         return out
 
     def to_csv(self) -> str:
-        """The trace as CSV, one line per ``trace_rows`` entry, written
-        from the columns and the per-profile strings."""
-        system = [_csv_fields(_system_fields(o)) for o in self.outcomes]
+        """The trace as CSV: per day one system row, then one row per EV,
+        written from the columns and the per-profile strings."""
+        system = [
+            f"system,,,,,{o.mismatch},{_fmt(o.reserve_cost)},{_fmt(o.beta)},,,,,,,"
+            for o in self.outcomes
+        ]
         columns = [[system[k] for k in self.profile_days.tolist()]]
         columns += [self._ev_fields(i) for i in range(len(self.accounts))]
         # each day's system row, then its EV rows: column j fills every
@@ -369,21 +348,9 @@ class SimResult:
         return ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines) + "\n"
 
 
-def _system_fields(o: DayOutcome) -> dict:
-    return {"row": "system", "mismatch": o.mismatch, "reserve_cost": o.reserve_cost, "beta": o.beta}
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        return f"{x + 0.0:.12g}"  # +0.0 folds negative zero
-    return str(x)
-
-
-def _csv_fields(row: dict, columns: Sequence[str] = TRACE_COLUMNS[1:]) -> str:
-    """A trace row's CSV fields after the day column (or in ``columns``)."""
-    return ",".join("" if row.get(k) is None else _fmt(row[k]) for k in columns)
+def _fmt(x: float) -> str:
+    """A trace float: 12 significant digits, negative zero folded by +0.0."""
+    return f"{x + 0.0:.12g}"
 
 
 def _nominal_reports(params: Sequence[DeadlineDistribution]) -> tuple[int, ...]:
@@ -442,25 +409,23 @@ def _report_days(
 
 def _day_outcome(
     reported: tuple[int, ...],
-    realized: ProfileOutcome,
-    expected_charge: np.ndarray,
+    r: RolloutResult,
+    da: DayAhead,
+    market: MarketModel,
     j_m: float,
-    ev_energy_value: float,
 ) -> DayOutcome:
     """One report profile's settlement and trace inputs, with the floats
     that ``settlement`` and ``ev_cost`` would compute for it."""
-    r = realized.rollout
+    value = market.ev_energy_value
     return DayOutcome(
         reported=reported,
         reserve_cost=float(r.reserve_cost),
-        beta=realized.system_cost,
+        beta=system_cost(market, da.generator_cost, r.reserve_cost, r.terminal),
         charge_gap=tuple(
-            float(ev_energy_value * (float(e) - float(h)))
-            for e, h in zip(expected_charge, r.terminal)
+            float(value * (float(e) - float(h)))
+            for e, h in zip(da.expected.terminal_charge, r.terminal)
         ),
-        kept_cost=tuple(
-            ev_cost(t, t, r.storage[i], j_m, ev_energy_value) for i, t in enumerate(reported)
-        ),
+        kept_cost=tuple(ev_cost(t, t, r.storage[i], j_m, value) for i, t in enumerate(reported)),
         mismatch=";".join(_fmt(float(m)) for m in r.mismatch),
         storage=tuple(";".join(_fmt(float(h)) for h in row) for row in r.storage),
     )
@@ -518,8 +483,10 @@ def run_horizon(
     da = day_ahead(bids, solver_config, market, specs)
     solve, p_da = da.solve, list(da.p_da)
     j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs, solve)
-    realized = ProfileOutcomes(solve.model, solve.policy)
-    planned = realized[_nominal_reports(bids)].rollout.storage
+    # the nominal profile's path steers the reports; days reporting it reuse its rollout
+    nominal = _nominal_reports(bids)
+    rolled = {nominal: rollout(solve.model, solve.policy, nominal)}
+    planned = rolled[nominal].storage
 
     true_days = draw_deadlines(true_params, make_rng(seed), days)
     windows = window_schedule.windows(days)
@@ -530,11 +497,11 @@ def run_horizon(
     # one rollout per distinct report profile; profile_days maps days to them
     profiles, profile_days = np.unique(reports.T, axis=0, return_inverse=True)
     profile_days = profile_days.reshape(days)
-    outcomes = [
-        _day_outcome(tuple(row), realized[row], da.expected.terminal_charge, j_m_value,
-                     market.ev_energy_value)
-        for row in profiles.tolist()
-    ]
+    outcomes = []
+    for row in map(tuple, profiles.tolist()):
+        if row not in rolled:
+            rolled[row] = rollout(solve.model, solve.policy, row)
+        outcomes.append(_day_outcome(row, rolled[row], da, market, j_m_value))
 
     # settlement, every day at once
     shape = (n_evs, days)

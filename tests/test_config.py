@@ -256,3 +256,25 @@ def test_top_level_follows_the_ev_spec_slack():
     assert load_setup(cfg).specs[0].levels[-1] == 1.0 + 1e-13
     cfg["evs"][0]["levels"] = [0.0, 1.0 + 1e-11]
     assert validate_config(cfg) == (None, ["evs[0]: levels exceed capacity"])
+
+
+@pytest.mark.parametrize(
+    "path, diag",
+    [
+        (("horizon",), "horizon: must be a positive integer"),
+        (("solver", "beam_width"), "solver.beam_width: must be an integer"),
+        (("solver", "max_candidates"), "solver.max_candidates: must be an integer"),
+        (("simulation", "days"), "simulation.days: must be a positive integer"),
+        (("simulation", "seeds", 0), "simulation.seeds: must be a nonempty list of integers"),
+        (("simulation", "strategies", 0, "rule", "slot"),
+         "simulation.strategies[0].rule.slot: must be an integer in 1..5"),
+    ],
+)
+def test_booleans_are_not_integers(path, diag):
+    # JSON true is a Python bool, which is an int
+    cfg = copy.deepcopy(_BASES["table1:n=2"])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = True
+    assert validate_config(cfg) == (None, [diag])

@@ -362,6 +362,7 @@ def test_profile_enumeration_guard_fires_before_any_rollout(monkeypatch):
         return real(model, policy, reported)
 
     monkeypatch.setattr(mdp, "rollout", counted)
+    monkeypatch.setattr(dispatch, "rollout", counted)
     monkeypatch.setattr(mdp, "ENUMERATION_GUARD", 4)
     with pytest.raises(ValueError, match="visit 25 profiles"):
         enumerated_outcome(res.model, res.policy)
@@ -379,7 +380,7 @@ def test_profile_enumeration_guard_fires_before_any_rollout(monkeypatch):
 
 def test_lipschitz_estimate_frozen_and_monotone():
     s = setup_for("example1:p=0.19")
-    k1 = estimate_lipschitz_K([s.params], 1, s.solver, s.market, s.specs)
+    k1 = estimate_lipschitz_K([s.params], s.solver, s.market, s.specs)
     assert k1 == pytest.approx(EXAMPLE1_K_HAT, abs=1e-12)
 
     rng = make_rng(7)
@@ -387,11 +388,11 @@ def test_lipschitz_estimate_frozen_and_monotone():
         tuple(DeadlineDistribution(random_floored_pmf(rng, 2, 0.02), floor=0.02) for _ in s.specs)
         for _ in range(4)
     ]
-    a = estimate_lipschitz_K(profiles, 1, s.solver, s.market, s.specs)
-    b = estimate_lipschitz_K(profiles, 4, s.solver, s.market, s.specs)
-    assert b >= a  # running max over the same profiles
-    with pytest.raises(ValueError):
-        estimate_lipschitz_K([s.params], 0, s.solver, s.market, s.specs)
+    # the max over the profiles, so it grows as profiles are added
+    each = [estimate_lipschitz_K([p], s.solver, s.market, s.specs) for p in profiles]
+    assert estimate_lipschitz_K(profiles, s.solver, s.market, s.specs) == max(each)
+    with pytest.raises(ValueError, match="at least one bid profile"):
+        estimate_lipschitz_K([], s.solver, s.market, s.specs)
 
 
 def _scalar_conditional_costs(res):
@@ -433,7 +434,8 @@ def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
     monkeypatch.setattr(dispatch, "support_costs", counted_pass)
     monkeypatch.setattr(dispatch, "_conditional_costs", kept_costs)
     monkeypatch.setattr(mdp, "rollout", counted_rollout)
-    k_hat = estimate_lipschitz_K(profiles, 3, s.solver, s.market, s.specs, solves[0])
+    monkeypatch.setattr(dispatch, "rollout", counted_rollout)
+    k_hat = estimate_lipschitz_K(profiles, s.solver, s.market, s.specs, solves[0])
     # one batched pass per solve, and no scalar rollout
     assert passes == [tuple(bids) for bids in profiles]
     assert rolled == []
@@ -449,8 +451,11 @@ def _assert_batched_costs_are_scalar(res):
         tuple(t for t in range(1, horizon + 1) if law.pmf[t - 1] > 0.0) for law in res.model.params
     ]
     assert got.shape == tuple(len(x) for x in supports)
-    outcomes = mdp.ProfileOutcomes(res.model, res.policy)
-    want = [outcomes[p].system_cost for p in itertools.product(*supports)]
+    gen = res.model.market.generator_cost(res.model.dispatch)
+    want = [
+        mdp.system_cost(res.model.market, gen, r.reserve_cost, r.terminal)
+        for r in (mdp.rollout(res.model, res.policy, p) for p in itertools.product(*supports))
+    ]
     assert got.ravel().tolist() == want  # every entry ==
     assert dispatch._conditional_costs(res.model, res.policy) == _scalar_conditional_costs(res)
 
@@ -509,11 +514,12 @@ def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
     rolled = []
     scalar = mdp.rollout
     monkeypatch.setattr(mdp, "rollout", lambda *a: rolled.append(a) or scalar(*a))
+    monkeypatch.setattr(dispatch, "rollout", mdp.rollout)
     monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", need - 1)
     tracemalloc.start()
     try:
         with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
-            estimate_lipschitz_K([s.params], 1, s.solver, s.market, s.specs, res)
+            estimate_lipschitz_K([s.params], s.solver, s.market, s.specs, res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -551,7 +557,7 @@ def test_dominated_pair_check_reuses_the_shifted_solve(monkeypatch):
             assert len(calls) == 3
             checks.append(check)
     estimate = dispatch.estimate_lipschitz_K
-    monkeypatch.setattr(experiments, "estimate_lipschitz_K", lambda *args: estimate(*args[:5]))
+    monkeypatch.setattr(experiments, "estimate_lipschitz_K", lambda *args: estimate(*args[:4]))
     rng = make_rng(experiments.PAIR_SEED)
     again = []
     while len(again) < 3:

@@ -16,7 +16,6 @@ from storemkt.mdp import (
     MdpModel,
     NoFeasibleContinuation,
     StateSpace,
-    ProfileOutcomes,
     UnreachableStateError,
     enumerated_outcome,
     expected_outcome,
@@ -24,6 +23,7 @@ from storemkt.mdp import (
     rollout,
     solve_dp,
     stage_cost,
+    system_cost,
     transition_prob,
 )
 from storemkt.scenarios import random_small_instance
@@ -238,9 +238,9 @@ def test_rollout_paths_and_departure_freeze():
     assert late.storage.tolist() == [[1.0, 0.0]]
     assert late.terminal.tolist() == [0.0]
     assert late.reserve_cost == pytest.approx(0.0)
-    outcomes = ProfileOutcomes(model, policy)
-    assert outcomes[(1,)].system_cost == pytest.approx(10.0)
-    assert outcomes[(2,)].system_cost == pytest.approx(0.0)
+    gen = model.market.generator_cost(model.dispatch)
+    assert system_cost(model.market, gen, early.reserve_cost, early.terminal) == 10.0
+    assert system_cost(model.market, gen, late.reserve_cost, late.terminal) == 0.0
 
 
 def test_rollout_steps_ids_and_sums_deltas():

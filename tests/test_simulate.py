@@ -262,20 +262,18 @@ def test_run_horizon_single_day_trace():
     assert res.j_m == pytest.approx(EXAMPLE1_J_M, abs=1e-9)
     assert res.utility_days.shape == (1, 1)
     assert res.beta_days.shape == (1,)
-    system = [r for r in res.trace_rows if r["row"] == "system"]
-    evs = [r for r in res.trace_rows if r["row"] == "ev"]
-    assert len(system) == 1 and len(evs) == 1
-    row = evs[0]
     # per-row ledger conservation
-    assert row["total_payment"] == pytest.approx(
-        row["p_da"] + row["charge_gap"] - row["penalty"], abs=1e-12
+    assert res.payment_days[0, 0] == pytest.approx(
+        res.p_da[0] + res.charge_gap_days[0, 0] - res.penalty_days[0, 0], abs=1e-12
     )
-    assert row["reported"] == row["true_delta"]  # truthful rule
-    assert row["storage"] in ("1;1", "1;0")
+    o = res.outcomes[res.profile_days[0]]
+    assert o.reported[0] == res.true_days[0, 0]  # truthful rule
+    assert o.storage[0] in ("1;1", "1;0")
     csv = res.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0].startswith("day,row,ev,true_delta,reported,storage")
     assert len(lines) == 3
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1", "system"], ["1", "ev"]]
     for key in ("days", "seed", "q_star", "j_m", "avg_beta", "per_ev"):
         assert key in res.diagnostics
 
@@ -344,9 +342,7 @@ def test_fixed_rule_trips_the_window_daily():
     )
     assert res.accounts[0].penalties == 5
     assert res.accounts[0].missed == 0
-    assert [r["event"] for r in res.trace_rows if r["row"] == "ev"] == [
-        False, True, True, True, True, True,
-    ]
+    assert res.event_days[0].tolist() == [False, True, True, True, True, True]
 
 
 def test_default_adversary_suite_shape():
@@ -517,17 +513,17 @@ def test_settlement_columns_match_the_per_day_settlement():
     solve = res.solve
     expected = expected_outcome(solve.model, solve.policy).terminal_charge[0]
     record = EmpiricalRecord(2)
-    for row in res.trace_rows[1::2]:
-        record.update(row["reported"])
-        realized = rollout(solve.model, solve.policy, (row["reported"],))
+    for d, k in enumerate(res.profile_days.tolist()):
+        reported = res.outcomes[k].reported[0]
+        record.update(reported)
+        realized = rollout(solve.model, solve.policy, (reported,))
         want = settlement(
-            row["day"], record, s.params[0], float(expected), float(realized.terminal[0]),
+            d + 1, record, s.params[0], float(expected), float(realized.terminal[0]),
             s.window_schedule, s.penalty_schedule, s.market.ev_energy_value,
         )
-        assert (row["charge_gap"], row["penalty"], row["event"]) == (
-            want.charge_gap, want.penalty, want.event_triggered,
-        )
-        assert row["total_payment"] == total_payment(res.p_da[0], want)
+        got = (res.charge_gap_days[0, d], res.penalty_days[0, d], bool(res.event_days[0, d]))
+        assert got == (want.charge_gap, want.penalty, want.event_triggered)
+        assert res.payment_days[0, d] == total_payment(res.p_da[0], want)
 
 
 def test_block_draw_replays_per_day_samples():
@@ -553,7 +549,7 @@ def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
         return real(model, policy, reported)
 
     monkeypatch.setattr(mdp, "rollout", counted)
-    monkeypatch.setattr(simulate, "rollout", counted, raising=False)
+    monkeypatch.setattr(simulate, "rollout", counted)
     s = load_setup(preset_config("table1:n=2"))
     strategies = (
         BiddingStrategy(s.params[0], EarlyExit()),
@@ -564,11 +560,7 @@ def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
         s.market, s.specs, s.params, strategies, 2000, 0,
         s.window_schedule, s.penalty_schedule, s.solver, 100.0,
     )
-    by_day: dict[int, list[int]] = {}
-    for r in res.trace_rows:
-        if r["row"] == "ev":
-            by_day.setdefault(r["day"], []).append(r["reported"])
-    distinct = {tuple(v) for v in by_day.values()}
+    distinct = {res.outcomes[k].reported for k in res.profile_days.tolist()}
     assert len(distinct) > 1
     assert len(rolled) <= len(distinct) + 1  # + the nominal path's profile
     assert len(set(rolled)) == len(rolled)
