@@ -13,8 +13,14 @@ expectation runs once over the value array, in place, one class of EVs
 at a time (the kernel never becomes a dense matrix).  An action's
 continuation is then the row of its post-decision state.  The stage cost
 depends only on the action's charge sum, so the kernel takes the min
-over actions of equal sum first and adds each sum's reserve cost once
-per dispatch level.  Slot 1 takes that min for the initial state only.
+over actions of equal sum first, for a chunk of columns at a time in one
+gather and one ``minimum.reduceat``.  Each output column then adds every
+sum's reserve cost under its dispatch level and takes the min over sums,
+in one broadcast step per chunk of output columns.  The reserve costs
+come from one (charge sum x dispatch level) table per slot, with one
+``reserve_cost_at`` call per distinct mismatch; the exhaustive pass
+builds these tables once per solve and reads its dominance margin from
+them too.  Slot 1 takes the min for the initial state only.
 
 The exhaustive search prices the whole grid in one such pass, and drops
 dominated tails as it goes (Morin & Marsten, *Oper. Res.* 24(4), 1976;
@@ -83,6 +89,7 @@ from .mdp import (
     solve_dp,
     support_costs,
     system_cost,
+    _Groups,
 )
 
 DEFAULT_STEP = 10.0
@@ -295,23 +302,22 @@ def _prefix_stages(
 ) -> tuple[list[Stage], list[int]]:
     """Stages pricing each prefix completed by the shared ``tail``, plus the
     layer-0 column of each prefix.  Suffixes shared by several prefixes
-    are priced once."""
+    are priced once.  A suffix from slot t is its dispatch g_t ahead of
+    a layer-t column; layer t-1 lists the distinct suffixes grouped by
+    g_t, the groups and the suffixes in each in the order they first
+    occur."""
     stages: list[Stage] = [[(g, None)] for g in tail]
-    cols: dict[tuple[float, ...], int] = {(): 0}
+    cols = [0] * len(prefixes)
     head: list[Stage] = []
     for t in range(len(prefixes[0]), 0, -1):
-        by_g: dict[float, list[tuple[float, ...]]] = {}
-        for suffix in dict.fromkeys(p[t - 1 :] for p in prefixes):
-            by_g.setdefault(suffix[0], []).append(suffix)
-        blocks: Stage = []
-        new_cols: dict[tuple[float, ...], int] = {}
-        for g, suffixes in by_g.items():
-            blocks.append((g, np.array([cols[sx[1:]] for sx in suffixes], dtype=np.intp)))
-            for sx in suffixes:
-                new_cols[sx] = len(new_cols)
-        head.append(blocks)
-        cols = new_cols
-    return head[::-1] + stages, [cols[p] for p in prefixes]
+        keys = [(p[t - 1], c) for p, c in zip(prefixes, cols)]
+        by_g: dict[float, dict[int, None]] = {}
+        for g, c in keys:
+            by_g.setdefault(g, {})[c] = None
+        head.append([(g, np.array(list(parents), dtype=np.intp)) for g, parents in by_g.items()])
+        at = {key: i for i, key in enumerate((g, c) for g in by_g for c in by_g[g])}
+        cols = [at[key] for key in keys]
+    return head[::-1] + stages, cols
 
 
 def _batched_inner_values(
@@ -327,71 +333,80 @@ def _batched_inner_values(
     Each slot is one post-decision step: the zero-action expectation
     ``space.expect`` runs once, in place; an action's continuation is the
     row of its post-decision state; the min over actions with equal charge
-    sums is taken before the reserve cost of that sum is added per block.
-    Slot 1 takes that min for the initial state only.  Returns the flat
-    layer-0 row; entries at or above INF_THRESHOLD mean no finite-cost
-    policy exists.
+    sums is taken before the reserve cost of that sum under each block's
+    dispatch, from the slot's ``_reserve_table``, is added
+    (``_min_over_actions``).  Slot 1 takes that min for the initial state
+    only.  Returns the flat layer-0 row; entries at or above INF_THRESHOLD
+    mean no finite-cost policy exists.
     """
     v = (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
     for slot in range(market.horizon, 0, -1):
         groups = space.action_groups if slot > 1 else space.initial_groups
         n_rows = space.n_states if slot > 1 else 1
-        post = space.expect(slot, v)
-        v = _min_over_actions(market, slot, post, groups, stages[slot - 1], n_rows)
+        blocks = stages[slot - 1]
+        costs = _reserve_table(
+            market, slot, [sigma for sigma, _, _ in groups], [g for g, _ in blocks]
+        )
+        v = _min_over_actions(costs, space.expect(slot, v), groups, blocks, n_rows)
     return v[0]
 
 
+def _reserve_table(
+    market: MarketModel, slot: int, sums: Sequence[float], dispatch: Sequence[float]
+) -> np.ndarray:
+    """The reserve cost of ``slot`` for every charge sum (rows) and
+    dispatch level (columns): ``reserve_cost_at`` runs once per distinct
+    mismatch ``demand + sigma - g``, formed in that order."""
+    mismatch = np.subtract.outer(market.demand[slot - 1] + np.array(sums, dtype=float), dispatch)
+    flat = mismatch.ravel().tolist()
+    cost = {m: market.reserve_cost_at(slot, m) for m in set(flat)}
+    return np.array([cost[m] for m in flat], dtype=float).reshape(mismatch.shape)
+
+
 def _min_over_actions(
-    market: MarketModel,
-    slot: int,
-    post: np.ndarray,
-    groups: list[tuple[float, np.ndarray, list[np.ndarray]]],
-    blocks: Stage,
-    n_rows: int,
+    costs: np.ndarray, post: np.ndarray, groups: _Groups, blocks: Stage, n_rows: int
 ) -> np.ndarray:
     """One layer of the batched recursion from post-decision values.
 
-    Works through the columns in chunks of about CHUNK_ELEMS values so the
-    per-sum minima and the output they update stay in cache.
+    Output column j of block b continues from column src[j] of ``post``
+    (the block's ``parents``, or every column in order).  Its value in row
+    s is the least, over the charge sums k, of best[k, s, src[j]] plus
+    ``costs[k, b]``, the reserve cost of sum k under the block's dispatch
+    (``_reserve_table``), capped at INF_PROXY; best[k, s] is the min over
+    the actions of sum k from s of their post-decision rows, INF_PROXY
+    where s has none.  A cost of +inf never wins below the cap.
+
+    The source columns are taken in chunks.  Each chunk's per-sum minima
+    are formed once, in one gather and one ``minimum.reduceat`` over
+    ``groups.flat``.  Its output columns, in source order, then take their
+    source's minima, add their (sum x block) costs in one broadcast and
+    take the min over sums, a chunk of them at a time.  Every temporary
+    holds about CHUNK_ELEMS values, or that many per sum, unless one
+    column alone holds more (see ``_layer_bytes``).
     """
-    spans = [(g, 0, post.shape[1]) for g, _ in blocks]
-    if any(parents is not None for _, parents in blocks):
-        post = post[:, np.concatenate([p for _, p in blocks])]
-        edges = np.cumsum([0] + [len(p) for _, p in blocks])
-        spans = [(g, lo, hi) for (g, _), lo, hi in zip(blocks, edges[:-1], edges[1:])]
-    width = post.shape[1]
-    demand = market.demand[slot - 1]
-    costs = [
-        [market.reserve_cost_at(slot, demand + sigma - g) for g, _, _ in spans]
-        for sigma, _, _ in groups
-    ]
-    live = [k for k, row in enumerate(costs) if any(c != math.inf for c in row)]
-    out = np.empty((n_rows, sum(hi - lo for _, lo, hi in spans)))
-    step = max(CHUNK_ELEMS // n_rows, 1)
-    best = np.full((len(live), n_rows, min(step, width)), INF_PROXY)
-    tmp = np.empty(best.shape[1:])
-    for c0 in range(0, width, step):
-        c1 = min(c0 + step, width)
-        chunk = post[:, c0:c1]
-        for j, k in enumerate(live):
-            _, rows, ranks = groups[k]
-            least = chunk[ranks[0]]
-            for posts in ranks[1:]:
-                part = least[: len(posts)]
-                np.minimum(part, chunk[posts], out=part)
-            best[j, rows, : c1 - c0] = least
-        off = 0
-        for b, (_, lo, hi) in enumerate(spans):
-            a, z = max(lo, c0), min(hi, c1)
-            if a < z:
-                dst = out[:, off + a - lo : off + z - lo]
-                dst.fill(INF_PROXY)
-                cand = tmp[:, : z - a]
-                for j, k in enumerate(live):
-                    if costs[k][b] != math.inf:
-                        np.add(best[j, :, a - c0 : z - c0], costs[k][b], out=cand)
-                        np.minimum(dst, cand, out=dst)
-            off += hi - lo
+    posts, starts, cells = groups.flat
+    every = np.arange(post.shape[1])
+    parents = [every if p is None else p for _, p in blocks]
+    src = np.concatenate(parents)
+    block = np.repeat(np.arange(len(blocks)), [len(p) for p in parents])
+    order = np.argsort(src, kind="stable")
+    by_source = src[order]
+    step = max(CHUNK_ELEMS // len(posts), 1)
+    out_step = max(CHUNK_ELEMS // n_rows, 1)
+    edges = np.searchsorted(by_source, np.arange(0, post.shape[1] + step, step)).tolist()
+    best = np.full((len(groups), n_rows, min(step, post.shape[1])), INF_PROXY)
+    out = np.empty((n_rows, len(src)))
+    for c0, lo, hi in zip(range(0, post.shape[1], step), edges[:-1], edges[1:]):
+        chunk = post[:, c0 : c0 + step]
+        runs = np.minimum.reduceat(chunk[posts], starts, axis=0)
+        best.reshape(-1, best.shape[2])[cells, : chunk.shape[1]] = runs
+        for o0 in range(lo, hi, out_step):
+            cols = order[o0 : min(o0 + out_step, hi)]
+            cand = best[:, :, by_source[o0 : o0 + len(cols)] - c0]
+            cand += costs[:, None, block[cols]]
+            least = cand.min(axis=0)
+            np.minimum(least, INF_PROXY, out=least)
+            out[:, cols] = least
     return out
 
 
@@ -410,25 +425,25 @@ def _space_bytes(specs: Sequence[EVSpec]) -> int:
 
 
 def _prune_margin(
-    market: MarketModel, space: CountSpace, specs: Sequence[EVSpec], levels: list[list[float]]
+    market: MarketModel,
+    space: CountSpace,
+    specs: Sequence[EVSpec],
+    gen: list[np.ndarray],
+    reserve: list[np.ndarray],
 ) -> tuple[float, float]:
     """The dominance margin m of the exhaustive pass and the bound H above
     which a cost stems from INF_PROXY (see PRUNE_ROUNDING).
 
     S, the bound on every cost a grid plan sums from finite terms, adds
-    per slot the largest finite dispatch cost and the largest finite
-    reserve cost over every level and action charge sum to the largest
-    terminal credit.
+    per slot the largest finite dispatch cost over the levels (``gen``)
+    and the largest finite reserve cost over every level and action charge
+    sum (``reserve``, the slot's ``_reserve_table`` the pass reads) to the
+    largest terminal credit.
     """
-    sums = np.array([sigma for sigma, _, _ in space.action_groups])
     scale = market.ev_energy_value * float(np.max(np.abs(space.total_charge)))
-    for slot, lt in enumerate(levels, 1):
-        gen = [market.generator.cost(slot, g) for g in lt]
-        # each distinct mismatch demand + sigma - g, as the kernel forms it
-        mismatch = np.unique(np.subtract.outer(market.demand[slot - 1] + sums, lt))
-        res = [market.reserve_cost_at(slot, m) for m in mismatch.tolist()]
-        for costs in (gen, res):
-            scale += max((abs(c) for c in costs if abs(c) < math.inf), default=0.0)
+    for costs in itertools.chain.from_iterable(zip(gen, reserve)):
+        finite = np.abs(costs[np.isfinite(costs)])
+        scale += float(finite.max()) if finite.size else 0.0
     n_levels = max((len(s.levels) for s in specs), default=1)
     steps = market.horizon * (8 * len(specs) * n_levels + 3) + 2
     margin = 8 * LUMP_TIE_TOL + PRUNE_ROUNDING * steps * scale
@@ -436,15 +451,20 @@ def _prune_margin(
 
 
 def _layer_bytes(
-    n_states: int, n_groups: int, n_rows: int, kept: int, width: int, horizon: int
+    n_states: int, n_groups: int, n_pairs: int, n_rows: int, kept: int, width: int, horizon: int
 ) -> int:
     """Upper bound on the bytes one slot of the exhaustive pass holds at
     once, from the ``kept`` tails it starts from and the ``width`` tails it
     forms on ``n_rows`` rows: the value layer with the expectation's
     temporaries, the new layer with the dominance filter's copies, the
-    kernel's and the filter's chunks, and each tail's index and costs."""
-    chunks = (n_groups + 3) * max(CHUNK_ELEMS, n_states) + 3 * max(PRUNE_PAIR_ELEMS, n_rows)
-    return 8 * (4 * n_states * kept + 6 * n_rows * width + chunks + (horizon + 4) * width)
+    kernel's chunks and the filter's, and each tail's indices and costs.
+    The kernel holds, per charge sum, a chunk's minima and one output
+    chunk's broadcast sum of minima and reserve costs, about CHUNK_ELEMS
+    values each, and the chunk's ``n_pairs`` gathered action values and
+    their per-row minima."""
+    kernel = (2 * n_groups + 1) * max(CHUNK_ELEMS, n_states) + 2 * max(CHUNK_ELEMS, n_pairs)
+    chunks = kernel + 3 * max(PRUNE_PAIR_ELEMS, n_rows)
+    return 8 * (4 * n_states * kept + 6 * n_rows * width + chunks + (horizon + 8) * width)
 
 
 def _undominated(v: np.ndarray, tail_gen: np.ndarray, margin: float, high: float) -> np.ndarray:
@@ -539,10 +559,13 @@ def _price_grid(
     dispatch cost summed from slot 1 on, plus its inner value.
     """
     gen = [
-        np.array([min(market.generator.cost(slot, g), INF_PROXY) for g in lt])
+        np.array([market.generator.cost(slot, g) for g in lt], dtype=float)
         for slot, lt in enumerate(levels, 1)
     ]
-    margin, high = _prune_margin(market, space, specs, levels)
+    sums = [sigma for sigma, _, _ in space.action_groups]
+    reserve = [_reserve_table(market, slot, sums, lt) for slot, lt in enumerate(levels, 1)]
+    margin, high = _prune_margin(market, space, specs, gen, reserve)
+    gen = [np.minimum(costs, INF_PROXY) for costs in gen]
     v = (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
     # each kept tail's flat index among all tails, ascending, and its
     # dispatch cost
@@ -553,15 +576,19 @@ def _price_grid(
         groups = space.action_groups if slot > 1 else space.initial_groups
         n_rows = space.n_states if slot > 1 else 1
         width = n_levels * len(tails)
-        need = _layer_bytes(space.n_states, len(groups), n_rows, len(tails), width, market.horizon)
+        n_pairs = len(groups.flat[0])
+        need = _layer_bytes(
+            space.n_states, len(groups), n_pairs, n_rows, len(tails), width, market.horizon
+        )
         if need > BATCH_BYTE_BUDGET:
             raise BatchTooLarge(
                 f"exhaustive pass over {space.n_states} states would hold about "
                 f"{need / 2**30:.1f} GiB at slot {slot}, {width} dispatch tails "
                 f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use beam search"
             )
+        costs = reserve[slot - 1][[sums.index(sigma) for sigma, _, _ in groups]]
         blocks = [(g, None) for g in levels[slot - 1]]
-        v = _min_over_actions(market, slot, space.expect(slot, v), groups, blocks, n_rows)
+        v = _min_over_actions(costs, space.expect(slot, v), groups, blocks, n_rows)
         level = np.repeat(np.arange(n_levels), len(tails))
         tails = level * stride + np.tile(tails, n_levels)
         tail_gen = gen[slot - 1][level] + np.tile(tail_gen, n_levels)
@@ -586,13 +613,21 @@ def _price_plans(
     pass.  Returns (cost, plan) pairs cheapest first, +inf for plans with
     no finite-cost policy, ties to the smaller plan."""
     stages, cols = _prefix_stages(plans, tail)
-    inner = _batched_inner_values(market, space, stages)
-    scored = []
-    for p, col in zip(plans, cols):
-        q = market.generator_cost(list(p) + list(tail)) + float(inner[col])
-        scored.append((q if inner[col] < INF_THRESHOLD else math.inf, p))
-    scored.sort()
-    return scored
+    inner = _batched_inner_values(market, space, stages)[cols]
+    q = _dispatch_costs(market, [p + tuple(tail) for p in plans]) + inner
+    q[inner >= INF_THRESHOLD] = math.inf
+    return sorted(zip(q.tolist(), plans))
+
+
+def _dispatch_costs(market: MarketModel, plans: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """``market.generator_cost`` of every full-length plan, bit for bit:
+    each slot's ``generator.cost`` is taken once per distinct dispatch
+    level, and a plan's terms are added from 0 in slot order."""
+    total = np.zeros(len(plans))
+    for slot, column in enumerate(zip(*plans), 1):
+        cost = {g: market.generator.cost(slot, g) for g in set(column)}
+        total += [cost[g] for g in column]
+    return total
 
 
 def _solve_beam(

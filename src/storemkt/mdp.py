@@ -155,35 +155,6 @@ def system_cost(
     return generator_cost + reserve_cost - market.ev_energy_value * float(terminal.sum())
 
 
-def transition_prob(
-    params: Sequence[DeadlineDistribution],
-    slot: int,
-    state: Sequence[tuple[bool, float]],
-    action: Sequence[float],
-    next_state: Sequence[tuple[bool, float]],
-) -> float:
-    """Product-form kernel for the joint state transition during ``slot``."""
-    prob = 1.0
-    for dist, (connected, h), a, (connected2, h2) in zip(params, state, action, next_state):
-        if not connected:
-            if a != 0.0:
-                return 0.0
-            prob *= 1.0 if (not connected2 and h2 == h) else 0.0
-            continue
-        surv = dist.survival()[slot - 1]
-        if surv <= 0.0:
-            raise UnreachableStateError(
-                f"unreachable state queried: connected EV has zero survival entering slot {slot}"
-            )
-        hazard = min(max(dist.pmf[slot - 1] / surv, 0.0), 1.0)
-        if not math.isclose(h + a, h2, abs_tol=1e-9):
-            return 0.0
-        prob *= hazard if not connected2 else 1.0 - hazard
-        if prob == 0.0:
-            return 0.0
-    return prob
-
-
 class StateSpace:
     """Dense mixed-radix indexing of joint EV states, cached hazards, and
     the reference's explicit tables.
@@ -318,7 +289,10 @@ class StateSpace:
 
 
 class _Groups(list):
-    """Charge-sum groups as a list that can be weakly referenced."""
+    """Charge-sum groups as a list that can be weakly referenced; ``flat``
+    holds their actions as the batched kernel reads them (``_flatten``)."""
+
+    flat: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 #: each class layout's action and initial groups, held while some space
@@ -412,6 +386,27 @@ def _product_pairs(
         k = first[digit[row]] + np.arange(len(row)) - (np.cumsum(reps) - reps)[row]
         state, post, sigma = state[row], post[row] * len(first) + to[k], sigma[row] + delta[k]
     return state, post, sigma
+
+
+def _flatten(groups: _Groups, n_rows: int) -> _Groups:
+    """Set ``groups.flat`` to (posts, starts, cells), read-only, and return
+    ``groups``.  ``posts`` lists every action's post-decision id by group,
+    then by row in ``rows`` order, then by rank; run i, one group's actions
+    from one row, starts at ``posts[starts[i]]``; ``cells[i]`` is its
+    group's index times ``n_rows`` plus its row."""
+    posts, counts, cells = [], [], []
+    for k, (_, rows, ranks) in enumerate(groups):
+        table = np.full((len(rows), len(ranks)), -1)
+        for r, q in enumerate(ranks):
+            table[: len(q), r] = q
+        listed = table >= 0
+        posts.append(table[listed])
+        counts.append(listed.sum(axis=1))
+        cells.append(k * n_rows + rows)
+    counts = np.concatenate(counts)
+    groups.flat = (np.concatenate(posts), np.cumsum(counts) - counts, np.concatenate(cells))
+    _read_only(*groups.flat)
+    return groups
 
 
 def _initial_groups(groups: _Groups) -> _Groups:
@@ -577,14 +572,16 @@ class CountSpace:
         tables = [c.move_table for c, _ in self._classes]
         return _shared_groups(
             ("action", self._layout),
-            lambda: _group_by_sum(*_product_pairs(self.n_states, self._digits, tables)),
+            lambda: _flatten(
+                _group_by_sum(*_product_pairs(self.n_states, self._digits, tables)), self.n_states
+            ),
         )
 
     @cached_property
     def initial_groups(self) -> _Groups:
         """``action_groups`` restricted to the initial state (``_initial_groups``)."""
         return _shared_groups(
-            ("initial", self._layout), lambda: _initial_groups(self.action_groups)
+            ("initial", self._layout), lambda: _flatten(_initial_groups(self.action_groups), 1)
         )
 
 
@@ -860,22 +857,3 @@ def iter_profiles(
         for dist, t in zip(params, profile):
             p *= dist.pmf[t - 1]
         yield profile, p
-
-
-def enumerated_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
-    """Expectations by exhaustive deadline-profile enumeration.
-
-    Independent of the forward-propagation path; tests hold the two to
-    agree within 1e-9.
-    """
-    exp_reserve = 0.0
-    terminal = np.zeros(len(model.specs))
-    for profile, p in iter_profiles(model.params, model.horizon):
-        if p == 0.0:
-            continue
-        r = rollout(model, policy, profile)
-        exp_reserve += p * r.reserve_cost
-        terminal += p * r.terminal
-    market = model.market
-    total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
-    return ExpectedOutcome(float(exp_reserve), terminal, float(total))

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +46,6 @@ from storemkt.mdp import (
     MdpModel,
     NoFeasibleContinuation,
     StateSpace,
-    enumerated_outcome,
     expected_outcome,
     solve_dp,
 )
@@ -52,6 +53,9 @@ from storemkt.mechanism import day_ahead
 from storemkt.presets import preset_config
 from storemkt.scenarios import random_floored_pmf, random_small_instance, random_tiny_instance
 from storemkt.simulate import J_M_PROBE_SEED, J_M_PROBE_TRIALS
+
+import reference
+from reference import enumerated_outcome
 
 # gen rates dotted with demand, in dollars (rates are $/MWh, energies kWh)
 TABLE1_BASELINE_DISPATCH_COST = 6.48500773624
@@ -900,17 +904,17 @@ def test_oversized_exhaustive_pass_fails_by_name(monkeypatch):
     # slot allocates; a budget below the largest slot stops the pass there
     s = _table1_like_evs(shared=False, n=4)
     formed, bounds = [], []
-    kernel, bound = dispatch._min_over_actions, dispatch._layer_bytes
+    expect, bound = CountSpace.expect, dispatch._layer_bytes
 
-    def spy_kernel(market, slot, *args):
-        formed.append(slot)
-        return kernel(market, slot, *args)
+    def spy_expect(space, slot, values):
+        formed.append(slot)  # each slot's layer starts from its expectation
+        return expect(space, slot, values)
 
     def spy_bound(*args):
         bounds.append(bound(*args))
         return bounds[-1]
 
-    monkeypatch.setattr(dispatch, "_min_over_actions", spy_kernel)
+    monkeypatch.setattr(CountSpace, "expect", spy_expect)
     monkeypatch.setattr(dispatch, "_layer_bytes", spy_bound)
     solve_outer(s.params, s.solver, s.market, s.specs)
     assert formed == [5, 4, 3, 2, 1] and len(bounds) == 5
@@ -1100,3 +1104,155 @@ def test_layer_byte_bound_holds_on_the_pass(monkeypatch):
         finally:
             tracemalloc.stop()
         assert 0 < peak <= max(bounds)
+
+
+@functools.cache
+def _kernel_case(i: int):
+    """(market, specs, space) for the kernel test: unlike EVs, a lumped
+    fleet, reserves that price most mismatches +inf, and no EV at all."""
+    if i == 0:
+        s = _mixed_setup(2, 7)
+        return s.market, s.specs, CountSpace(s.specs, s.params, lump=False)
+    if i == 1:
+        s = _table1_fleet(3, "B")
+        return s.market, s.specs, CountSpace(s.specs, s.params)
+    if i == 2:
+        s = _mixed_setup(3, 11)
+        levels = grid_levels(s.market, s.specs, s.solver)
+        windowed = _windowed(s.market, s.specs, s.params, levels, 10.0)
+        return windowed, s.specs, CountSpace(s.specs, s.params, lump=False)
+    s = _table1_fleet(0)
+    return s.market, s.specs, CountSpace(s.specs, s.params)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.integers(0, 3),
+    slot=st.integers(1, 5),
+    width=st.integers(1, 9),
+    grid=st.booleans(),
+    chunk=st.sampled_from([1, 2, 7, 40, 300, dispatch.CHUNK_ELEMS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_over_actions_equals_the_reference_loop(case, slot, width, grid, chunk, seed):
+    # the broadcast kernel against the reference's add-and-min per (sum,
+    # block), on == for every element: small chunks split the columns and
+    # the output chunks with ragged edges; beam blocks repeat and reorder
+    # their parents
+    market, specs, space = _kernel_case(case)
+    rng = np.random.default_rng(seed)
+    groups = space.action_groups if slot > 1 else space.initial_groups
+    n_rows = space.n_states if slot > 1 else 1
+    post = rng.integers(-30, 30, (space.n_states, width)).astype(float)  # ties abound
+    post[rng.random(space.n_states) < 0.25] = INF_PROXY
+    levels = grid_levels(market, specs, SolverConfig())[slot - 1]
+    gs = rng.permutation(levels)[: rng.integers(1, len(levels) + 1)].tolist()
+    if grid:
+        blocks = [(g, None) for g in gs]
+    else:
+        blocks = [(g, rng.integers(0, width, rng.integers(1, 2 * width + 1))) for g in gs]
+    with mock.patch.object(dispatch, "CHUNK_ELEMS", chunk):
+        costs = dispatch._reserve_table(market, slot, [sigma for sigma, _, _ in groups], gs)
+        got = dispatch._min_over_actions(costs, post.copy(), groups, blocks, n_rows)
+        want = reference.min_over_actions(market, slot, post.copy(), groups, blocks, n_rows)
+    assert got.shape == want.shape and (got == want).all()
+
+
+def _gappy_generator(market, levels):
+    """``market`` with its generator as a table that lacks every third
+    level of each slot: plans dispatching one cost +inf."""
+    gappy = costs.table(
+        [
+            {g: market.generator.cost(t, g) for k, g in enumerate(lt) if k % 3 != 1}
+            for t, lt in enumerate(levels, 1)
+        ]
+    )
+    return dataclasses.replace(market, generator=gappy)
+
+
+def test_plan_scores_are_dispatch_cost_plus_inner_bit_for_bit(monkeypatch):
+    # every _price_plans call, on beam depths, explicit candidates and the
+    # near-tie re-pricing of a lumped grid, scores each plan as
+    # market.generator_cost(plan + tail) + its inner value, bit for bit,
+    # under a linear generator and a table one that lacks some levels
+    calls = []
+    price = dispatch._price_plans
+
+    def spy(market, space, plans, tail=()):
+        scored = price(market, space, plans, tail)
+        calls.append((market, space, plans, tuple(tail), scored))
+        return scored
+
+    monkeypatch.setattr(dispatch, "_price_plans", spy)
+    mixed, lumped = _mixed_setup(2, 7), _table1_fleet(3, "C")
+    for s in (mixed, lumped):
+        levels = grid_levels(s.market, s.specs, s.solver)
+        picks = np.random.default_rng(1).choice(math.prod(map(len, levels)), 12, replace=False)
+        explicit = SolverConfig(candidates=[dispatch._unflatten(int(k), levels) for k in picks])
+        for market in (s.market, _gappy_generator(s.market, levels)):
+            for config in (SolverConfig(mode="beam"), explicit):
+                solve_outer(s.params, config, market, s.specs)
+    # lumped prices jittered past a widened tie tolerance: the near-tie
+    # plans are re-priced with every EV its own class
+    monkeypatch.setattr(dispatch, "_price_grid", _jittered(5e-3))
+    monkeypatch.setattr(dispatch, "LUMP_TIE_TOL", 2e-2)
+    levels = grid_levels(lumped.market, lumped.specs, lumped.solver)
+    for market in (lumped.market, _gappy_generator(lumped.market, levels)):
+        n_calls = len(calls)
+        solve_outer(lumped.params, lumped.solver, market, lumped.specs)
+        assert len(calls) == n_calls + 1 and len(calls[-1][2]) > 1
+
+    infinite = 0
+    for market, space, plans, tail, scored in calls:
+        stages, cols = _prefix_stages(plans, tail)
+        inner = _batched_inner_values(market, space, stages)
+        want = []
+        for p, col in zip(plans, cols):
+            gen = market.generator_cost(list(p) + list(tail))
+            infinite += gen == math.inf
+            want.append((gen + float(inner[col]) if inner[col] < INF_THRESHOLD else math.inf, p))
+        want.sort()
+        assert [(q.hex(), p) for q, p in scored] == [(q.hex(), p) for q, p in want]
+    assert infinite > 0
+
+
+def test_beam_depth_holds_its_values_plus_chunked_temporaries(monkeypatch):
+    # each slot of a beam depth's pass holds its value layers and the
+    # kernel's chunks, never a broadcast over every column at once
+    s = _mixed_setup(5, 7)
+    space = CountSpace(s.specs, s.params, lump=False)
+    groups = space.action_groups
+    space.initial_groups  # the space's own tables
+    n = space.n_states
+    # per charge sum a chunk's minima and one output chunk's broadcast sum;
+    # the chunk's gathered action values and their per-row minima
+    chunked = 8 * (
+        (2 * len(groups) + 1) * max(dispatch.CHUNK_ELEMS, n)
+        + 2 * max(dispatch.CHUNK_ELEMS, len(groups.flat[0]))
+    )
+    measured = []
+    batched = dispatch._batched_inner_values
+
+    def traced(market, space, stages):
+        widths = [1]  # layer T, then layer t-1 as slot t forms it
+        for stage in stages[::-1]:
+            widths.append(sum(widths[-1] if p is None else len(p) for _, p in stage))
+        # slot t: layer t with the expectation's temporaries, layer t-1
+        # and its column indices
+        values = max(
+            8 * (2 * n * w_in + (n if t > 1 else 1) * w_out + 8 * w_out)
+            for t, w_in, w_out in zip(range(len(stages), 0, -1), widths, widths[1:])
+        )
+        tracemalloc.start()
+        try:
+            inner = batched(market, space, stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        measured.append((peak, values + chunked))
+        return inner
+
+    monkeypatch.setattr(dispatch, "_batched_inner_values", traced)
+    _solve_beam(grid_levels(s.market, s.specs, s.solver), s.market, space, 8)
+    assert len(measured) == s.market.horizon
+    assert all(0 < peak <= bound for peak, bound in measured), measured

@@ -17,16 +17,16 @@ from storemkt.mdp import (
     NoFeasibleContinuation,
     StateSpace,
     UnreachableStateError,
-    enumerated_outcome,
     expected_outcome,
     policy_artifact,
     rollout,
     solve_dp,
     stage_cost,
     system_cost,
-    transition_prob,
 )
 from storemkt.scenarios import random_small_instance
+
+from reference import enumerated_outcome, transition_prob
 
 UNIFORM5 = DeadlineDistribution((0.2,) * 5)
 
