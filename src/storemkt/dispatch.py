@@ -14,13 +14,15 @@ at a time (the kernel never becomes a dense matrix).  An action's
 continuation is then the row of its post-decision state.  The stage cost
 depends only on the action's charge sum, so the kernel takes the min
 over actions of equal sum first, for a chunk of columns at a time in one
-gather and one ``minimum.reduceat``.  Each output column then adds every
-sum's reserve cost under its dispatch level and takes the min over sums,
-in one broadcast step per chunk of output columns.  The reserve costs
-come from one (charge sum x dispatch level) table per slot, with one
-``reserve_cost_at`` call per distinct mismatch; the exhaustive pass
-builds these tables once per solve and reads its dominance margin from
-them too.  Slot 1 takes the min for the initial state only.
+gather and one ``minimum.reduceat`` over the space's flat runs, one per
+(charge sum, state).  Each output column then adds every sum's reserve
+cost under its dispatch level and takes the min over sums, in one
+broadcast step per chunk of output columns.  The reserve costs come from
+one (charge sum x dispatch level) table per slot, with one
+``reserve_cost_at`` call per distinct mismatch; the exhaustive and the
+beam search build these tables once per solve, and the exhaustive pass
+reads its dominance margin from them too.  Slot 1 takes the min for the
+initial state only.
 
 The exhaustive search prices the whole grid in one such pass, and drops
 dominated tails as it goes (Morin & Marsten, *Oper. Res.* 24(4), 1976;
@@ -48,11 +50,17 @@ alone, the joint-state tables, the (state, action) pair table and the
 successor tables that pricing and the winner's re-solve build, and fails
 the same way when those would not fit.
 
-Beam search prices every extended prefix of a depth in one pass: the
-columns are the prefixes, completed by the greedy tail they all share.
-An explicit candidate list is priced the same way, as full-length
-prefixes with an empty tail.  Neither lumps: every EV is its own class,
-so lumped rounding cannot reorder near-tied prefixes.
+Beam search completes every prefix with one storage-blind greedy tail,
+and a layer depends only on the tail below it (backward induction).  So
+the tail's value layers are formed once per solve, in T-1 single-column
+slot passes from the terminal layer.  Depth d then prices all its
+extended prefixes in one pass over slots d..1 only, the prefixes as
+columns, from a copy of the layer the tail leaves after slot d.  A solve
+makes (T-1) + T(T+1)/2 slot passes, 19 at T = 5, where pricing each depth
+over every slot took T², 25.  An explicit candidate list is priced like
+one depth, as full-length prefixes with an empty tail.  Neither lumps:
+every EV is its own class, so lumped rounding cannot reorder near-tied
+prefixes.
 
 Every search mode ends alike: the winning plan is re-solved by the
 reference recursion (``mdp.solve_dp``) on the joint states of
@@ -321,7 +329,11 @@ def _prefix_stages(
 
 
 def _batched_inner_values(
-    market: MarketModel, space: CountSpace, stages: list[Stage]
+    market: MarketModel,
+    space: CountSpace,
+    stages: list[Stage],
+    layer: np.ndarray | None = None,
+    reserve: _ReserveTables | None = None,
 ) -> np.ndarray:
     """Inner DP value v0 for a batch of dispatch plans, suffix-shared.
 
@@ -329,26 +341,41 @@ def _batched_inner_values(
     layer t-1 as blocks: block (g, parents) runs dispatch g in slot t ahead
     of the layer-t columns ``parents`` (None: all of them), so the blocks
     ``(g, None)`` of every level of every slot yield every grid plan in
-    lexicographic product order.
-    Each slot is one post-decision step: the zero-action expectation
-    ``space.expect`` runs once, in place; an action's continuation is the
-    row of its post-decision state; the min over actions with equal charge
-    sums is taken before the reserve cost of that sum under each block's
-    dispatch, from the slot's ``_reserve_table``, is added
-    (``_min_over_actions``).  Slot 1 takes that min for the initial state
-    only.  Returns the flat layer-0 row; entries at or above INF_THRESHOLD
-    mean no finite-cost policy exists.
+    lexicographic product order.  The pass runs slots len(stages)..1 from
+    a copy of ``layer``, the value layer after slot len(stages) (default:
+    the terminal layer, when the stages cover every slot), one
+    ``_step`` each.  Its reserve costs come from ``reserve``, or else from
+    tables built over the stages' dispatch levels.  Returns the flat
+    layer-0 row; entries at or above INF_THRESHOLD mean no finite-cost
+    policy exists.
     """
-    v = (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
-    for slot in range(market.horizon, 0, -1):
-        groups = space.action_groups if slot > 1 else space.initial_groups
-        n_rows = space.n_states if slot > 1 else 1
-        blocks = stages[slot - 1]
-        costs = _reserve_table(
-            market, slot, [sigma for sigma, _, _ in groups], [g for g, _ in blocks]
-        )
-        v = _min_over_actions(costs, space.expect(slot, v), groups, blocks, n_rows)
+    if reserve is None:
+        reserve = _ReserveTables(market, space, [[g for g, _ in stage] for stage in stages])
+    v = _terminal(market, space) if layer is None else layer.copy()
+    for slot in range(len(stages), 0, -1):
+        v = _step(space, reserve, slot, v, stages[slot - 1])
     return v[0]
+
+
+def _terminal(market: MarketModel, space: CountSpace) -> np.ndarray:
+    """The terminal value layer: stored energy credited, one column."""
+    return (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
+
+
+def _step(
+    space: CountSpace, reserve: _ReserveTables, slot: int, v: np.ndarray, blocks: Stage
+) -> np.ndarray:
+    """Layer slot-1 from the layer ``v`` after ``slot``, one post-decision
+    step: the zero-action expectation ``space.expect`` runs once, in place
+    on ``v``; an action's continuation is the row of its post-decision
+    state; the min over actions with equal charge sums is taken before the
+    reserve cost of that sum under each block's dispatch is added
+    (``_min_over_actions``).  Slot 1 takes that min for the initial state
+    only."""
+    groups = space.action_groups if slot > 1 else space.initial_groups
+    n_rows = space.n_states if slot > 1 else 1
+    costs = reserve.costs(slot, [g for g, _ in blocks])
+    return _min_over_actions(costs, space.expect(slot, v), groups, blocks, n_rows)
 
 
 def _reserve_table(
@@ -361,6 +388,24 @@ def _reserve_table(
     flat = mismatch.ravel().tolist()
     cost = {m: market.reserve_cost_at(slot, m) for m in set(flat)}
     return np.array([cost[m] for m in flat], dtype=float).reshape(mismatch.shape)
+
+
+class _ReserveTables:
+    """Each slot's ``_reserve_table`` over every action charge sum of a
+    space and the slot's dispatch ``levels``, built once; every pass of a
+    solve reads its costs from them."""
+
+    def __init__(self, market: MarketModel, space: CountSpace, levels: Sequence[Sequence[float]]):
+        sums = space.action_groups.sums
+        self.tables = [_reserve_table(market, slot, sums, lt) for slot, lt in enumerate(levels, 1)]
+        self._column = [{g: k for k, g in enumerate(lt)} for lt in levels]
+        # the initial groups' sums are some of the action sums
+        self._initial = np.searchsorted(sums, space.initial_groups.sums)
+
+    def costs(self, slot: int, dispatch: Sequence[float]) -> np.ndarray:
+        """The (sum x level) costs of ``slot``'s groups under ``dispatch``."""
+        table = self.tables[slot - 1] if slot > 1 else self.tables[0][self._initial]
+        return table[:, [self._column[slot - 1][g] for g in dispatch]]
 
 
 def _min_over_actions(
@@ -377,14 +422,14 @@ def _min_over_actions(
     where s has none.  A cost of +inf never wins below the cap.
 
     The source columns are taken in chunks.  Each chunk's per-sum minima
-    are formed once, in one gather and one ``minimum.reduceat`` over
-    ``groups.flat``.  Its output columns, in source order, then take their
-    source's minima, add their (sum x block) costs in one broadcast and
-    take the min over sums, a chunk of them at a time.  Every temporary
+    are formed once, in one gather and one ``minimum.reduceat`` over the
+    runs of ``groups``.  Its output columns, in source order, then take
+    their source's minima, add their (sum x block) costs in one broadcast
+    and take the min over sums, a chunk of them at a time.  Every temporary
     holds about CHUNK_ELEMS values, or that many per sum, unless one
     column alone holds more (see ``_layer_bytes``).
     """
-    posts, starts, cells = groups.flat
+    posts, starts, cells = groups.posts, groups.starts, groups.cells
     every = np.arange(post.shape[1])
     parents = [every if p is None else p for _, p in blocks]
     src = np.concatenate(parents)
@@ -394,7 +439,7 @@ def _min_over_actions(
     step = max(CHUNK_ELEMS // len(posts), 1)
     out_step = max(CHUNK_ELEMS // n_rows, 1)
     edges = np.searchsorted(by_source, np.arange(0, post.shape[1] + step, step)).tolist()
-    best = np.full((len(groups), n_rows, min(step, post.shape[1])), INF_PROXY)
+    best = np.full((len(groups.sums), n_rows, min(step, post.shape[1])), INF_PROXY)
     out = np.empty((n_rows, len(src)))
     for c0, lo, hi in zip(range(0, post.shape[1], step), edges[:-1], edges[1:]):
         chunk = post[:, c0 : c0 + step]
@@ -562,11 +607,10 @@ def _price_grid(
         np.array([market.generator.cost(slot, g) for g in lt], dtype=float)
         for slot, lt in enumerate(levels, 1)
     ]
-    sums = [sigma for sigma, _, _ in space.action_groups]
-    reserve = [_reserve_table(market, slot, sums, lt) for slot, lt in enumerate(levels, 1)]
-    margin, high = _prune_margin(market, space, specs, gen, reserve)
+    reserve = _ReserveTables(market, space, levels)
+    margin, high = _prune_margin(market, space, specs, gen, reserve.tables)
     gen = [np.minimum(costs, INF_PROXY) for costs in gen]
-    v = (-market.ev_energy_value * space.total_charge).reshape(-1, 1)
+    v = _terminal(market, space)
     # each kept tail's flat index among all tails, ascending, and its
     # dispatch cost
     tails, stride = np.zeros(1, dtype=np.intp), 1
@@ -576,9 +620,9 @@ def _price_grid(
         groups = space.action_groups if slot > 1 else space.initial_groups
         n_rows = space.n_states if slot > 1 else 1
         width = n_levels * len(tails)
-        n_pairs = len(groups.flat[0])
+        n_sums, n_pairs = len(groups.sums), len(groups.posts)
         need = _layer_bytes(
-            space.n_states, len(groups), n_pairs, n_rows, len(tails), width, market.horizon
+            space.n_states, n_sums, n_pairs, n_rows, len(tails), width, market.horizon
         )
         if need > BATCH_BYTE_BUDGET:
             raise BatchTooLarge(
@@ -586,9 +630,7 @@ def _price_grid(
                 f"{need / 2**30:.1f} GiB at slot {slot}, {width} dispatch tails "
                 f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use beam search"
             )
-        costs = reserve[slot - 1][[sums.index(sigma) for sigma, _, _ in groups]]
-        blocks = [(g, None) for g in levels[slot - 1]]
-        v = _min_over_actions(costs, space.expect(slot, v), groups, blocks, n_rows)
+        v = _step(space, reserve, slot, v, [(g, None) for g in levels[slot - 1]])
         level = np.repeat(np.arange(n_levels), len(tails))
         tails = level * stride + np.tile(tails, n_levels)
         tail_gen = gen[slot - 1][level] + np.tile(tail_gen, n_levels)
@@ -608,12 +650,17 @@ def _price_plans(
     space: CountSpace,
     plans: Sequence[tuple[float, ...]],
     tail: Sequence[float] = (),
+    layer: np.ndarray | None = None,
+    reserve: _ReserveTables | None = None,
 ) -> list[tuple[float, tuple[float, ...]]]:
     """Price each plan completed by the shared ``tail`` in one batched
-    pass.  Returns (cost, plan) pairs cheapest first, +inf for plans with
-    no finite-cost policy, ties to the smaller plan."""
-    stages, cols = _prefix_stages(plans, tail)
-    inner = _batched_inner_values(market, space, stages)[cols]
+    pass.  ``layer``, when given, is the value layer that ``tail`` leaves
+    after the plans' last slot, and the pass runs the plans' own slots
+    only, from a copy of it; ``reserve`` is passed on to
+    ``_batched_inner_values``.  Returns (cost, plan) pairs cheapest first,
+    +inf for plans with no finite-cost policy, ties to the smaller plan."""
+    stages, cols = _prefix_stages(plans, tail if layer is None else ())
+    inner = _batched_inner_values(market, space, stages, layer, reserve)[cols]
     q = _dispatch_costs(market, [p + tuple(tail) for p in plans]) + inner
     q[inner >= INF_THRESHOLD] = math.inf
     return sorted(zip(q.tolist(), plans))
@@ -637,15 +684,26 @@ def _solve_beam(
     width: int,
 ) -> tuple[tuple[float, ...], float, int]:
     """Keep the ``width`` best prefixes per depth, each scored as the plan
-    it makes with the storage-blind greedy tail.  All extended prefixes of
-    a depth are priced in one batched pass.  Returns the winner, its score
-    and the number of prefixes scored."""
+    it makes with the storage-blind greedy tail.  The tail's value layers
+    are formed once, in one backward pass from the terminal layer; depth d
+    prices all its extended prefixes in one batched pass over slots d..1,
+    from the layer the tail leaves after slot d.  Every pass reads one set
+    of reserve tables.  Returns the winner, its score and the number of
+    prefixes scored."""
+    tail = _greedy_tail(market, levels, 2)
+    reserve = _ReserveTables(market, space, levels)
+    # layers[t - 1]: the value layer after slot t under the tail's slots
+    # t+1..T, one column
+    layers = [_terminal(market, space)]
+    for slot in range(market.horizon, 1, -1):
+        layers.append(_step(space, reserve, slot, layers[-1].copy(), [(tail[slot - 2], None)]))
+    layers.reverse()
     prefixes: list[tuple[float, ...]] = [()]
     evaluated = 0
     scored: list[tuple[float, tuple[float, ...]]] = []
     for slot in range(1, market.horizon + 1):
         extended = [p + (g,) for p in prefixes for g in levels[slot - 1]]
-        scored = _price_plans(market, space, extended, _greedy_tail(market, levels, slot + 1))
+        scored = _price_plans(market, space, extended, tail[slot - 1 :], layers[slot - 1], reserve)
         evaluated += len(extended)
         prefixes = [p for _, p in scored[:width]]
     best_q, best_g = scored[0]

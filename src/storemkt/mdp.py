@@ -27,7 +27,9 @@ that kernel.  ``StateSpace`` holds the reference's explicit tables: every
 per slot each post-decision state's successors (``successor_table``).
 ``solve_dp``, ``expected_outcome``, the policies and every rollout read
 those.  ``CountSpace`` is the one space of the batched pricing in
-``dispatch``, which applies the kernel once per slot, in place.
+``dispatch``, which applies the kernel once per slot, in place.  Its
+(state, action) pairs are held only as flat runs, one per (charge sum,
+state), in the form the batched kernel reads (``_Groups``).
 
 EVs with the same spec and bid are exchangeable, so the joint chain lumps
 exactly onto occupancy counts: how many EVs of each such class sit in
@@ -288,11 +290,23 @@ class StateSpace:
         return ids, probs, count
 
 
-class _Groups(list):
-    """Charge-sum groups as a list that can be weakly referenced; ``flat``
-    holds their actions as the batched kernel reads them (``_flatten``)."""
+@dataclass(frozen=True, eq=False)
+class _Groups:
+    """Every (state, action) pair of a space grouped by charge sum, as the
+    batched kernel reads them, read-only: ``sums`` lists the distinct sums
+    ascending; ``posts`` every action's post-decision id by sum, then by
+    state, each state's in pair order.  Run i, one sum's actions from one
+    state, starts at ``posts[starts[i]]``; ``cells[i]`` is its sum's index
+    times ``n_rows`` plus its state."""
 
-    flat: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sums: np.ndarray
+    posts: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
+    n_rows: int
+
+    def __post_init__(self) -> None:
+        _read_only(self.sums, self.posts, self.starts, self.cells)
 
 
 #: each class layout's action and initial groups, held while some space
@@ -314,25 +328,6 @@ def _shared_groups(key: tuple, build: Callable[[], _Groups]) -> _Groups:
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
-
-
-def _group_by_sum(state: np.ndarray, post: np.ndarray, sigma: np.ndarray) -> _Groups:
-    """Group (state, post-decision id) pairs by sum: per distinct sum,
-    (sigma, rows, ranks), read-only.  ``rows`` lists the states having
-    such an action, those with the most first; ``ranks[r]`` holds the r-th
-    such action's post-decision id for ``rows[: len(ranks[r])]``."""
-    keys, inv = np.unique(sigma, return_inverse=True)
-    out = _Groups()
-    for j, key in enumerate(keys):
-        order = np.flatnonzero(inv == j)
-        order = order[np.argsort(state[order], kind="stable")]
-        rows, first, counts = np.unique(state[order], return_index=True, return_counts=True)
-        most = np.argsort(-counts, kind="stable")
-        rows, first, counts = rows[most], first[most], counts[most]
-        ranks = [post[order[first[counts > r] + r]] for r in range(int(counts[0]))]
-        _read_only(rows, *ranks)
-        out.append((float(key), rows, ranks))
-    return out
 
 
 def _hazards(survival: np.ndarray, pmf: Sequence[float]) -> list[float]:
@@ -388,36 +383,27 @@ def _product_pairs(
     return state, post, sigma
 
 
-def _flatten(groups: _Groups, n_rows: int) -> _Groups:
-    """Set ``groups.flat`` to (posts, starts, cells), read-only, and return
-    ``groups``.  ``posts`` lists every action's post-decision id by group,
-    then by row in ``rows`` order, then by rank; run i, one group's actions
-    from one row, starts at ``posts[starts[i]]``; ``cells[i]`` is its
-    group's index times ``n_rows`` plus its row."""
-    posts, counts, cells = [], [], []
-    for k, (_, rows, ranks) in enumerate(groups):
-        table = np.full((len(rows), len(ranks)), -1)
-        for r, q in enumerate(ranks):
-            table[: len(q), r] = q
-        listed = table >= 0
-        posts.append(table[listed])
-        counts.append(listed.sum(axis=1))
-        cells.append(k * n_rows + rows)
-    counts = np.concatenate(counts)
-    groups.flat = (np.concatenate(posts), np.cumsum(counts) - counts, np.concatenate(cells))
-    _read_only(*groups.flat)
-    return groups
+def _sum_runs(state: np.ndarray, post: np.ndarray, sigma: np.ndarray, n_rows: int) -> _Groups:
+    """The (state, post-decision id) pairs with charge sums ``sigma`` as
+    ``_Groups``, in one sort: by sum, then by state, stable."""
+    sums, k = np.unique(sigma, return_inverse=True)
+    order = np.lexsort((state, k))
+    state, k = state[order], k[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (k[1:] != k[:-1]) | (state[1:] != state[:-1])
+    starts = np.flatnonzero(new)
+    return _Groups(sums, post[order], starts, k[starts] * n_rows + state[starts], n_rows)
 
 
-def _initial_groups(groups: _Groups) -> _Groups:
-    """``groups`` restricted to the initial state 0: per sum with an
-    action from state 0, (sigma, [0], one post-decision id per rank)."""
-    out = _Groups()
-    for sigma, rows, ranks in groups:
-        at = np.flatnonzero(rows == 0)
-        if len(at):
-            out.append((sigma, rows[at], [r[at[0] : at[0] + 1] for r in ranks if len(r) > at[0]]))
-    return out
+def _state0_runs(groups: _Groups) -> _Groups:
+    """The runs of ``groups`` from state 0, as groups on one row: each
+    sum's first run, where it has one."""
+    ends = np.append(groups.starts[1:], len(groups.posts))
+    at = np.flatnonzero(groups.cells % groups.n_rows == 0)
+    lengths = ends[at] - groups.starts[at]
+    posts = np.concatenate([groups.posts[a:z] for a, z in zip(groups.starts[at], ends[at])])
+    sums = groups.sums[groups.cells[at] // groups.n_rows]
+    return _Groups(sums, posts, np.cumsum(lengths) - lengths, np.arange(len(at)), 1)
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -511,7 +497,11 @@ class CountSpace:
     EV per class the ids are ``StateSpace``'s.  Only the hazards depend on
     the bids: each class's ``_Cells`` are built once per (spec, m), and
     spaces of one class layout ((spec, m) per class, in order) share their
-    ``action_groups`` and ``initial_groups``, all read-only.
+    ``action_groups`` and ``initial_groups``, all read-only.  The groups
+    are flat runs of post-decision ids, one per (charge sum, state), built
+    in one sort of the pair table (``_sum_runs``); the initial groups are
+    the runs from state 0.  They are cheap to build, so they are shared
+    only while some space holds them, not cached across solves.
     """
 
     def __init__(
@@ -568,21 +558,17 @@ class CountSpace:
 
     @cached_property
     def action_groups(self) -> _Groups:
-        """Every (state, action) pair grouped by charge sum (``_group_by_sum``)."""
+        """Every (state, action) pair grouped by charge sum (``_sum_runs``)."""
         tables = [c.move_table for c, _ in self._classes]
         return _shared_groups(
             ("action", self._layout),
-            lambda: _flatten(
-                _group_by_sum(*_product_pairs(self.n_states, self._digits, tables)), self.n_states
-            ),
+            lambda: _sum_runs(*_product_pairs(self.n_states, self._digits, tables), self.n_states),
         )
 
     @cached_property
     def initial_groups(self) -> _Groups:
-        """``action_groups`` restricted to the initial state (``_initial_groups``)."""
-        return _shared_groups(
-            ("initial", self._layout), lambda: _flatten(_initial_groups(self.action_groups), 1)
-        )
+        """The runs of ``action_groups`` from the initial state (``_state0_runs``)."""
+        return _shared_groups(("initial", self._layout), lambda: _state0_runs(self.action_groups))
 
 
 @dataclass

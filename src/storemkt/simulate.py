@@ -362,6 +362,21 @@ def _nominal_reports(params: Sequence[DeadlineDistribution]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _profile_index(reports: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(reports.T, axis=0, return_inverse=True)`` for reports
+    in 1..``horizon``: the distinct report profiles of the days, in
+    lexicographic order, and each day's index among them.  EV by EV, each
+    day's report is appended to the index of its profile so far as one
+    mixed-radix code, which a 1-D ``np.unique`` ranks; so no code exceeds
+    days · (horizon + 1)."""
+    index = np.zeros(reports.shape[1], dtype=np.intp)
+    for row in reports:
+        _, index = np.unique(index * (horizon + 1) + row, return_inverse=True)
+    some_day = np.empty(index.max() + 1, dtype=np.intp)
+    some_day[index] = np.arange(len(index))
+    return reports.T[some_day], index
+
+
 def draw_deadlines(
     laws: Sequence[DeadlineDistribution], rng: np.random.Generator, days: int
 ) -> np.ndarray:
@@ -495,8 +510,7 @@ def run_horizon(
         reports[i] = _report_days(strategy, true_days[i], planned[i], windows)
 
     # one rollout per distinct report profile; profile_days maps days to them
-    profiles, profile_days = np.unique(reports.T, axis=0, return_inverse=True)
-    profile_days = profile_days.reshape(days)
+    profiles, profile_days = _profile_index(reports, horizon)
     outcomes = []
     for row in map(tuple, profiles.tolist()):
         if row not in rolled:

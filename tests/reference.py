@@ -2,8 +2,9 @@
 
 Each is a plain, loop-by-loop form of something the package computes in
 another way: the product-form transition kernel, expectations by
-enumerating every deadline profile, and the batched kernel's min over
-actions as one add-and-min per (charge sum, dispatch block).
+enumerating every deadline profile, the grouping of (state, action) pairs
+by charge sum, and the batched kernel's min over actions as one
+add-and-min per (charge sum, dispatch block).
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from storemkt.costs import MarketModel
 from storemkt.deadlines import DeadlineDistribution
 from storemkt.dispatch import INF_PROXY, Stage
 from storemkt.mdp import (
+    _Groups,
     ExpectedOutcome,
     MarkovPolicy,
     MdpModel,
@@ -75,11 +77,58 @@ def enumerated_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
 
 
+def group_by_sum(
+    state: np.ndarray, post: np.ndarray, sigma: np.ndarray
+) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
+    """Group (state, post-decision id) pairs by sum: per distinct sum,
+    ascending, (sigma, rows, ranks).  ``rows`` lists the states having such
+    an action, those with the most first; ``ranks[r]`` holds the r-th such
+    action's post-decision id for ``rows[: len(ranks[r])]``."""
+    keys, inv = np.unique(sigma, return_inverse=True)
+    out = []
+    for j, key in enumerate(keys):
+        order = np.flatnonzero(inv == j)
+        order = order[np.argsort(state[order], kind="stable")]
+        rows, first, counts = np.unique(state[order], return_index=True, return_counts=True)
+        most = np.argsort(-counts, kind="stable")
+        rows, first, counts = rows[most], first[most], counts[most]
+        ranks = [post[order[first[counts > r] + r]] for r in range(int(counts[0]))]
+        out.append((float(key), rows, ranks))
+    return out
+
+
+def group_triples(groups: list[tuple[float, np.ndarray, list[np.ndarray]]]) -> list[tuple]:
+    """The (sum, state, post-decision id) triples of ``group_by_sum``'s
+    groups, sorted."""
+    return sorted(
+        (sigma, int(row), int(q[r]))
+        for sigma, rows, ranks in groups
+        for q in ranks
+        for r, row in enumerate(rows[: len(q)])
+    )
+
+
+def runs(groups: _Groups) -> list[tuple[int, int, list[int]]]:
+    """The runs of flat groups, in order: (sum index, state, post-decision
+    ids)."""
+    ends = groups.starts.tolist()[1:] + [len(groups.posts)]
+    return [
+        (cell // groups.n_rows, cell % groups.n_rows, groups.posts[a:z].tolist())
+        for cell, a, z in zip(groups.cells.tolist(), groups.starts.tolist(), ends)
+    ]
+
+
+def run_triples(groups: _Groups) -> list[tuple]:
+    """The (sum, state, post-decision id) triples of flat groups, sorted."""
+    sums = groups.sums.tolist()
+    return sorted((sums[k], row, q) for k, row, posts in runs(groups) for q in posts)
+
+
 def min_over_actions(
     market: MarketModel,
     slot: int,
     post: np.ndarray,
-    groups: list[tuple[float, np.ndarray, list[np.ndarray]]],
+    groups: _Groups,
     blocks: Stage,
     n_rows: int,
 ) -> np.ndarray:
@@ -88,8 +137,8 @@ def min_over_actions(
     ``market``.  Blocks are either all ``(g, None)`` or all carry parents.
 
     Works through the columns in chunks of about ``dispatch.CHUNK_ELEMS``
-    values, read per call; the per-sum minima take the min over each rank
-    of actions in turn.
+    values, read per call; the per-sum minima take the min over a run's
+    actions one at a time.
     """
     spans = [(g, 0, post.shape[1]) for g, _ in blocks]
     if any(parents is not None for _, parents in blocks):
@@ -100,8 +149,11 @@ def min_over_actions(
     demand = market.demand[slot - 1]
     costs = [
         [market.reserve_cost_at(slot, demand + sigma - g) for g, _, _ in spans]
-        for sigma, _, _ in groups
+        for sigma in groups.sums.tolist()
     ]
+    by_sum: list[list[tuple[int, list[int]]]] = [[] for _ in costs]
+    for k, row, posts in runs(groups):
+        by_sum[k].append((row, posts))
     live = [k for k, row in enumerate(costs) if any(c != math.inf for c in row)]
     out = np.empty((n_rows, sum(hi - lo for _, lo, hi in spans)))
     step = max(dispatch.CHUNK_ELEMS // n_rows, 1)
@@ -111,12 +163,11 @@ def min_over_actions(
         c1 = min(c0 + step, width)
         chunk = post[:, c0:c1]
         for j, k in enumerate(live):
-            _, rows, ranks = groups[k]
-            least = chunk[ranks[0]]
-            for posts in ranks[1:]:
-                part = least[: len(posts)]
-                np.minimum(part, chunk[posts], out=part)
-            best[j, rows, : c1 - c0] = least
+            for row, posts in by_sum[k]:
+                least = chunk[posts[0]].copy()
+                for q in posts[1:]:
+                    np.minimum(least, chunk[q], out=least)
+                best[j, row, : c1 - c0] = least
         off = 0
         for b, (_, lo, hi) in enumerate(spans):
             a, z = max(lo, c0), min(hi, c1)

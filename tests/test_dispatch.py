@@ -784,12 +784,7 @@ def test_singleton_classes_price_like_the_product_space():
         assert np.array_equal(counts.total_charge, product.total_charge)
         state, post, _ = product.action_pairs()
         pairs = {(int(s), int(p)) for s, p in zip(state, post)}
-        grouped = {
-            (int(r), int(q[k]))
-            for _, rows, ranks in counts.action_groups
-            for q in ranks
-            for k, r in enumerate(rows[: len(q)])
-        }
+        grouped = {(row, q) for _, row, posts in reference.runs(counts.action_groups) for q in posts}
         assert grouped == pairs
         lumped = _batched_inner_values(market, counts, _grid_stages(levels))
         unlumped = _batched_inner_values(market, singles, _grid_stages(levels))
@@ -1005,7 +1000,7 @@ def _windowed(market, specs, bids, levels, window: float):
     """``market`` with reserves priced only for mismatches within
     +-``window`` kWh: every other mismatch costs +inf, so many rows of the
     pass sit at INF_PROXY."""
-    sums = [x for x, _, _ in CountSpace(specs, bids).action_groups]
+    sums = CountSpace(specs, bids).action_groups.sums.tolist()
     slots = []
     for slot, lt in enumerate(levels, 1):
         mismatches = {market.demand[slot - 1] + x - g for x in sums for g in lt}
@@ -1152,7 +1147,7 @@ def test_min_over_actions_equals_the_reference_loop(case, slot, width, grid, chu
     else:
         blocks = [(g, rng.integers(0, width, rng.integers(1, 2 * width + 1))) for g in gs]
     with mock.patch.object(dispatch, "CHUNK_ELEMS", chunk):
-        costs = dispatch._reserve_table(market, slot, [sigma for sigma, _, _ in groups], gs)
+        costs = dispatch._reserve_table(market, slot, groups.sums, gs)
         got = dispatch._min_over_actions(costs, post.copy(), groups, blocks, n_rows)
         want = reference.min_over_actions(market, slot, post.copy(), groups, blocks, n_rows)
     assert got.shape == want.shape and (got == want).all()
@@ -1174,12 +1169,14 @@ def test_plan_scores_are_dispatch_cost_plus_inner_bit_for_bit(monkeypatch):
     # every _price_plans call, on beam depths, explicit candidates and the
     # near-tie re-pricing of a lumped grid, scores each plan as
     # market.generator_cost(plan + tail) + its inner value, bit for bit,
-    # under a linear generator and a table one that lacks some levels
+    # under a linear generator and a table one that lacks some levels; the
+    # inner value is priced here by one full pass from the terminal layer,
+    # where a beam depth starts from the tail layers its solve formed
     calls = []
     price = dispatch._price_plans
 
-    def spy(market, space, plans, tail=()):
-        scored = price(market, space, plans, tail)
+    def spy(market, space, plans, tail=(), *shared):
+        scored = price(market, space, plans, tail, *shared)
         calls.append((market, space, plans, tuple(tail), scored))
         return scored
 
@@ -1227,13 +1224,13 @@ def test_beam_depth_holds_its_values_plus_chunked_temporaries(monkeypatch):
     # per charge sum a chunk's minima and one output chunk's broadcast sum;
     # the chunk's gathered action values and their per-row minima
     chunked = 8 * (
-        (2 * len(groups) + 1) * max(dispatch.CHUNK_ELEMS, n)
-        + 2 * max(dispatch.CHUNK_ELEMS, len(groups.flat[0]))
+        (2 * len(groups.sums) + 1) * max(dispatch.CHUNK_ELEMS, n)
+        + 2 * max(dispatch.CHUNK_ELEMS, len(groups.posts))
     )
     measured = []
     batched = dispatch._batched_inner_values
 
-    def traced(market, space, stages):
+    def traced(market, space, stages, *shared):
         widths = [1]  # layer T, then layer t-1 as slot t forms it
         for stage in stages[::-1]:
             widths.append(sum(widths[-1] if p is None else len(p) for _, p in stage))
@@ -1245,7 +1242,7 @@ def test_beam_depth_holds_its_values_plus_chunked_temporaries(monkeypatch):
         )
         tracemalloc.start()
         try:
-            inner = batched(market, space, stages)
+            inner = batched(market, space, stages, *shared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1256,3 +1253,24 @@ def test_beam_depth_holds_its_values_plus_chunked_temporaries(monkeypatch):
     _solve_beam(grid_levels(s.market, s.specs, s.solver), s.market, space, 8)
     assert len(measured) == s.market.horizon
     assert all(0 < peak <= bound for peak, bound in measured), measured
+
+
+def test_beam_forms_each_tail_layer_once(monkeypatch):
+    # a beam solve forms the greedy tail's T-1 layers once, then depth d
+    # runs slots d..1 only: (T - 1) + T(T + 1)/2 slot passes, 19 at T = 5
+    passes = []
+    expect = CountSpace.expect
+
+    def counted(space, slot, values):
+        passes.append(slot)
+        return expect(space, slot, values)
+
+    monkeypatch.setattr(CountSpace, "expect", counted)
+    for s in (_mixed_setup(2, 7), _mixed_setup(3, 11), _table1_fleet(3, "C")):
+        passes.clear()
+        solve_outer(s.params, SolverConfig(mode="beam"), s.market, s.specs)
+        horizon = s.market.horizon
+        assert len(passes) == (horizon - 1) + horizon * (horizon + 1) // 2 == 19
+        tail = list(range(horizon, 1, -1))
+        depths = [slot for d in range(1, horizon + 1) for slot in range(d, 0, -1)]
+        assert passes == tail + depths

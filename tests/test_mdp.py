@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storemkt import mdp
 from storemkt.costs import MarketModel, asym_lin_quad, linear, table
@@ -26,6 +28,7 @@ from storemkt.mdp import (
 )
 from storemkt.scenarios import random_small_instance
 
+import reference
 from reference import enumerated_outcome, transition_prob
 
 UNIFORM5 = DeadlineDistribution((0.2,) * 5)
@@ -352,28 +355,69 @@ def test_spec_tables_are_shared_read_only_and_freed():
     (cells, hazards), (other_cells, other_hazards) = pair._classes[0], other_pair._classes[0]
     assert cells is other_cells and hazards != other_hazards
     assert pair.action_groups is not one.action_groups
-    # the shared groups are the ones a fresh build gives; with one EV per
-    # class, from the reference space's own pairs
+    # the shared groups hold the pairs a reference grouping gives; with one
+    # EV per class, of the reference space's own pairs
     state, post, sigma = StateSpace(specs, (UNIFORM5, UNIFORM5)).action_pairs()
-    fresh = mdp._group_by_sum(state, post, sigma)
-    assert [g[0] for g in fresh] == [g[0] for g in one.action_groups]
-    for (_, rows, ranks), (_, rows2, ranks2) in zip(fresh, one.action_groups):
-        assert np.array_equal(rows, rows2)
-        assert all(np.array_equal(a, b) for a, b in zip(ranks, ranks2, strict=True))
-    _, rows, ranks = one.action_groups[0]
+    fresh = reference.group_by_sum(state, post, sigma)
+    assert [g[0] for g in fresh] == one.action_groups.sums.tolist()
+    assert reference.group_triples(fresh) == reference.run_triples(one.action_groups)
+    groups = one.action_groups
+    for table in (groups.sums, groups.posts, groups.starts, groups.cells):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
     with pytest.raises(ValueError, match="read-only"):
-        rows[0] = 1
-    with pytest.raises(ValueError, match="read-only"):
-        one.initial_groups[0][2][0][0] = 1
+        one.initial_groups.posts[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         cells.cells[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         cells.departures[0][0][2][0, 0] = 1
     # the cache holds the groups only while a space does
     held = [weakref.ref(x) for x in (one.action_groups, one.initial_groups, pair.action_groups)]
-    del one, other, pair, other_pair, rows, ranks
+    del one, other, pair, other_pair, groups, table
     gc.collect()
     assert [ref() for ref in held] == [None] * 3
+
+
+@st.composite
+def class_layouts(draw):
+    """(specs, bids, lump) of a space: unlike EVs, a lumped fleet with a
+    class of two or more EVs and a 3-level EV, or no EV at all."""
+    kind = draw(st.sampled_from(["unlike", "lumped", "empty"]))
+    if kind == "empty":
+        return (), (), draw(st.booleans())
+    pool = [EVSpec(10.0, (0.0, 10.0)), EVSpec(10.0, (0.0, 5.0, 10.0)), EVSpec(4.0, (0.0, 1.5))]
+    skewed = DeadlineDistribution((0.1, 0.2, 0.3, 0.2, 0.2))
+    if kind == "unlike":
+        picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3))
+        return tuple(pool[k] for k in picks), (UNIFORM5, skewed, UNIFORM5)[: len(picks)], False
+    many = draw(st.integers(2, 3))
+    specs = [pool[draw(st.sampled_from([0, 2]))]] * many + [pool[1]] * draw(st.integers(1, 2))
+    order = draw(st.permutations(range(len(specs))))
+    return tuple(specs[k] for k in order), (UNIFORM5,) * len(specs), True
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_layouts())
+def test_flat_groups_hold_the_reference_grouping(layout):
+    # every run holds one (sum, state) cell's actions, and the runs hold
+    # exactly the triples of the reference grouping of the space's pairs;
+    # the initial groups are the runs from state 0, in sum order
+    specs, bids, lump = layout
+    space = CountSpace(specs, bids, lump=lump)
+    groups = space.action_groups
+    tables = [c.move_table for c, _ in space._classes]
+    pairs = mdp._product_pairs(space.n_states, space._digits, tables)
+    fresh = reference.group_by_sum(*pairs)
+    assert groups.sums.tolist() == [g[0] for g in fresh]
+    assert groups.n_rows == space.n_states
+    assert reference.run_triples(groups) == reference.group_triples(fresh)
+    runs = reference.runs(groups)
+    assert len({(k, row) for k, row, _ in runs}) == len(runs)
+    assert all(len(set(posts)) == len(posts) > 0 for _, _, posts in runs)
+    initial = space.initial_groups
+    assert initial.n_rows == 1 and initial.cells.tolist() == list(range(len(initial.sums)))
+    from_state0 = [(groups.sums[k], posts) for k, row, posts in runs if row == 0]
+    assert [(initial.sums[k], posts) for k, _, posts in reference.runs(initial)] == from_state0
 
 
 def test_row_sums_are_the_one_dimensional_sums():

@@ -590,3 +590,15 @@ def test_run_horizon_rejects_fixed_slots_outside_the_day():
                 s.market, s.specs, s.params, strategies, 5, 0,
                 s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 6), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_profile_index_is_the_row_unique(n_evs, horizon, days, seed):
+    # run_horizon's per-day profile codes give np.unique's sorted rows and
+    # inverse, with no EV as well
+    reports = np.random.default_rng(seed).integers(1, horizon + 1, (n_evs, days))
+    profiles, inverse = np.unique(reports.T, axis=0, return_inverse=True)
+    got, got_inverse = simulate._profile_index(reports, horizon)
+    assert got.dtype == profiles.dtype and np.array_equal(got, profiles)
+    assert np.array_equal(got_inverse, inverse.reshape(days))
