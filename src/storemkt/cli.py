@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, emit, load_setup, parse, validate_config
+from .config import ConfigError, each_cause_once, emit, load_setup, parse, validate_config
 from .deadlines import make_rng
 from .dispatch import (
     GridTooLarge,
@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with each_cause_once():
+            return args.func(args)
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)

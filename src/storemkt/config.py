@@ -9,10 +9,12 @@ share one builder, so a config that validates also loads.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 from .costs import CostForm, MarketModel, asym_lin_quad, linear, table
 from .deadlines import DEFAULT_FLOOR, DeadlineDistribution
@@ -26,6 +28,26 @@ log = logging.getLogger("storemkt")
 RATE_UNITS = "USD_per_MWh"
 COST_FORMS = ("linear", "asym_lin_quad", "table")
 RULE_KINDS = ("truthful", "early_exit", "fixed", "histogram_match")
+
+
+@contextlib.contextmanager
+def each_cause_once() -> Iterator[None]:
+    """Within the block, log each config warning cause once: a run that
+    loads many configs (``experiment fig2``) reports a cause on its first
+    config only.  Records without a ``cause`` all pass."""
+    seen: set[str | None] = set()
+
+    def first(record: logging.LogRecord) -> bool:
+        cause = getattr(record, "cause", None)
+        repeat = cause in seen
+        seen.add(cause)
+        return cause is None or not repeat
+
+    log.addFilter(first)
+    try:
+        yield
+    finally:
+        log.removeFilter(first)
 
 
 class ConfigError(ValueError):
@@ -238,7 +260,9 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
     norm["evs"] = norm_evs
     if zero_floor:
         log.warning(
-            "%s: probability floor 0 accepted (preset exception)", ", ".join(zero_floor)
+            "%s: probability floor 0 accepted (preset exception)",
+            ", ".join(zero_floor),
+            extra={"cause": "zero floor"},
         )
 
     mech = norm["mechanism"] = _merged("mechanism", raw, diags)

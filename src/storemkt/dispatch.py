@@ -8,7 +8,7 @@ optimal expected recourse value from the initial state.
 Every plan is priced by one batched backward pass whose columns are
 dispatch tails; the value at layer t depends only on the tail, so tails
 shared by many plans are priced once.  The pass runs on one state space,
-``mdp.CountSpace``.  Each slot is a post-decision step.  The zero-action
+an ``mdp.CountSpace``.  Each slot is a post-decision step.  The zero-action
 expectation runs once over the value array, in place, one class of EVs
 at a time (the kernel never becomes a dense matrix).  An action's
 continuation is then the row of its post-decision state.  The stage cost
@@ -17,12 +17,13 @@ over actions of equal sum first, for a chunk of columns at a time in one
 gather and one ``minimum.reduceat`` over the space's flat runs, one per
 (charge sum, state).  Each output column then adds every sum's reserve
 cost under its dispatch level and takes the min over sums, in one
-broadcast step per chunk of output columns.  The reserve costs come from
-one (charge sum x dispatch level) table per slot, with one
-``reserve_cost_at`` call per distinct mismatch; the exhaustive and the
-beam search build these tables once per solve, and the exhaustive pass
-reads its dominance margin from them too.  Slot 1 takes the min for the
-initial state only.
+broadcast step per chunk of output columns.  Every cost comes from one
+table per slot (``_CostTables``), built once per solve: each dispatch
+level's generator cost, and a (charge sum x dispatch level) table of
+reserve costs with one ``reserve_cost_at`` call per distinct mismatch.
+The passes, the beam's greedy tail, every plan's dispatch cost and the
+exhaustive pass's dominance margin read them.  Slot 1 takes the min for
+the initial state only.
 
 The exhaustive search prices the whole grid in one such pass, and drops
 dominated tails as it goes (Morin & Marsten, *Oper. Res.* 24(4), 1976;
@@ -63,14 +64,16 @@ every EV is its own class, so lumped rounding cannot reorder near-tied
 prefixes.
 
 Every search mode ends alike: the winning plan is re-solved by the
-reference recursion (``mdp.solve_dp``) on the joint states of
-``mdp.StateSpace``, lumped or not, which also yields its policy, and the
-two values must agree; disagreement is a bug, not a tolerance question.
-The reference is table-driven too, but it encodes the kernel
-differently: it lists every (state, action) pair and each post-decision
-state's successors explicitly and minimises per (state, action), where
-the pricing here applies ``expect`` class by class and takes its min
-over equal-sum actions.  So the cross-check compares two encodings.
+reference recursion (``mdp.solve_dp``) on the joint states of an
+``mdp.StateSpace``, which also yields its policy, and the two values must
+agree; disagreement is a bug, not a tolerance question.  A solve builds
+that space once: every pass that does not lump, the near-tie re-pricing
+included, prices on it too.  The reference is table-driven too, but it
+encodes the kernel differently: it lists every (state, action) pair and
+each post-decision state's successors explicitly and minimises per
+(state, action), where the pricing here applies ``expect`` class by class
+and takes its min over equal-sum actions.  So the cross-check compares
+two encodings.
 """
 from __future__ import annotations
 
@@ -218,10 +221,11 @@ class SolverConfig:
 class SolveResult:
     """The winning plan with its policy, plus the model it was solved on,
     so callers never rebuild it; the policy carries its state space.
-    ``pricing`` is the space the winner was priced on: while the result
-    lives, solves on the same class layout share its tables.  Both spaces
-    hold index tables and hazards only; no batched value array outlives
-    the search."""
+    ``pricing`` is the space the winner was priced on: the policy's space,
+    or the lumped ``CountSpace`` of a grid with repeats.  While the result
+    lives, solves on the same class layout share its tables.  Spaces hold
+    index tables and hazards only; no batched value array outlives the
+    search."""
 
     g_star: tuple[float, ...]
     q_star: float
@@ -283,22 +287,14 @@ def beta_bar(
     return market.generator_cost(g) + values.v0()
 
 
-def _greedy_tail(market: MarketModel, levels: list[list[float]], start_slot: int) -> list[float]:
-    """Storage-blind completion: per slot, the level with the cheapest
-    dispatch-plus-mismatch cost, ties to the smaller level."""
-    tail = []
-    for slot in range(start_slot, market.horizon + 1):
-        best = None
-        best_cost = math.inf
-        for g in levels[slot - 1]:
-            c = market.generator.cost(slot, g) + market.reserve_cost_at(
-                slot, market.demand[slot - 1] - g
-            )
-            if c < best_cost:
-                best_cost = c
-                best = g
-        tail.append(best if best is not None else levels[slot - 1][0])
-    return tail
+def _greedy_tail(tables: _CostTables, start_slot: int) -> list[float]:
+    """Storage-blind completion from ``start_slot``: per slot, the level
+    with the cheapest dispatch cost plus the reserve cost of the zero
+    charge sum, ties to the earlier (smaller) level."""
+    return [
+        lt[int(np.argmin(gen + reserve[tables.zero]))]
+        for lt, gen, reserve in zip(tables.levels, tables.gen, tables.reserve)
+    ][start_slot - 1 :]
 
 
 #: slot t's column blocks: (dispatch g, parent layer-t columns or None for all)
@@ -333,7 +329,7 @@ def _batched_inner_values(
     space: CountSpace,
     stages: list[Stage],
     layer: np.ndarray | None = None,
-    reserve: _ReserveTables | None = None,
+    tables: _CostTables | None = None,
 ) -> np.ndarray:
     """Inner DP value v0 for a batch of dispatch plans, suffix-shared.
 
@@ -344,16 +340,16 @@ def _batched_inner_values(
     lexicographic product order.  The pass runs slots len(stages)..1 from
     a copy of ``layer``, the value layer after slot len(stages) (default:
     the terminal layer, when the stages cover every slot), one
-    ``_step`` each.  Its reserve costs come from ``reserve``, or else from
+    ``_step`` each.  Its reserve costs come from ``tables``, or else from
     tables built over the stages' dispatch levels.  Returns the flat
     layer-0 row; entries at or above INF_THRESHOLD mean no finite-cost
     policy exists.
     """
-    if reserve is None:
-        reserve = _ReserveTables(market, space, [[g for g, _ in stage] for stage in stages])
+    if tables is None:
+        tables = _CostTables(market, space, [[g for g, _ in stage] for stage in stages])
     v = _terminal(market, space) if layer is None else layer.copy()
     for slot in range(len(stages), 0, -1):
-        v = _step(space, reserve, slot, v, stages[slot - 1])
+        v = _step(space, tables, slot, v, stages[slot - 1])
     return v[0]
 
 
@@ -363,7 +359,7 @@ def _terminal(market: MarketModel, space: CountSpace) -> np.ndarray:
 
 
 def _step(
-    space: CountSpace, reserve: _ReserveTables, slot: int, v: np.ndarray, blocks: Stage
+    space: CountSpace, tables: _CostTables, slot: int, v: np.ndarray, blocks: Stage
 ) -> np.ndarray:
     """Layer slot-1 from the layer ``v`` after ``slot``, one post-decision
     step: the zero-action expectation ``space.expect`` runs once, in place
@@ -374,7 +370,7 @@ def _step(
     only."""
     groups = space.action_groups if slot > 1 else space.initial_groups
     n_rows = space.n_states if slot > 1 else 1
-    costs = reserve.costs(slot, [g for g, _ in blocks])
+    costs = tables.costs(slot, [g for g, _ in blocks])
     return _min_over_actions(costs, space.expect(slot, v), groups, blocks, n_rows)
 
 
@@ -390,22 +386,33 @@ def _reserve_table(
     return np.array([cost[m] for m in flat], dtype=float).reshape(mismatch.shape)
 
 
-class _ReserveTables:
-    """Each slot's ``_reserve_table`` over every action charge sum of a
-    space and the slot's dispatch ``levels``, built once; every pass of a
-    solve reads its costs from them."""
+class _CostTables:
+    """Each slot's costs over its dispatch ``levels``, built once per solve:
+    the generator cost of every level (``gen``) and the ``_reserve_table``
+    over every action charge sum of a space (``reserve``).  Every pass of a
+    solve, its greedy tail and its plans' dispatch costs read them."""
 
     def __init__(self, market: MarketModel, space: CountSpace, levels: Sequence[Sequence[float]]):
         sums = space.action_groups.sums
-        self.tables = [_reserve_table(market, slot, sums, lt) for slot, lt in enumerate(levels, 1)]
+        self.levels = levels
+        self.gen = [
+            np.array([market.generator.cost(slot, g) for g in lt], dtype=float)
+            for slot, lt in enumerate(levels, 1)
+        ]
+        self.reserve = [_reserve_table(market, slot, sums, lt) for slot, lt in enumerate(levels, 1)]
         self._column = [{g: k for k, g in enumerate(lt)} for lt in levels]
-        # the initial groups' sums are some of the action sums
+        # the zero action is every state's, and the initial groups' sums
+        # are some of the action sums
+        self.zero = int(np.searchsorted(sums, 0.0))
         self._initial = np.searchsorted(sums, space.initial_groups.sums)
 
+    def columns(self, slot: int, dispatch: Sequence[float]) -> list[int]:
+        return [self._column[slot - 1][g] for g in dispatch]
+
     def costs(self, slot: int, dispatch: Sequence[float]) -> np.ndarray:
-        """The (sum x level) costs of ``slot``'s groups under ``dispatch``."""
-        table = self.tables[slot - 1] if slot > 1 else self.tables[0][self._initial]
-        return table[:, [self._column[slot - 1][g] for g in dispatch]]
+        """The (sum x level) reserve costs of ``slot``'s groups under ``dispatch``."""
+        table = self.reserve[slot - 1] if slot > 1 else self.reserve[0][self._initial]
+        return table[:, self.columns(slot, dispatch)]
 
 
 def _min_over_actions(
@@ -457,12 +464,12 @@ def _min_over_actions(
 
 def _space_bytes(specs: Sequence[EVSpec]) -> int:
     """Peak bytes of the joint-state tables of ``specs``, from the level
-    counts alone: ``StateSpace``'s charge table, total charge and per-EV
-    digits, and the digits and total charge of an unlumped ``CountSpace``
-    (8 bytes × (3·n_evs + 2) per joint state), the pair table of
-    ``StateSpace.action_pairs`` (a connected EV may move to any level, a
-    disconnected one stays), and the successor tables ``mdp.solve_dp``
-    reads it with."""
+    counts alone: ``StateSpace``'s charge table, per-EV digits and total
+    charge (2·n_evs + 1 values per joint state), counted with n_evs + 1
+    values of slack (8 bytes × (3·n_evs + 2) per joint state), the pair
+    table of ``StateSpace.action_pairs`` (a connected EV may move to any
+    level, a disconnected one stays), and the successor tables
+    ``mdp.solve_dp`` reads it with."""
     n_states = math.prod(2 * len(s.levels) for s in specs)
     n_pairs = math.prod(len(s.levels) ** 2 + len(s.levels) for s in specs)
     successors = SUCCESSOR_BYTES * n_states * 2 ** len(specs)
@@ -470,23 +477,19 @@ def _space_bytes(specs: Sequence[EVSpec]) -> int:
 
 
 def _prune_margin(
-    market: MarketModel,
-    space: CountSpace,
-    specs: Sequence[EVSpec],
-    gen: list[np.ndarray],
-    reserve: list[np.ndarray],
+    market: MarketModel, space: CountSpace, specs: Sequence[EVSpec], tables: _CostTables
 ) -> tuple[float, float]:
     """The dominance margin m of the exhaustive pass and the bound H above
     which a cost stems from INF_PROXY (see PRUNE_ROUNDING).
 
     S, the bound on every cost a grid plan sums from finite terms, adds
-    per slot the largest finite dispatch cost over the levels (``gen``)
-    and the largest finite reserve cost over every level and action charge
-    sum (``reserve``, the slot's ``_reserve_table`` the pass reads) to the
-    largest terminal credit.
+    per slot the largest finite dispatch cost over the levels and the
+    largest finite reserve cost over every level and action charge sum,
+    both as the pass reads them from ``tables``, to the largest terminal
+    credit.
     """
     scale = market.ev_energy_value * float(np.max(np.abs(space.total_charge)))
-    for costs in itertools.chain.from_iterable(zip(gen, reserve)):
+    for costs in itertools.chain.from_iterable(zip(tables.gen, tables.reserve)):
         finite = np.abs(costs[np.isfinite(costs)])
         scale += float(finite.max()) if finite.size else 0.0
     n_levels = max((len(s.levels) for s in specs), default=1)
@@ -603,13 +606,9 @@ def _price_grid(
     order, ascending) and the cost of every plan that reaches slot 1: its
     dispatch cost summed from slot 1 on, plus its inner value.
     """
-    gen = [
-        np.array([market.generator.cost(slot, g) for g in lt], dtype=float)
-        for slot, lt in enumerate(levels, 1)
-    ]
-    reserve = _ReserveTables(market, space, levels)
-    margin, high = _prune_margin(market, space, specs, gen, reserve.tables)
-    gen = [np.minimum(costs, INF_PROXY) for costs in gen]
+    tables = _CostTables(market, space, levels)
+    margin, high = _prune_margin(market, space, specs, tables)
+    gen = [np.minimum(costs, INF_PROXY) for costs in tables.gen]
     v = _terminal(market, space)
     # each kept tail's flat index among all tails, ascending, and its
     # dispatch cost
@@ -630,7 +629,7 @@ def _price_grid(
                 f"{need / 2**30:.1f} GiB at slot {slot}, {width} dispatch tails "
                 f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use beam search"
             )
-        v = _step(space, reserve, slot, v, [(g, None) for g in levels[slot - 1]])
+        v = _step(space, tables, slot, v, [(g, None) for g in levels[slot - 1]])
         level = np.repeat(np.arange(n_levels), len(tails))
         tails = level * stride + np.tile(tails, n_levels)
         tail_gen = gen[slot - 1][level] + np.tile(tail_gen, n_levels)
@@ -651,29 +650,32 @@ def _price_plans(
     plans: Sequence[tuple[float, ...]],
     tail: Sequence[float] = (),
     layer: np.ndarray | None = None,
-    reserve: _ReserveTables | None = None,
+    tables: _CostTables | None = None,
 ) -> list[tuple[float, tuple[float, ...]]]:
     """Price each plan completed by the shared ``tail`` in one batched
     pass.  ``layer``, when given, is the value layer that ``tail`` leaves
     after the plans' last slot, and the pass runs the plans' own slots
-    only, from a copy of it; ``reserve`` is passed on to
-    ``_batched_inner_values``.  Returns (cost, plan) pairs cheapest first,
-    +inf for plans with no finite-cost policy, ties to the smaller plan."""
+    only, from a copy of it.  Costs come from ``tables``, or else from
+    tables built over the completed plans' levels.  Returns (cost, plan)
+    pairs cheapest first, +inf for plans with no finite-cost policy, ties
+    to the smaller plan."""
+    full = [p + tuple(tail) for p in plans]
+    if tables is None:
+        tables = _CostTables(market, space, [list(dict.fromkeys(c)) for c in zip(*full)])
     stages, cols = _prefix_stages(plans, tail if layer is None else ())
-    inner = _batched_inner_values(market, space, stages, layer, reserve)[cols]
-    q = _dispatch_costs(market, [p + tuple(tail) for p in plans]) + inner
+    inner = _batched_inner_values(market, space, stages, layer, tables)[cols]
+    q = _dispatch_costs(tables, full) + inner
     q[inner >= INF_THRESHOLD] = math.inf
     return sorted(zip(q.tolist(), plans))
 
 
-def _dispatch_costs(market: MarketModel, plans: Sequence[tuple[float, ...]]) -> np.ndarray:
+def _dispatch_costs(tables: _CostTables, plans: Sequence[tuple[float, ...]]) -> np.ndarray:
     """``market.generator_cost`` of every full-length plan, bit for bit:
-    each slot's ``generator.cost`` is taken once per distinct dispatch
-    level, and a plan's terms are added from 0 in slot order."""
+    each slot's generator costs are read from ``tables``, and a plan's
+    terms are added from 0 in slot order."""
     total = np.zeros(len(plans))
     for slot, column in enumerate(zip(*plans), 1):
-        cost = {g: market.generator.cost(slot, g) for g in set(column)}
-        total += [cost[g] for g in column]
+        total += tables.gen[slot - 1][tables.columns(slot, column)]
     return total
 
 
@@ -687,23 +689,23 @@ def _solve_beam(
     it makes with the storage-blind greedy tail.  The tail's value layers
     are formed once, in one backward pass from the terminal layer; depth d
     prices all its extended prefixes in one batched pass over slots d..1,
-    from the layer the tail leaves after slot d.  Every pass reads one set
-    of reserve tables.  Returns the winner, its score and the number of
-    prefixes scored."""
-    tail = _greedy_tail(market, levels, 2)
-    reserve = _ReserveTables(market, space, levels)
+    from the layer the tail leaves after slot d.  Every pass, the tail and
+    every score read one set of cost tables.  Returns the winner, its
+    score and the number of prefixes scored."""
+    tables = _CostTables(market, space, levels)
+    tail = _greedy_tail(tables, 2)
     # layers[t - 1]: the value layer after slot t under the tail's slots
     # t+1..T, one column
     layers = [_terminal(market, space)]
     for slot in range(market.horizon, 1, -1):
-        layers.append(_step(space, reserve, slot, layers[-1].copy(), [(tail[slot - 2], None)]))
+        layers.append(_step(space, tables, slot, layers[-1].copy(), [(tail[slot - 2], None)]))
     layers.reverse()
     prefixes: list[tuple[float, ...]] = [()]
     evaluated = 0
     scored: list[tuple[float, tuple[float, ...]]] = []
     for slot in range(1, market.horizon + 1):
         extended = [p + (g,) for p in prefixes for g in levels[slot - 1]]
-        scored = _price_plans(market, space, extended, tail[slot - 1 :], layers[slot - 1], reserve)
+        scored = _price_plans(market, space, extended, tail[slot - 1 :], layers[slot - 1], tables)
         evaluated += len(extended)
         prefixes = [p for _, p in scored[:width]]
     best_q, best_g = scored[0]
@@ -731,35 +733,33 @@ def solve_outer(
             f"would hold about {need / 2**30:.1f} GiB "
             f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use fewer EVs or fewer charge levels"
         )
+    # unlike fleets price on the joint states the winner is re-solved on
+    space = pricing = StateSpace(specs, bids)
     if config.candidates is not None:
         candidates = config.candidates
         if not candidates:
             raise InfeasibleModel("every candidate dispatch is infeasible")
         for g in candidates:
             check_dispatch(g, market.horizon)
-        pricing = CountSpace(specs, bids, lump=False)
-        batched_q, g_star = _price_plans(market, pricing, candidates)[0]
+        batched_q, g_star = _price_plans(market, space, candidates)[0]
         if batched_q == math.inf:
             raise InfeasibleModel("every candidate dispatch is infeasible")
         evaluated = len(candidates)
     elif config.mode == "beam":
         levels = grid_levels(market, specs, config)
-        pricing = CountSpace(specs, bids, lump=False)
-        g_star, batched_q, evaluated = _solve_beam(levels, market, pricing, config.beam_width)
+        g_star, batched_q, evaluated = _solve_beam(levels, market, space, config.beam_width)
     else:
         levels = grid_levels(market, specs, config)
-        total = 1
-        for lt in levels:
-            total *= len(lt)
+        total = math.prod(len(lt) for lt in levels)
         if total > config.max_candidates:
             raise GridTooLarge(
                 f"exhaustive grid has {total} candidates "
                 f"(limit {config.max_candidates}); use beam search"
             )
-        # identical EVs price on occupancy counts, everything else on the
-        # joint states the winner is re-solved on
+        # identical EVs price on occupancy counts
         lumped = len(set(zip(specs, bids))) < len(specs)
-        pricing = CountSpace(specs, bids, lump=lumped)
+        if lumped:
+            pricing = CountSpace(specs, bids)
         flat, q = _price_grid(market, pricing, specs, levels)
         best = int(np.argmin(q))
         if q[best] >= INF_THRESHOLD:
@@ -773,10 +773,10 @@ def solve_outer(
             # the product prices of the near-minimal plans pick the winner;
             # a lone near plan is the product argmin already
             plans = [_unflatten(int(k), levels) for k in near]
-            pricing = CountSpace(specs, bids, lump=False)
-            batched_q, g_star = _price_plans(market, pricing, plans)[0]
+            pricing = space
+            batched_q, g_star = _price_plans(market, space, plans)[0]
     model = MdpModel(market, specs, bids, g_star)
-    values, policy = solve_dp(model, StateSpace(specs, bids))
+    values, policy = solve_dp(model, space)
     q_star = market.generator_cost(g_star) + values.v0()
     if abs(q_star - batched_q) > CROSS_CHECK_TOL:
         raise RuntimeError(
@@ -787,11 +787,8 @@ def solve_outer(
 
 
 def _unflatten(idx: int, levels: list[list[float]]) -> tuple[float, ...]:
-    out = []
-    for lt in reversed(levels):
-        out.append(lt[idx % len(lt)])
-        idx //= len(lt)
-    return tuple(reversed(out))
+    at = np.unravel_index(idx, [len(lt) for lt in levels])
+    return tuple(lt[k] for lt, k in zip(levels, at))
 
 
 def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> float:
@@ -900,7 +897,10 @@ def brute_force_oracle(
     policy can actually reach, and every policy is priced by summing
     realized costs over all deadline profiles.  No value recursion is used
     anywhere, so this is an independent check of the DP solver.  Tiny
-    instances only.
+    instances only.  Its hazards are its own, pmf / survival as is:
+    ``random_tiny_instance`` draws floor-0.05 bids, whose last slot with
+    mass is the last slot, so no connected mass can pass it into a
+    zero-survival layer, where ``mdp._hazards`` sets the hazard to 1.0.
     """
     horizon = market.horizon
     n_evs = len(specs)

@@ -14,29 +14,24 @@ joint ids, never re-resolving a float charge to a level.
 
 Connectivity evolves by the hazard implied by the EV's deadline
 distribution: an EV still connected at the end of slot t-1 disconnects at
-the end of slot t with probability pmf(t) / P(deadline >= t).  Each
-space computes these hazards once.  States whose survival
-probability is exactly zero are unreachable; the solver assigns them +inf
-and skips them, and explicit kernel queries on them raise.
+the end of slot t with probability pmf(t) / P(deadline >= t), and surely
+from its last slot with mass on if its bid has a zero tail.  Each space
+computes these hazards once.  States whose survival probability is
+exactly zero are unreachable; the solver assigns them +inf and skips
+them, and explicit kernel queries on them raise.
 
 An action only moves EVs to their target levels; the hazard then acts on
 the resulting *post-decision* state.  So the kernel of every action is
-the zero-action kernel read at the post-decision row.  Two spaces encode
-that kernel.  ``StateSpace`` holds the reference's explicit tables: every
-(state, action) pair with its post-decision id (``action_pairs``), and
-per slot each post-decision state's successors (``successor_table``).
-``solve_dp``, ``expected_outcome``, the policies and every rollout read
-those.  ``CountSpace`` is the one space of the batched pricing in
-``dispatch``, which applies the kernel once per slot, in place.  Its
-(state, action) pairs are held only as flat runs, one per (charge sum,
-state), in the form the batched kernel reads (``_Groups``).
-
-EVs with the same spec and bid are exchangeable, so the joint chain lumps
-exactly onto occupancy counts: how many EVs of each such class sit in
-each (connected, level) cell.  ``CountSpace`` is that lumped chain, or,
-with every EV its own class, the product chain on ``StateSpace``'s joint
-ids.  ``dispatch`` lumps only the exhaustive grid of a fleet in which
-some class repeats.
+the zero-action kernel read at the post-decision row.  EVs with the same
+spec and bid are exchangeable, so the joint chain lumps exactly onto
+occupancy counts: how many EVs of each such class sit in each
+(connected, level) cell.  ``CountSpace`` is that lumped chain, and
+``StateSpace`` the product chain on joint ids, every EV its own class.
+Both list their (state, action) pairs by one definition (``action_pairs``).
+The batched pricing in ``dispatch`` reads them as flat runs, one per
+(charge sum, state) (``_Groups``), and applies the kernel in place
+(``expect``); the reference ``solve_dp`` reads them as one table, plus
+each post-decision state's successors (``successor_table``).
 
 ``rollout`` unrolls one report profile.  ``support_costs`` unrolls every
 profile on the beliefs' support at once, as arrays of joint ids, with the
@@ -157,139 +152,6 @@ def system_cost(
     return generator_cost + reserve_cost - market.ev_energy_value * float(terminal.sum())
 
 
-class StateSpace:
-    """Dense mixed-radix indexing of joint EV states, cached hazards, and
-    the reference's explicit tables.
-
-    Per-EV state ids place connected charge levels first (ascending), then
-    disconnected ones; EV 1 is the most significant digit of the joint id,
-    so joint id 0 is the initial all-connected all-empty state.
-    """
-
-    def __init__(self, specs: Sequence[EVSpec], params: Sequence[DeadlineDistribution]):
-        self.specs = tuple(specs)
-        self.params = tuple(params)
-        self.n_per = [2 * len(s.levels) for s in self.specs]
-        self.n_states, self._digits = _radix_digits(self.n_per)
-        self.horizon = self.params[0].horizon if self.params else None
-        # per-EV charge and connectivity lookup by per-EV id
-        self._charges = [np.array(list(s.levels) * 2) for s in self.specs]
-        self._connected = [
-            np.array([True] * len(s.levels) + [False] * len(s.levels)) for s in self.specs
-        ]
-        # kWh stored per EV for every joint state
-        self.charge_by_ev = np.array(
-            [self._charges[i][self._digits[i]] for i in range(len(self.specs))]
-        ).reshape(len(self.specs), self.n_states)
-        self.total_charge = (
-            self.charge_by_ev.sum(axis=0) if self.specs else np.zeros(self.n_states)
-        )
-        # joint-id step of EV i leaving: connected at level k -> disconnected at k
-        self.leave_step = [
-            len(s.levels) * math.prod(self.n_per[i + 1 :]) for i, s in enumerate(self.specs)
-        ]
-        # P(deadline > t) per EV, and the hazard of leaving during slot t
-        self._survival = [np.maximum(p.survival(), 0.0) for p in self.params]
-        self._hazard = [_hazards(surv, p.pmf) for p, surv in zip(self.params, self._survival)]
-
-    # ---- decoding ------------------------------------------------------
-
-    def decode(self, joint: int) -> tuple[tuple[bool, float], ...]:
-        out = []
-        for i in range(len(self.specs) - 1, -1, -1):
-            n = self.n_per[i]
-            per = joint % n
-            joint //= n
-            out.append((bool(self._connected[i][per]), float(self._charges[i][per])))
-        return tuple(reversed(out))
-
-    @property
-    def initial(self) -> int:
-        return 0
-
-    # ---- validity ------------------------------------------------------
-
-    def valid_mask(self, layer: int) -> np.ndarray:
-        """States with positive probability of existing at the given layer.
-
-        Connected per-EV states are invalid once the EV's survival
-        probability hits exactly zero.  The terminal layer is exempt: the
-        terminal cost is defined everywhere.
-        """
-        mask = np.ones(self.n_states, dtype=bool)
-        if layer >= (self.horizon or 0):
-            return mask
-        for i in range(len(self.specs)):
-            if self._survival[i][layer] <= 0.0:
-                mask &= ~self._connected[i][self._digits[i]]
-        return mask
-
-    # ---- explicit tables -------------------------------------------------
-
-    def action_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (state, action) pair, state-major, each state's actions in
-        target-index product order (EV 1's target varies slowest).
-
-        An action is a target level index per connected EV; a disconnected
-        EV stays.  Its post-decision state keeps every connectivity flag
-        and puts each EV at its target level, so the action's per-EV
-        charge deltas are ``charge_by_ev[:, post] - charge_by_ev[:, state]``.
-        Returns (state, post-decision id, charge sum); the sum adds those
-        deltas EV by EV from 0.0, exactly as ``sum`` over an action tuple.
-        Built on each call, from each EV's one-EV class moves (``_Cells``):
-        the space keeps per-state tables only.
-        """
-        tables = [_cells(spec, 1).move_table for spec in self.specs]
-        return _product_pairs(self.n_states, self._digits, tables)
-
-    def successor_table(
-        self, slot: int, posts: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where post-decision states go at the end of ``slot``: (successor
-        ids, probabilities, counts), one row per id in ``posts`` (default:
-        every joint id), padded to the longest row with id 0 and
-        probability 0.0.
-
-        Each connected EV stays at its level with probability 1 - hazard
-        and leaves at it with the hazard, a zero branch skipped; a
-        disconnected EV stays put.  A row lists its successors in product
-        order over the EVs (EV 1 slowest, stay before leave), each
-        probability multiplied up from 1.0 in EV order.  Connected EVs
-        with zero survival take the hazard stub 1.0; no valid state's
-        action leads there.
-        """
-        posts = np.arange(self.n_states) if posts is None else posts
-        ids = np.zeros((len(posts), 1), dtype=np.intp)
-        probs = np.ones((len(posts), 1))
-        count = np.ones(len(posts), dtype=np.intp)
-        for i, (spec, n) in enumerate(zip(self.specs, self.n_per)):
-            nl = len(spec.levels)
-            hazard = self._hazard[i][slot - 1]
-            digit = self._digits[i][posts]
-            if hazard == 0.0 or hazard == 1.0:
-                # one branch per row, of probability factor 1.0
-                ids = ids * n + np.where(digit < nl, digit + nl * int(hazard), digit)[:, None]
-                continue
-            # each listed successor of a connected row splits into stay, leave
-            stay = ids * n + digit[:, None]
-            width = ids.shape[1]
-            ids = np.repeat(stay, 2, axis=1)
-            ids[:, 1::2] += nl
-            kept = probs
-            probs = np.empty_like(ids, dtype=float)
-            probs[:, 0::2] = kept * (1.0 - hazard)
-            probs[:, 1::2] = kept * hazard
-            # a disconnected row keeps its one branch per successor
-            frozen = digit >= nl
-            ids[frozen, :width] = stay[frozen]
-            probs[frozen, :width] = kept[frozen]
-            count = np.where(frozen, count, 2 * count)
-        pad = np.arange(ids.shape[1]) >= count[:, None]
-        ids[pad] = 0
-        probs[pad] = 0.0
-        return ids, probs, count
-
-
 @dataclass(frozen=True, eq=False)
 class _Groups:
     """Every (state, action) pair of a space grouped by charge sum, as the
@@ -331,12 +193,18 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 def _hazards(survival: np.ndarray, pmf: Sequence[float]) -> list[float]:
-    """P(leave during slot t | connected entering it), index t-1.  A
-    zero-survival slot gets the immediate-disconnect stub 1.0: its
-    connected states carry no mass from any valid state."""
+    """P(leave during slot t | connected entering it), index t-1.  In a bid
+    with a zero tail it is 1.0 from the last slot with mass on, where
+    pmf / survival may round below 1: no connected mass passes that slot
+    into the zero-survival slots.  (After the day's last slot comes the
+    terminal layer, valid everywhere, so there the quotient stays.)  A
+    zero-survival slot gets the same stub: its connected states carry no
+    mass from any valid state."""
+    last = max(t for t, p in enumerate(pmf) if p > 0.0)
+    gone = last + 1 < len(pmf)
     return [
-        min(max(pmf[t] / survival[t], 0.0), 1.0) if survival[t] > 0.0 else 1.0
-        for t in range(len(pmf))
+        1.0 if survival[t] <= 0.0 or (gone and t >= last) else min(max(p / survival[t], 0.0), 1.0)
+        for t, p in enumerate(pmf)
     ]
 
 
@@ -430,8 +298,7 @@ class _Cells:
     ``cells[s]`` counts the class's EVs per cell: connected at each level,
     then disconnected at each level.  States with every EV connected come
     first, so state 0 has all m connected at level 0.  For m = 1 this is
-    ``StateSpace``'s per-EV id order, and ``move_table`` is the per-EV
-    move table of ``StateSpace.action_pairs``.
+    ``StateSpace``'s per-EV id order.
     """
 
     def __init__(self, spec: EVSpec, m: int):
@@ -481,27 +348,28 @@ def _cells(spec: EVSpec, m: int) -> _Cells:
 class CountSpace:
     """The state space of the batched pricing: the fleet's occupancy counts.
 
-    With ``lump``, EVs with equal ``(EVSpec, DeadlineDistribution)`` form a
-    class; without it, every EV is a class of its own.  A class's EVs face
-    one hazard and the stage cost reads only the charge sum, so the joint
-    chain of ``StateSpace`` is exactly lumpable onto the number of a
-    class's EVs in each (connected, level) cell (Kemeny & Snell, *Finite
-    Markov Chains*, 1960; Buchholz, *J. Appl. Prob.* 1994).  m EVs of one
-    class with L levels have C(m + 2L - 1, 2L - 1) count states against
-    (2L)^m product states: 35 against 256 for table1 at n = 4.  An action
-    moves a class's connected EVs to any levels; it is kept once per
-    (state, post-decision counts), its charge sum the charge difference.
+    EVs with equal ``(EVSpec, DeadlineDistribution)`` form a class
+    (``StateSpace`` passes ``lump=False``: every EV a class of its own).  A
+    class's EVs face one hazard and the stage cost reads only the charge
+    sum, so the joint chain of ``StateSpace`` is exactly lumpable onto the
+    number of a class's EVs in each (connected, level) cell (Kemeny &
+    Snell, *Finite Markov Chains*, 1960; Buchholz, *J. Appl. Prob.*
+    1994).  m EVs of one class with L levels have C(m + 2L - 1, 2L - 1)
+    count states against (2L)^m product states: 35 against 256 for table1
+    at n = 4.  An action moves a class's connected EVs to any levels; it is
+    kept once per (state, post-decision counts), its charge sum the charge
+    difference.
 
     The joint id is mixed-radix over the classes, ordered by their first
-    EV, the first most significant; id 0 is the initial state.  With one
-    EV per class the ids are ``StateSpace``'s.  Only the hazards depend on
-    the bids: each class's ``_Cells`` are built once per (spec, m), and
-    spaces of one class layout ((spec, m) per class, in order) share their
-    ``action_groups`` and ``initial_groups``, all read-only.  The groups
-    are flat runs of post-decision ids, one per (charge sum, state), built
-    in one sort of the pair table (``_sum_runs``); the initial groups are
-    the runs from state 0.  They are cheap to build, so they are shared
-    only while some space holds them, not cached across solves.
+    EV, the first most significant; id 0 is the initial state.  Only the
+    survival and hazards depend on the bids: each class's ``_Cells`` are
+    built once per (spec, m), and spaces of one class layout ((spec, m) per
+    class, in order) share their ``action_groups`` and ``initial_groups``,
+    all read-only.  The groups are flat runs of post-decision ids, one per
+    (charge sum, state), built in one sort of the pair table
+    (``_sum_runs``); the initial groups are the runs from state 0.  They are
+    cheap to build, so they are shared only while some space holds them,
+    not cached across solves.
     """
 
     def __init__(
@@ -512,9 +380,11 @@ class CountSpace:
             sizes[key] = sizes.get(key, 0) + 1
         classes = sizes.items() if lump else [(key, 1) for key in zip(specs, params)]
         self._layout = tuple((spec, m) for (spec, _), m in classes)
+        # P(deadline > t) per class, and the hazard of leaving during slot t
+        self._survival = [np.maximum(dist.survival(), 0.0) for (_, dist), _ in classes]
         self._classes = [
-            (_cells(spec, m), _hazards(np.maximum(dist.survival(), 0.0), dist.pmf))
-            for (spec, dist), m in classes
+            (_cells(spec, m), _hazards(survival, dist.pmf))
+            for ((spec, dist), m), survival in zip(classes, self._survival)
         ]
         self.n_states, self._digits = _radix_digits([len(c.cells) for c, _ in self._classes])
         self.total_charge = sum(
@@ -556,19 +426,125 @@ class CountSpace:
                     x[lead + (rows,)] = acc
         return values
 
+    def action_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (state, action) pair, state-major, each state's actions in
+        move order (class 1's move varying slowest; on a ``StateSpace``,
+        target-index order).  An action spreads each class's connected EVs
+        over its levels; a disconnected EV stays.  Returns (state,
+        post-decision id, charge sum), the sum added class by class from
+        0.0, exactly as ``sum`` over a ``StateSpace`` action's deltas
+        ``charge_by_ev[:, post] - charge_by_ev[:, state]``.  Built on each
+        call: the space keeps per-state tables only.
+        """
+        tables = [c.move_table for c, _ in self._classes]
+        return _product_pairs(self.n_states, self._digits, tables)
+
     @cached_property
     def action_groups(self) -> _Groups:
-        """Every (state, action) pair grouped by charge sum (``_sum_runs``)."""
-        tables = [c.move_table for c, _ in self._classes]
+        """``action_pairs`` grouped by charge sum (``_sum_runs``)."""
         return _shared_groups(
-            ("action", self._layout),
-            lambda: _sum_runs(*_product_pairs(self.n_states, self._digits, tables), self.n_states),
+            ("action", self._layout), lambda: _sum_runs(*self.action_pairs(), self.n_states)
         )
 
     @cached_property
     def initial_groups(self) -> _Groups:
         """The runs of ``action_groups`` from the initial state (``_state0_runs``)."""
         return _shared_groups(("initial", self._layout), lambda: _state0_runs(self.action_groups))
+
+
+class StateSpace(CountSpace):
+    """The joint states: the ``CountSpace`` with every EV its own class,
+    plus the tables the reference and the rollouts read.
+
+    Per-EV state ids place connected charge levels first (ascending), then
+    disconnected ones; EV 1 is the most significant digit of the joint id,
+    so joint id 0 is the initial all-connected all-empty state.
+    """
+
+    initial = 0
+
+    def __init__(self, specs: Sequence[EVSpec], params: Sequence[DeadlineDistribution]):
+        super().__init__(specs, params, lump=False)
+        self.specs = tuple(specs)
+        self.params = tuple(params)
+        self.horizon = self.params[0].horizon if self.params else None
+        # kWh stored per EV for every joint state
+        self.charge_by_ev = np.array(
+            [c.charge[d] for (c, _), d in zip(self._classes, self._digits)]
+        ).reshape(len(self.specs), self.n_states)
+        # joint-id step of EV i leaving: connected at level k -> disconnected at k
+        sizes = [len(c.cells) for c, _ in self._classes]
+        self.leave_step = [
+            c.n_levels * math.prod(sizes[i + 1 :]) for i, (c, _) in enumerate(self._classes)
+        ]
+
+    def decode(self, joint: int) -> tuple[tuple[bool, float], ...]:
+        return tuple(
+            (bool(d[joint] < c.n_levels), float(c.charge[d[joint]]))
+            for (c, _), d in zip(self._classes, self._digits)
+        )
+
+    def valid_mask(self, layer: int) -> np.ndarray:
+        """States with positive probability of existing at the given layer.
+
+        Connected per-EV states are invalid once the EV's survival
+        probability hits exactly zero.  The terminal layer is exempt: the
+        terminal cost is defined everywhere.
+        """
+        mask = np.ones(self.n_states, dtype=bool)
+        if layer >= (self.horizon or 0):
+            return mask
+        for (c, _), d, survival in zip(self._classes, self._digits, self._survival):
+            if survival[layer] <= 0.0:
+                mask &= d >= c.n_levels
+        return mask
+
+    def successor_table(
+        self, slot: int, posts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where post-decision states go at the end of ``slot``: (successor
+        ids, probabilities, counts), one row per id in ``posts`` (default:
+        every joint id), padded to the longest row with id 0 and
+        probability 0.0.
+
+        Each connected EV stays at its level with probability 1 - hazard
+        and leaves at it with the hazard, a zero branch skipped; a
+        disconnected EV stays put.  A row lists its successors in product
+        order over the EVs (EV 1 slowest, stay before leave), each
+        probability multiplied up from 1.0 in EV order.  Connected EVs
+        with zero survival take the hazard stub 1.0; no valid state's
+        action leads there.
+        """
+        posts = np.arange(self.n_states) if posts is None else posts
+        ids = np.zeros((len(posts), 1), dtype=np.intp)
+        probs = np.ones((len(posts), 1))
+        count = np.ones(len(posts), dtype=np.intp)
+        for (cls, hazards), digit_of in zip(self._classes, self._digits):
+            n, nl = len(cls.cells), cls.n_levels
+            hazard = hazards[slot - 1]
+            digit = digit_of[posts]
+            if hazard == 0.0 or hazard == 1.0:
+                # one branch per row, of probability factor 1.0
+                ids = ids * n + np.where(digit < nl, digit + nl * int(hazard), digit)[:, None]
+                continue
+            # each listed successor of a connected row splits into stay, leave
+            stay = ids * n + digit[:, None]
+            width = ids.shape[1]
+            ids = np.repeat(stay, 2, axis=1)
+            ids[:, 1::2] += nl
+            kept = probs
+            probs = np.empty_like(ids, dtype=float)
+            probs[:, 0::2] = kept * (1.0 - hazard)
+            probs[:, 1::2] = kept * hazard
+            # a disconnected row keeps its one branch per successor
+            frozen = digit >= nl
+            ids[frozen, :width] = stay[frozen]
+            probs[frozen, :width] = kept[frozen]
+            count = np.where(frozen, count, 2 * count)
+        pad = np.arange(ids.shape[1]) >= count[:, None]
+        ids[pad] = 0
+        probs[pad] = 0.0
+        return ids, probs, count
 
 
 @dataclass
@@ -819,9 +795,7 @@ def expected_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
         # row-major: mass arrives in (state, successor) order
         np.add.at(mu_next, ids[listed], (mu[support][:, None] * probs)[listed])
         mu = mu_next
-    terminal = (
-        space.charge_by_ev @ mu if model.specs else np.zeros(0)
-    )
+    terminal = space.charge_by_ev @ mu
     market = model.market
     total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))

@@ -147,13 +147,6 @@ class EmpiricalRecord:
         return EmpiricalRecord(self.horizon, self.counts.copy(), self.days)
 
 
-def empirical_deviation(record: EmpiricalRecord, phi: DeadlineDistribution) -> np.ndarray:
-    """Per-slot gap between observed report frequencies and the bid."""
-    if record.horizon != phi.horizon:
-        raise ValueError("record and bid horizons differ")
-    return record.frequencies() - np.array(phi.pmf)
-
-
 def max_frequency_gap(counts: np.ndarray, days, pmf: np.ndarray) -> np.ndarray:
     """Worst per-slot gap between report frequencies ``counts / days`` and
     ``pmf``, taken over the last (slot) axis.  ``counts`` may stack many

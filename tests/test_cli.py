@@ -191,6 +191,15 @@ def test_experiment_example1(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def test_experiment_fig2_logs_each_config_warning_once(tmp_path, capsys, caplog):
+    # profile E's bids have floor 0 at every fleet size n = 1..4: one
+    # cause, logged once per run
+    with caplog.at_level("WARNING", logger="storemkt"):
+        assert main(["experiment", "fig2", "--out", str(tmp_path / "fig2")]) == 0
+    zero_floor = [r for r in caplog.records if "floor 0 accepted" in r.getMessage()]
+    assert len(zero_floor) == 1
+
+
 def test_experiment_theorem1(tmp_path, capsys):
     # the two-point underbid is judged on the day the window closes over
     # its 0.02 drift; at the preset's 5,000 days its gain is information

@@ -24,6 +24,7 @@ from storemkt.dispatch import (
     GridTooLarge,
     InfeasibleModel,
     SolverConfig,
+    _CostTables,
     _batched_inner_values,
     _greedy_tail,
     _prefix_stages,
@@ -214,7 +215,7 @@ def test_batched_values_match_reference_on_every_plan():
     # reference recursion
     infeasible = 0
     for market, specs, bids, config in _every_plan_instances():
-        space = CountSpace(specs, bids, lump=False)
+        space = StateSpace(specs, bids)
         levels = grid_levels(market, specs, config)
 
         def reference(plan):
@@ -239,7 +240,7 @@ def test_batched_values_match_reference_on_every_plan():
             assert agrees(got, want), plan
         for depth in range(1, market.horizon + 1):
             prefixes = sorted({plan[:depth] for plan in plans})
-            tail = _greedy_tail(market, levels, depth + 1)
+            tail = _greedy_tail(_CostTables(market, space, levels), depth + 1)
             stages, cols = _prefix_stages(prefixes, tail)
             inner = _batched_inner_values(market, space, stages)
             for prefix, col in zip(prefixes, cols):
@@ -309,7 +310,7 @@ def test_non_dyadic_levels_solve(fleet, mode):
     market = NON_DYADIC_MARKET
     config = SolverConfig(step=0.5, mode=mode)
     res = solve_outer(bids, config, market, specs)
-    space = CountSpace(specs, bids, lump=False)
+    space = StateSpace(specs, bids)
     levels = grid_levels(market, specs, config)
     inner = _batched_inner_values(market, space, _grid_stages(levels))
     idx = 0
@@ -705,8 +706,8 @@ def test_lumped_prices_match_product_prices_on_every_plan():
     for s in _lumpable_setups():
         levels = grid_levels(s.market, s.specs, s.solver)
         counts = CountSpace(s.specs, s.params)
-        product = CountSpace(s.specs, s.params, lump=False)
-        assert counts.n_states < product.n_states == StateSpace(s.specs, s.params).n_states
+        product = StateSpace(s.specs, s.params)
+        assert counts.n_states < product.n_states
         lumped = _batched_inner_values(s.market, counts, _grid_stages(levels))
         exact = _batched_inner_values(s.market, product, _grid_stages(levels))
         infeasible = exact >= INF_THRESHOLD
@@ -748,8 +749,9 @@ def test_pricing_bits_are_frozen():
         specs, bids = tuple(s.specs), tuple(s.params)
         levels = grid_levels(s.market, specs, SolverConfig())
         lumped = len(set(zip(specs, bids))) < len(specs)
-        singles = CountSpace(specs, bids, lump=False)
-        flat, q = _price_grid(s.market, CountSpace(specs, bids, lump=lumped), specs, levels)
+        singles = StateSpace(specs, bids)
+        pricing = CountSpace(specs, bids) if lumped else singles
+        flat, q = _price_grid(s.market, pricing, specs, levels)
         digests["grid"].update(flat.astype(np.int64).tobytes() + q.tobytes())
         g, score, evaluated = _solve_beam(levels, s.market, singles, 8)
         digests["beam"].update(repr((g, score.hex(), evaluated)).encode())
@@ -778,11 +780,10 @@ def test_singleton_classes_price_like_the_product_space():
         assert len(set(zip(specs, bids))) == len(specs)
         levels = grid_levels(market, specs, config)
         counts = CountSpace(specs, bids)
-        singles = CountSpace(specs, bids, lump=False)
+        singles = StateSpace(specs, bids)
         assert counts.action_groups is singles.action_groups
-        product = StateSpace(specs, bids)
-        assert np.array_equal(counts.total_charge, product.total_charge)
-        state, post, _ = product.action_pairs()
+        assert np.array_equal(counts.total_charge, singles.total_charge)
+        state, post, _ = singles.action_pairs()
         pairs = {(int(s), int(p)) for s, p in zip(state, post)}
         grouped = {(row, q) for _, row, posts in reference.runs(counts.action_groups) for q in posts}
         assert grouped == pairs
@@ -793,7 +794,7 @@ def test_singleton_classes_price_like_the_product_space():
 
 def _product_argmin(s) -> tuple[float, ...]:
     levels = grid_levels(s.market, s.specs, s.solver)
-    singles = CountSpace(s.specs, s.params, lump=False)
+    singles = StateSpace(s.specs, s.params)
     inner = _batched_inner_values(s.market, singles, _grid_stages(levels))
     q_flat = _grid_gen_costs(s.market, levels) + inner
     return dispatch._unflatten(int(np.argmin(q_flat)), levels)
@@ -843,16 +844,18 @@ def test_near_ties_are_settled_on_product_prices(monkeypatch):
 
 
 def test_count_space_only_prices_exhaustive_grids_with_repeats(monkeypatch):
-    # every pricing space is a CountSpace; one with a class of two or more
-    # EVs is built only for the exhaustive grid of a fleet with repeats
-    built = []  # the largest class of each space built
+    # every solve builds one joint space, the StateSpace its policy keeps,
+    # and beam, candidate lists and grids without repeats price on it; only
+    # the exhaustive grid of a fleet with repeats also builds a lumped
+    # CountSpace, and its near-tie re-pricing builds no further space
+    built = []
+    init = CountSpace.__init__
 
-    class Spy(CountSpace):
-        def __init__(self, specs, params, lump=True):
-            super().__init__(specs, params, lump)
-            built.append(max((c.m for c, _ in self._classes), default=0))
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(dispatch, "CountSpace", Spy)
+    monkeypatch.setattr(CountSpace, "__init__", spy)
     rng = make_rng(47)
     fleets = []
     while len(fleets) < 3:
@@ -871,14 +874,24 @@ def test_count_space_only_prices_exhaustive_grids_with_repeats(monkeypatch):
         ):
             built.clear()
             try:
-                solve_outer(bids, config, market, specs)
+                res = solve_outer(bids, config, market, specs)
             except InfeasibleModel:
-                pass
+                res = None
             grid = config.mode == "exhaustive" and config.candidates is None
-            assert built, config  # every mode prices on a CountSpace
-            assert [m for m in built if m > 1] == ([3] if repeats and grid else []), config
+            assert [type(x) for x in built] == [StateSpace] + [CountSpace] * (repeats and grid)
+            assert [max(c.m for c, _ in x._classes) for x in built[1:]] == [3] * len(built[1:])
+            if res is not None:
+                assert res.policy.space is built[0] and res.pricing is built[-1]
             runs += 1
     assert runs == 12
+    # lumped prices jittered past a widened tie tolerance: the near-tie
+    # plans are re-priced on the policy's space
+    monkeypatch.setattr(dispatch, "_price_grid", _jittered(5e-3))
+    monkeypatch.setattr(dispatch, "LUMP_TIE_TOL", 2e-2)
+    built.clear()
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    assert [type(x) for x in built] == [StateSpace, CountSpace]
+    assert res.pricing is res.policy.space is built[0]
 
 
 def _table1_like_evs(shared: bool, n: int = 7):
@@ -929,9 +942,9 @@ def test_oversized_joint_space_fails_by_name_in_every_mode(monkeypatch):
 
     s = _table1_like_evs(shared=False, n=11)
     assert len(set(s.params)) == 11
-    # 4**11 joint states (1.1 GiB of tables, the reference's and the
-    # pricing's), 6**11 (state, action) pairs (27 GiB while they are built)
-    # and 8**11 listed successors
+    # 4**11 joint states (1.1 GiB of tables by the bound's count),
+    # 6**11 (state, action) pairs (27 GiB while they are built) and 8**11
+    # listed successors
     assert dispatch._space_bytes(s.specs) == (
         8 * 35 * 4**11 + dispatch.PAIR_BYTES * 6**11 + dispatch.SUCCESSOR_BYTES * 8**11
     )
@@ -1107,7 +1120,7 @@ def _kernel_case(i: int):
     fleet, reserves that price most mismatches +inf, and no EV at all."""
     if i == 0:
         s = _mixed_setup(2, 7)
-        return s.market, s.specs, CountSpace(s.specs, s.params, lump=False)
+        return s.market, s.specs, StateSpace(s.specs, s.params)
     if i == 1:
         s = _table1_fleet(3, "B")
         return s.market, s.specs, CountSpace(s.specs, s.params)
@@ -1115,7 +1128,7 @@ def _kernel_case(i: int):
         s = _mixed_setup(3, 11)
         levels = grid_levels(s.market, s.specs, s.solver)
         windowed = _windowed(s.market, s.specs, s.params, levels, 10.0)
-        return windowed, s.specs, CountSpace(s.specs, s.params, lump=False)
+        return windowed, s.specs, StateSpace(s.specs, s.params)
     s = _table1_fleet(0)
     return s.market, s.specs, CountSpace(s.specs, s.params)
 
@@ -1217,7 +1230,7 @@ def test_beam_depth_holds_its_values_plus_chunked_temporaries(monkeypatch):
     # each slot of a beam depth's pass holds its value layers and the
     # kernel's chunks, never a broadcast over every column at once
     s = _mixed_setup(5, 7)
-    space = CountSpace(s.specs, s.params, lump=False)
+    space = StateSpace(s.specs, s.params)
     groups = space.action_groups
     space.initial_groups  # the space's own tables
     n = space.n_states

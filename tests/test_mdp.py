@@ -148,26 +148,23 @@ def test_kernel_rows_are_stochastic():
     # the batched pricing's per-slot expectation operator is a stochastic
     # kernel: a constant value vector maps to that constant on every
     # reachable row, and any vector maps to its scalar-kernel expectation
-    # under the zero action.  With every EV its own class, the space's
-    # joint ids are the reference space's, which decodes them
+    # under the zero action, on the joint ids the space decodes
     rng = make_rng(11)
     for _ in range(5):
         market, specs, bids, _, _ = random_small_instance(rng)
-        space = CountSpace(specs, bids, lump=False)
-        states = StateSpace(specs, bids)
+        space = StateSpace(specs, bids)
         n = space.n_states
-        assert n == states.n_states
         for slot in range(1, len(market.demand) + 1):
-            valid = states.valid_mask(slot - 1)
+            valid = space.valid_mask(slot - 1)
             const = np.full((n, 3), 7.25)
             assert space.expect(slot, const) is const
             assert np.all(np.abs(const[valid] - 7.25) < 1e-9)
             values = rng.normal(size=(n, 2))
             want = np.zeros((n, 2))
             for s in np.flatnonzero(valid):
-                state = states.decode(int(s))
+                state = space.decode(int(s))
                 for s2 in range(n):
-                    p = transition_prob(bids, slot, state, (0.0,) * len(specs), states.decode(s2))
+                    p = transition_prob(bids, slot, state, (0.0,) * len(specs), space.decode(s2))
                     want[s] += p * values[s2]
             every = space.expect(slot, values.copy())
             assert np.allclose(every[valid], want[valid], atol=1e-12)
@@ -403,7 +400,7 @@ def test_flat_groups_hold_the_reference_grouping(layout):
     # exactly the triples of the reference grouping of the space's pairs;
     # the initial groups are the runs from state 0, in sum order
     specs, bids, lump = layout
-    space = CountSpace(specs, bids, lump=lump)
+    space = CountSpace(specs, bids) if lump else StateSpace(specs, bids)
     groups = space.action_groups
     tables = [c.move_table for c, _ in space._classes]
     pairs = mdp._product_pairs(space.n_states, space._digits, tables)

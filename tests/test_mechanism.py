@@ -16,7 +16,6 @@ from storemkt.mechanism import (
     WindowSchedule,
     day_ahead,
     day_ahead_payment,
-    empirical_deviation,
     penalty_event,
     settlement,
     total_payment,
@@ -134,13 +133,12 @@ def test_empirical_record_lifecycle():
 
 
 def test_empirical_deviation_day_one():
+    # the deviation of the report frequencies from the bid
     rec = EmpiricalRecord(5)
     rec.update(2)
-    dev = empirical_deviation(rec, THETA_A)
+    dev = rec.frequencies() - np.array(THETA_A.pmf)
     assert dev == pytest.approx([-0.2, 0.8, -0.2, -0.2, -0.2])
     assert abs(dev.sum()) < 1e-12
-    with pytest.raises(ValueError):
-        empirical_deviation(EmpiricalRecord(4, np.array([1, 0, 0, 0]), 1), THETA_A)
 
 
 def test_penalty_event_crosses_shrinking_window():
@@ -247,5 +245,5 @@ def test_deviation_always_sums_to_zero(reports):
     rec = EmpiricalRecord(5)
     for r in reports:
         rec.update(r)
-    dev = empirical_deviation(rec, THETA_A)
+    dev = rec.frequencies() - np.array(THETA_A.pmf)
     assert abs(float(dev.sum())) < 1e-9
