@@ -156,6 +156,17 @@ def cmd_oracle(args) -> int:
     return 0 if worst <= ORACLE_TOL else 4
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {text}")
+        return int(text)
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storemkt",
@@ -179,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the multi-day market")
     p.add_argument("config")
-    p.add_argument("--days", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--days", type=_at_least(1))
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--out", help="write the trace CSV here instead of stdout")
     p.add_argument("--diagnostics", help="write the diagnostics JSON here")
     p.set_defaults(func=cmd_simulate)
@@ -193,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", help="cross-check the solver against brute-force enumeration"
     )
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=_at_least(1), default=5)
+    p.add_argument("--seed", type=_at_least(0))
     p.set_defaults(func=cmd_oracle)
     return parser
 

@@ -309,6 +309,8 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
         or not all(map(_is_int, seeds))
     ):
         diags.append("simulation.seeds: must be a nonempty list of integers")
+    elif min(seeds) < 0:
+        diags.append("simulation.seeds: must be nonnegative")
     strategies = sim.get("strategies")
     if strategies is None:
         strategies = [(None, Truthful())] * len(evs)

@@ -5,25 +5,33 @@ prices each one by solving the storage MDP.  ``beta_bar(g)`` is that
 price for one plan by the reference recursion: dispatch cost plus the
 optimal expected recourse value from the initial state.
 
+Below ``solve_outer`` a plan is a row of indices into each slot's
+ascending dispatch levels, so the smaller row is the lexicographically
+smaller plan, and ties go to it everywhere.  Floats appear only at the
+edges: explicit candidates, and near-tie plans re-priced like them, are
+mapped to rows over their own levels, and the winner to ``g_star``.
+
 Every plan is priced by one batched backward pass whose columns are
 dispatch tails; the value at layer t depends only on the tail, so tails
-shared by many plans are priced once.  The pass runs on one state space,
-an ``mdp.CountSpace``.  Each slot is a post-decision step.  The zero-action
-expectation runs once over the value array, in place, one class of EVs
-at a time (the kernel never becomes a dense matrix).  An action's
-continuation is then the row of its post-decision state.  The stage cost
-depends only on the action's charge sum, so the kernel takes the min
-over actions of equal sum first, for a chunk of columns at a time in one
-gather and one ``minimum.reduceat`` over the space's flat runs, one per
-(charge sum, state).  Each output column then adds every sum's reserve
-cost under its dispatch level and takes the min over sums, in one
-broadcast step per chunk of output columns.  Every cost comes from one
-table per slot (``_CostTables``), built once per solve: each dispatch
-level's generator cost, and a (charge sum x dispatch level) table of
-reserve costs with one ``reserve_cost_at`` call per distinct mismatch.
-The passes, the beam's greedy tail, every plan's dispatch cost and the
-exhaustive pass's dominance margin read them.  Slot 1 takes the min for
-the initial state only.
+shared by many plans are priced once.  Slot t lays out the columns of
+layer t-1 as a ``Stage``, a (level, source column) pair of arrays.  The
+pass runs on one state space, an ``mdp.CountSpace``.  Each slot is a
+post-decision step.  The zero-action expectation runs once over the
+value array, in place, one class of EVs at a time (the kernel never
+becomes a dense matrix).  An action's continuation is then the row of
+its post-decision state.  The stage cost depends only on the action's
+charge sum, so the kernel takes the min over actions of equal sum first,
+for a chunk of columns at a time in one gather and one
+``minimum.reduceat`` over the space's flat runs, one per (charge sum,
+state).  Each output column then adds every sum's reserve cost under its
+dispatch level and takes the min over sums, in one broadcast step per
+chunk of output columns.  Every cost comes from one table per slot
+(``_CostTables``), built once per solve: each dispatch level's generator
+cost, and a (charge sum x dispatch level) table of reserve costs with
+one ``reserve_cost_at`` call per distinct mismatch.  The passes, the
+beam's greedy tail, every plan's dispatch cost and the exhaustive pass's
+dominance margin read them.  Slot 1 takes the min for the initial state
+only.
 
 The exhaustive search prices the whole grid in one such pass, and drops
 dominated tails as it goes (Morin & Marsten, *Oper. Res.* 24(4), 1976;
@@ -287,66 +295,51 @@ def beta_bar(
     return market.generator_cost(g) + values.v0()
 
 
-def _greedy_tail(tables: _CostTables, start_slot: int) -> list[float]:
-    """Storage-blind completion from ``start_slot``: per slot, the level
-    with the cheapest dispatch cost plus the reserve cost of the zero
-    charge sum, ties to the earlier (smaller) level."""
+def _greedy_tail(tables: _CostTables, start_slot: int) -> list[int]:
+    """Storage-blind completion from ``start_slot``, as level indices: per
+    slot, the level with the cheapest dispatch cost plus the reserve cost
+    of the zero charge sum, ties to the earlier (smaller) level."""
     return [
-        lt[int(np.argmin(gen + reserve[tables.zero]))]
-        for lt, gen, reserve in zip(tables.levels, tables.gen, tables.reserve)
+        int(np.argmin(gen + reserve[tables.zero]))
+        for gen, reserve in zip(tables.gen, tables.reserve)
     ][start_slot - 1 :]
 
 
-#: slot t's column blocks: (dispatch g, parent layer-t columns or None for all)
-Stage = list[tuple[float, np.ndarray | None]]
+#: the columns of layer t-1, as slot t forms them: column j runs level
+#: ``level[j]`` of slot t ahead of column ``src[j]`` of layer t
+Stage = tuple[np.ndarray, np.ndarray]
 
 
-def _prefix_stages(
-    prefixes: Sequence[tuple[float, ...]], tail: Sequence[float]
-) -> tuple[list[Stage], list[int]]:
-    """Stages pricing each prefix completed by the shared ``tail``, plus the
-    layer-0 column of each prefix.  Suffixes shared by several prefixes
-    are priced once.  A suffix from slot t is its dispatch g_t ahead of
-    a layer-t column; layer t-1 lists the distinct suffixes grouped by
-    g_t, the groups and the suffixes in each in the order they first
-    occur."""
-    stages: list[Stage] = [[(g, None)] for g in tail]
-    cols = [0] * len(prefixes)
-    head: list[Stage] = []
-    for t in range(len(prefixes[0]), 0, -1):
-        keys = [(p[t - 1], c) for p, c in zip(prefixes, cols)]
-        by_g: dict[float, dict[int, None]] = {}
-        for g, c in keys:
-            by_g.setdefault(g, {})[c] = None
-        head.append([(g, np.array(list(parents), dtype=np.intp)) for g, parents in by_g.items()])
-        at = {key: i for i, key in enumerate((g, c) for g in by_g for c in by_g[g])}
-        cols = [at[key] for key in keys]
-    return head[::-1] + stages, cols
+def _prefix_stages(plans: np.ndarray, tail: Sequence[int]) -> tuple[list[Stage], np.ndarray]:
+    """Stages pricing each row of ``plans`` (level indices of slots 1..d)
+    completed by the shared ``tail`` (those of slots d+1..), plus the
+    layer-0 column of each row.  Suffixes shared by several rows are
+    priced once: layer t-1 lists each distinct suffix from slot t once, as
+    its (level, layer-t column) pair, sorted."""
+    stages, cols, width = [], np.zeros(len(plans), dtype=np.intp), 1
+    for column in [*tail[::-1], *plans.T[::-1]]:
+        keys, cols = np.unique(column * width + cols, return_inverse=True)
+        stages.append(np.divmod(keys, width))
+        width = len(keys)
+    return stages[::-1], cols
 
 
 def _batched_inner_values(
     market: MarketModel,
     space: CountSpace,
+    tables: _CostTables,
     stages: list[Stage],
     layer: np.ndarray | None = None,
-    tables: _CostTables | None = None,
 ) -> np.ndarray:
     """Inner DP value v0 for a batch of dispatch plans, suffix-shared.
 
-    Columns are dispatch tails.  ``stages[t-1]`` lays out the columns of
-    layer t-1 as blocks: block (g, parents) runs dispatch g in slot t ahead
-    of the layer-t columns ``parents`` (None: all of them), so the blocks
-    ``(g, None)`` of every level of every slot yield every grid plan in
-    lexicographic product order.  The pass runs slots len(stages)..1 from
-    a copy of ``layer``, the value layer after slot len(stages) (default:
-    the terminal layer, when the stages cover every slot), one
-    ``_step`` each.  Its reserve costs come from ``tables``, or else from
-    tables built over the stages' dispatch levels.  Returns the flat
-    layer-0 row; entries at or above INF_THRESHOLD mean no finite-cost
-    policy exists.
+    Columns are dispatch tails, laid out by ``stages`` (``Stage``), whose
+    levels index ``tables``.  The pass runs slots len(stages)..1 from a
+    copy of ``layer``, the value layer after slot len(stages) (default:
+    the terminal layer, when the stages cover every slot), one ``_step``
+    each.  Returns the flat layer-0 row; entries at or above INF_THRESHOLD
+    mean no finite-cost policy exists.
     """
-    if tables is None:
-        tables = _CostTables(market, space, [[g for g, _ in stage] for stage in stages])
     v = _terminal(market, space) if layer is None else layer.copy()
     for slot in range(len(stages), 0, -1):
         v = _step(space, tables, slot, v, stages[slot - 1])
@@ -359,19 +352,19 @@ def _terminal(market: MarketModel, space: CountSpace) -> np.ndarray:
 
 
 def _step(
-    space: CountSpace, tables: _CostTables, slot: int, v: np.ndarray, blocks: Stage
+    space: CountSpace, tables: _CostTables, slot: int, v: np.ndarray, stage: Stage
 ) -> np.ndarray:
     """Layer slot-1 from the layer ``v`` after ``slot``, one post-decision
     step: the zero-action expectation ``space.expect`` runs once, in place
     on ``v``; an action's continuation is the row of its post-decision
     state; the min over actions with equal charge sums is taken before the
-    reserve cost of that sum under each block's dispatch is added
+    reserve cost of that sum under each column's level is added
     (``_min_over_actions``).  Slot 1 takes that min for the initial state
     only."""
     groups = space.action_groups if slot > 1 else space.initial_groups
     n_rows = space.n_states if slot > 1 else 1
-    costs = tables.costs(slot, [g for g, _ in blocks])
-    return _min_over_actions(costs, space.expect(slot, v), groups, blocks, n_rows)
+    costs = tables.reserve[slot - 1] if slot > 1 else tables.reserve[0][tables.initial]
+    return _min_over_actions(costs, space.expect(slot, v), groups, stage, n_rows)
 
 
 def _reserve_table(
@@ -387,9 +380,10 @@ def _reserve_table(
 
 
 class _CostTables:
-    """Each slot's costs over its dispatch ``levels``, built once per solve:
-    the generator cost of every level (``gen``) and the ``_reserve_table``
-    over every action charge sum of a space (``reserve``).  Every pass of a
+    """Each slot's costs over its ascending dispatch ``levels``, built once
+    per solve: the generator cost of every level (``gen``) and the
+    ``_reserve_table`` over every action charge sum of a space
+    (``reserve``).  Plans and stages index the levels.  Every pass of a
     solve, its greedy tail and its plans' dispatch costs read them."""
 
     def __init__(self, market: MarketModel, space: CountSpace, levels: Sequence[Sequence[float]]):
@@ -400,30 +394,21 @@ class _CostTables:
             for slot, lt in enumerate(levels, 1)
         ]
         self.reserve = [_reserve_table(market, slot, sums, lt) for slot, lt in enumerate(levels, 1)]
-        self._column = [{g: k for k, g in enumerate(lt)} for lt in levels]
         # the zero action is every state's, and the initial groups' sums
         # are some of the action sums
         self.zero = int(np.searchsorted(sums, 0.0))
-        self._initial = np.searchsorted(sums, space.initial_groups.sums)
-
-    def columns(self, slot: int, dispatch: Sequence[float]) -> list[int]:
-        return [self._column[slot - 1][g] for g in dispatch]
-
-    def costs(self, slot: int, dispatch: Sequence[float]) -> np.ndarray:
-        """The (sum x level) reserve costs of ``slot``'s groups under ``dispatch``."""
-        table = self.reserve[slot - 1] if slot > 1 else self.reserve[0][self._initial]
-        return table[:, self.columns(slot, dispatch)]
+        self.initial = np.searchsorted(sums, space.initial_groups.sums)
 
 
 def _min_over_actions(
-    costs: np.ndarray, post: np.ndarray, groups: _Groups, blocks: Stage, n_rows: int
+    costs: np.ndarray, post: np.ndarray, groups: _Groups, stage: Stage, n_rows: int
 ) -> np.ndarray:
     """One layer of the batched recursion from post-decision values.
 
-    Output column j of block b continues from column src[j] of ``post``
-    (the block's ``parents``, or every column in order).  Its value in row
-    s is the least, over the charge sums k, of best[k, s, src[j]] plus
-    ``costs[k, b]``, the reserve cost of sum k under the block's dispatch
+    Output column j continues from column src[j] of ``post`` under level
+    level[j] of the slot (``stage``).  Its value in row s is the least,
+    over the charge sums k, of best[k, s, src[j]] plus ``costs[k,
+    level[j]]``, the reserve cost of sum k under that level
     (``_reserve_table``), capped at INF_PROXY; best[k, s] is the min over
     the actions of sum k from s of their post-decision rows, INF_PROXY
     where s has none.  A cost of +inf never wins below the cap.
@@ -431,16 +416,13 @@ def _min_over_actions(
     The source columns are taken in chunks.  Each chunk's per-sum minima
     are formed once, in one gather and one ``minimum.reduceat`` over the
     runs of ``groups``.  Its output columns, in source order, then take
-    their source's minima, add their (sum x block) costs in one broadcast
+    their source's minima, add their (sum x level) costs in one broadcast
     and take the min over sums, a chunk of them at a time.  Every temporary
     holds about CHUNK_ELEMS values, or that many per sum, unless one
     column alone holds more (see ``_layer_bytes``).
     """
     posts, starts, cells = groups.posts, groups.starts, groups.cells
-    every = np.arange(post.shape[1])
-    parents = [every if p is None else p for _, p in blocks]
-    src = np.concatenate(parents)
-    block = np.repeat(np.arange(len(blocks)), [len(p) for p in parents])
+    level, src = stage
     order = np.argsort(src, kind="stable")
     by_source = src[order]
     step = max(CHUNK_ELEMS // len(posts), 1)
@@ -455,7 +437,7 @@ def _min_over_actions(
         for o0 in range(lo, hi, out_step):
             cols = order[o0 : min(o0 + out_step, hi)]
             cand = best[:, :, by_source[o0 : o0 + len(cols)] - c0]
-            cand += costs[:, None, block[cols]]
+            cand += costs[:, None, level[cols]]
             least = cand.min(axis=0)
             np.minimum(least, INF_PROXY, out=least)
             out[:, cols] = least
@@ -602,17 +584,16 @@ def _price_grid(
     the operations of the full grid, column by column, so their values are
     bit-identical to it.  Before each slot allocates, its bytes are
     bounded from the kept tails; past BATCH_BYTE_BUDGET the pass fails with
-    ``BatchTooLarge``.  Returns the flat index (lexicographic product
-    order, ascending) and the cost of every plan that reaches slot 1: its
+    ``BatchTooLarge``.  Returns every plan that reaches slot 1, as a row of
+    level indices (lexicographic order, ascending), and its cost: its
     dispatch cost summed from slot 1 on, plus its inner value.
     """
     tables = _CostTables(market, space, levels)
     margin, high = _prune_margin(market, space, specs, tables)
     gen = [np.minimum(costs, INF_PROXY) for costs in tables.gen]
     v = _terminal(market, space)
-    # each kept tail's flat index among all tails, ascending, and its
-    # dispatch cost
-    tails, stride = np.zeros(1, dtype=np.intp), 1
+    # each kept tail's level indices, ascending, and its dispatch cost
+    tails = np.zeros((1, 0), dtype=np.intp)
     tail_gen = np.zeros(1)
     for slot in range(market.horizon, 0, -1):
         n_levels = len(levels[slot - 1])
@@ -629,54 +610,62 @@ def _price_grid(
                 f"{need / 2**30:.1f} GiB at slot {slot}, {width} dispatch tails "
                 f"(limit {BATCH_BYTE_BUDGET / 2**30:.0f} GiB); use beam search"
             )
-        v = _step(space, tables, slot, v, [(g, None) for g in levels[slot - 1]])
         level = np.repeat(np.arange(n_levels), len(tails))
-        tails = level * stride + np.tile(tails, n_levels)
-        tail_gen = gen[slot - 1][level] + np.tile(tail_gen, n_levels)
-        stride *= n_levels
+        src = np.tile(np.arange(len(tails)), n_levels)
+        v = _step(space, tables, slot, v, (level, src))
+        tails = np.column_stack([level, tails[src]])
+        tail_gen = gen[slot - 1][level] + tail_gen[src]
         if slot > 1:
             keep = _undominated(v, tail_gen, margin, high)
             if len(keep) < width:
                 v, tails, tail_gen = v.take(keep, axis=1), tails[keep], tail_gen[keep]
     gen_cost = np.zeros(len(tails))
-    for slot, idx in enumerate(np.unravel_index(tails, [len(lt) for lt in levels]), 1):
-        gen_cost = gen_cost + gen[slot - 1][idx]
+    for costs, column in zip(gen, tails.T):
+        gen_cost = gen_cost + costs[column]
     return tails, gen_cost + v[0]
 
 
 def _price_plans(
     market: MarketModel,
     space: CountSpace,
-    plans: Sequence[tuple[float, ...]],
-    tail: Sequence[float] = (),
+    tables: _CostTables,
+    plans: np.ndarray,
+    tail: Sequence[int] = (),
     layer: np.ndarray | None = None,
-    tables: _CostTables | None = None,
-) -> list[tuple[float, tuple[float, ...]]]:
-    """Price each plan completed by the shared ``tail`` in one batched
-    pass.  ``layer``, when given, is the value layer that ``tail`` leaves
-    after the plans' last slot, and the pass runs the plans' own slots
-    only, from a copy of it.  Costs come from ``tables``, or else from
-    tables built over the completed plans' levels.  Returns (cost, plan)
-    pairs cheapest first, +inf for plans with no finite-cost policy, ties
-    to the smaller plan."""
-    full = [p + tuple(tail) for p in plans]
-    if tables is None:
-        tables = _CostTables(market, space, [list(dict.fromkeys(c)) for c in zip(*full)])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Price each row of ``plans`` completed by the shared ``tail`` in one
+    batched pass, all of them level indices into ``tables``.  ``layer``,
+    when given, is the value layer that ``tail`` leaves after the plans'
+    last slot, and the pass runs the plans' own slots only, from a copy of
+    it.  Returns each row's cost, +inf for plans with no finite-cost
+    policy, and the rows cheapest first, ties to the smaller plan."""
     stages, cols = _prefix_stages(plans, tail if layer is None else ())
-    inner = _batched_inner_values(market, space, stages, layer, tables)[cols]
-    q = _dispatch_costs(tables, full) + inner
+    inner = _batched_inner_values(market, space, tables, stages, layer)[cols]
+    q = _dispatch_costs(tables, plans, tail) + inner
     q[inner >= INF_THRESHOLD] = math.inf
-    return sorted(zip(q.tolist(), plans))
+    return q, np.lexsort((*plans.T[::-1], q))
 
 
-def _dispatch_costs(tables: _CostTables, plans: Sequence[tuple[float, ...]]) -> np.ndarray:
-    """``market.generator_cost`` of every full-length plan, bit for bit:
-    each slot's generator costs are read from ``tables``, and a plan's
-    terms are added from 0 in slot order."""
+def _dispatch_costs(tables: _CostTables, plans: np.ndarray, tail: Sequence[int]) -> np.ndarray:
+    """``market.generator_cost`` of every row of ``plans`` completed by
+    ``tail``, bit for bit: each slot's generator costs are read from
+    ``tables``, and a plan's terms are added from 0 in slot order."""
     total = np.zeros(len(plans))
-    for slot, column in enumerate(zip(*plans), 1):
-        total += tables.gen[slot - 1][tables.columns(slot, column)]
+    for gen, column in zip(tables.gen, itertools.chain(plans.T, tail)):
+        total += gen[column]
     return total
+
+
+def _price_candidates(
+    market: MarketModel, space: CountSpace, plans: Sequence[tuple[float, ...]]
+) -> tuple[float, tuple[float, ...]]:
+    """The cheapest of full-length dispatch ``plans`` and its cost, ties to
+    the smaller plan, priced in one batched pass on cost tables over the
+    plans' own levels."""
+    levels = [sorted(set(column)) for column in zip(*plans)]
+    rows = np.column_stack([np.searchsorted(lt, c) for lt, c in zip(levels, zip(*plans))])
+    q, order = _price_plans(market, space, _CostTables(market, space, levels), rows)
+    return float(q[order[0]]), plans[order[0]]
 
 
 def _solve_beam(
@@ -684,34 +673,34 @@ def _solve_beam(
     market: MarketModel,
     space: CountSpace,
     width: int,
-) -> tuple[tuple[float, ...], float, int]:
+) -> tuple[np.ndarray, float, int]:
     """Keep the ``width`` best prefixes per depth, each scored as the plan
     it makes with the storage-blind greedy tail.  The tail's value layers
     are formed once, in one backward pass from the terminal layer; depth d
     prices all its extended prefixes in one batched pass over slots d..1,
     from the layer the tail leaves after slot d.  Every pass, the tail and
-    every score read one set of cost tables.  Returns the winner, its
-    score and the number of prefixes scored."""
+    every score read one set of cost tables.  Returns the winner's level
+    indices, its score and the number of prefixes scored."""
     tables = _CostTables(market, space, levels)
     tail = _greedy_tail(tables, 2)
     # layers[t - 1]: the value layer after slot t under the tail's slots
     # t+1..T, one column
     layers = [_terminal(market, space)]
+    prefixes = np.zeros((1, 0), dtype=np.intp)
+    stages, _ = _prefix_stages(prefixes, tail)
     for slot in range(market.horizon, 1, -1):
-        layers.append(_step(space, tables, slot, layers[-1].copy(), [(tail[slot - 2], None)]))
+        layers.append(_step(space, tables, slot, layers[-1].copy(), stages[slot - 2]))
     layers.reverse()
-    prefixes: list[tuple[float, ...]] = [()]
     evaluated = 0
-    scored: list[tuple[float, tuple[float, ...]]] = []
     for slot in range(1, market.horizon + 1):
-        extended = [p + (g,) for p in prefixes for g in levels[slot - 1]]
-        scored = _price_plans(market, space, extended, tail[slot - 1 :], layers[slot - 1], tables)
+        n = len(levels[slot - 1])
+        extended = np.column_stack([prefixes.repeat(n, axis=0), np.tile(range(n), len(prefixes))])
+        q, order = _price_plans(market, space, tables, extended, tail[slot - 1 :], layers[slot - 1])
         evaluated += len(extended)
-        prefixes = [p for _, p in scored[:width]]
-    best_q, best_g = scored[0]
-    if best_q == math.inf:
+        prefixes = extended[order[:width]]
+    if q[order[0]] == math.inf:
         raise InfeasibleModel("beam search found no feasible dispatch")
-    return best_g, best_q, evaluated
+    return prefixes[0], float(q[order[0]]), evaluated
 
 
 def solve_outer(
@@ -741,13 +730,14 @@ def solve_outer(
             raise InfeasibleModel("every candidate dispatch is infeasible")
         for g in candidates:
             check_dispatch(g, market.horizon)
-        batched_q, g_star = _price_plans(market, space, candidates)[0]
+        batched_q, g_star = _price_candidates(market, space, candidates)
         if batched_q == math.inf:
             raise InfeasibleModel("every candidate dispatch is infeasible")
         evaluated = len(candidates)
     elif config.mode == "beam":
         levels = grid_levels(market, specs, config)
-        g_star, batched_q, evaluated = _solve_beam(levels, market, space, config.beam_width)
+        row, batched_q, evaluated = _solve_beam(levels, market, space, config.beam_width)
+        g_star = tuple(lt[k] for lt, k in zip(levels, row))
     else:
         levels = grid_levels(market, specs, config)
         total = math.prod(len(lt) for lt in levels)
@@ -760,21 +750,21 @@ def solve_outer(
         lumped = len(set(zip(specs, bids))) < len(specs)
         if lumped:
             pricing = CountSpace(specs, bids)
-        flat, q = _price_grid(market, pricing, specs, levels)
+        rows, q = _price_grid(market, pricing, specs, levels)
         best = int(np.argmin(q))
         if q[best] >= INF_THRESHOLD:
             raise InfeasibleModel("every dispatch plan on the grid is infeasible")
-        g_star = _unflatten(int(flat[best]), levels)
         evaluated = total
         batched_q = float(q[best])
-        near = flat[q <= batched_q + LUMP_TIE_TOL] if lumped else ()
-        if len(near) > 1:
-            # lumped prices match product prices only up to rounding, so
-            # the product prices of the near-minimal plans pick the winner;
-            # a lone near plan is the product argmin already
-            plans = [_unflatten(int(k), levels) for k in near]
+        near = rows[q <= batched_q + LUMP_TIE_TOL] if lumped else rows[best : best + 1]
+        # lumped prices match product prices only up to rounding, so the
+        # product prices of the near-minimal plans pick the winner; a lone
+        # near plan is the product argmin already
+        plans = [tuple(lt[k] for lt, k in zip(levels, row)) for row in near]
+        g_star = plans[0]
+        if len(plans) > 1:
             pricing = space
-            batched_q, g_star = _price_plans(market, space, plans)[0]
+            batched_q, g_star = _price_candidates(market, space, plans)
     model = MdpModel(market, specs, bids, g_star)
     values, policy = solve_dp(model, space)
     q_star = market.generator_cost(g_star) + values.v0()
@@ -784,11 +774,6 @@ def solve_outer(
             f"{batched_q} vs {q_star} at g={g_star}"
         )
     return SolveResult(tuple(g_star), float(q_star), values, policy, evaluated, model, pricing)
-
-
-def _unflatten(idx: int, levels: list[list[float]]) -> tuple[float, ...]:
-    at = np.unravel_index(idx, [len(lt) for lt in levels])
-    return tuple(lt[k] for lt, k in zip(levels, at))
 
 
 def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> float:

@@ -481,12 +481,13 @@ def run_horizon(
         raise ValueError("specs, true_params and strategies must align")
     horizon = market.horizon
     for i, (law, strategy) in enumerate(zip(true_params, strategies)):
-        if law.horizon != horizon:
-            raise ValueError(
-                f"EV {i + 1}: true deadline law has {law.horizon} slots, "
-                f"the market has {horizon}"
-            )
         rule = strategy.rule
+        target = strategy.match_target() if isinstance(rule, HistogramMatch) else law
+        for name, dist in (("true deadline law", law), ("histogram target", target)):
+            if dist.horizon != horizon:
+                raise ValueError(
+                    f"EV {i + 1}: {name} has {dist.horizon} slots, the market has {horizon}"
+                )
         if isinstance(rule, Fixed) and not 1 <= rule.slot <= horizon:
             raise ValueError(f"EV {i + 1}: fixed report slot {rule.slot} outside 1..{horizon}")
     window_schedule = window_schedule or WindowSchedule()

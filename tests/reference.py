@@ -4,7 +4,7 @@ Each is a plain, loop-by-loop form of something the package computes in
 another way: the product-form transition kernel, expectations by
 enumerating every deadline profile, the grouping of (state, action) pairs
 by charge sum, and the batched kernel's min over actions as one
-add-and-min per (charge sum, dispatch block).
+add-and-min per (charge sum, dispatch level).
 """
 from __future__ import annotations
 
@@ -129,36 +129,34 @@ def min_over_actions(
     slot: int,
     post: np.ndarray,
     groups: _Groups,
-    blocks: Stage,
+    stage: Stage,
     n_rows: int,
+    dispatch_levels: Sequence[float],
 ) -> np.ndarray:
     """One layer of the batched recursion, one add-and-min per (charge sum,
-    block): ``dispatch._min_over_actions`` with its reserve costs from
-    ``market``.  Blocks are either all ``(g, None)`` or all carry parents.
+    level): ``dispatch._min_over_actions`` with its reserve costs from
+    ``market``, column j's at ``dispatch_levels[level[j]]`` for the
+    stage's (level, src).
 
-    Works through the columns in chunks of about ``dispatch.CHUNK_ELEMS``
-    values, read per call; the per-sum minima take the min over a run's
-    actions one at a time.
+    Works through the output columns in chunks of about
+    ``dispatch.CHUNK_ELEMS`` values, read per call; the per-sum minima take
+    the min over a run's actions one at a time.
     """
-    spans = [(g, 0, post.shape[1]) for g, _ in blocks]
-    if any(parents is not None for _, parents in blocks):
-        post = post[:, np.concatenate([p for _, p in blocks])]
-        edges = np.cumsum([0] + [len(p) for _, p in blocks])
-        spans = [(g, lo, hi) for (g, _), lo, hi in zip(blocks, edges[:-1], edges[1:])]
+    level, src = stage
+    post = post[:, src]
     width = post.shape[1]
     demand = market.demand[slot - 1]
     costs = [
-        [market.reserve_cost_at(slot, demand + sigma - g) for g, _, _ in spans]
+        [market.reserve_cost_at(slot, demand + sigma - g) for g in dispatch_levels]
         for sigma in groups.sums.tolist()
     ]
     by_sum: list[list[tuple[int, list[int]]]] = [[] for _ in costs]
     for k, row, posts in runs(groups):
         by_sum[k].append((row, posts))
     live = [k for k, row in enumerate(costs) if any(c != math.inf for c in row)]
-    out = np.empty((n_rows, sum(hi - lo for _, lo, hi in spans)))
+    out = np.full((n_rows, width), INF_PROXY)
     step = max(dispatch.CHUNK_ELEMS // n_rows, 1)
     best = np.full((len(live), n_rows, min(step, width)), INF_PROXY)
-    tmp = np.empty(best.shape[1:])
     for c0 in range(0, width, step):
         c1 = min(c0 + step, width)
         chunk = post[:, c0:c1]
@@ -168,16 +166,11 @@ def min_over_actions(
                 for q in posts[1:]:
                     np.minimum(least, chunk[q], out=least)
                 best[j, row, : c1 - c0] = least
-        off = 0
-        for b, (_, lo, hi) in enumerate(spans):
-            a, z = max(lo, c0), min(hi, c1)
-            if a < z:
-                dst = out[:, off + a - lo : off + z - lo]
-                dst.fill(INF_PROXY)
-                cand = tmp[:, : z - a]
-                for j, k in enumerate(live):
-                    if costs[k][b] != math.inf:
-                        np.add(best[j, :, a - c0 : z - c0], costs[k][b], out=cand)
-                        np.minimum(dst, cand, out=dst)
-            off += hi - lo
+        for b in sorted(set(level[c0:c1].tolist())):
+            cols = np.flatnonzero(level[c0:c1] == b)
+            dst = out[:, c0 + cols]
+            for j, k in enumerate(live):
+                if costs[k][b] != math.inf:
+                    np.minimum(dst, best[j][:, cols] + costs[k][b], out=dst)
+            out[:, c0 + cols] = dst
     return out

@@ -109,6 +109,33 @@ def test_malformed_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "theorem1", "--days", "0"],
+        ["simulate", "theorem1", "--seed", "-1"],
+        ["oracle", "--seed", "-1"],
+        ["oracle", "--trials", "0"],
+    ],
+)
+def test_bad_counts_and_seeds_exit_2(argv, capsys):
+    # --days and --trials take positive integers, --seed nonnegative ones
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "need an integer" in capsys.readouterr().err
+
+
+def test_negative_config_seeds_fail_by_name(tmp_path, capsys):
+    cfg = preset_config("theorem1")
+    cfg["simulation"]["seeds"] = [-1]
+    path = tmp_path / "negative-seed.json"
+    path.write_text(emit(cfg))
+    for command in ("validate", "simulate"):
+        assert main([command, str(path)]) == 2
+        assert "simulation.seeds: must be nonnegative" in capsys.readouterr().err
+
+
 def test_simulate_replays_byte_identical(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):

@@ -72,7 +72,33 @@ def setup_for(preset: str):
 def _grid_stages(levels):
     """The unpruned exhaustive grid: every level of every slot ahead of
     every tail, in lexicographic product order."""
-    return [[(g, None) for g in lt] for lt in levels]
+    stages, width = [], 1
+    for lt in reversed(levels):
+        stages.insert(0, (np.repeat(np.arange(len(lt)), width), np.tile(np.arange(width), len(lt))))
+        width *= len(lt)
+    return stages
+
+
+def _grid_values(market, space, levels):
+    """The inner value of every grid plan, lexicographic order, from the
+    unpruned batched pass."""
+    tables = _CostTables(market, space, levels)
+    return _batched_inner_values(market, space, tables, _grid_stages(levels))
+
+
+def _plan(levels, row):
+    """The dispatch plan a row of level indices stands for."""
+    return tuple(lt[k] for lt, k in zip(levels, row))
+
+
+def _flat(levels, rows):
+    """Each row's index in the grid's lexicographic order."""
+    return np.ravel_multi_index(rows.T, [len(lt) for lt in levels])
+
+
+def _unflat(levels, k):
+    """The plan at index ``k`` of the grid's lexicographic order."""
+    return _plan(levels, np.unravel_index(k, [len(lt) for lt in levels]))
 
 
 def _grid_gen_costs(market, levels):
@@ -189,7 +215,7 @@ def test_six_ev_beam_solve_is_cross_checked():
     assert res.policy.space.n_states == 4**6
     # beam prices with every EV its own class, on the reference's joint ids
     assert res.pricing.n_states == 4**6
-    [(batched, _)] = dispatch._price_plans(s.market, res.pricing, [res.g_star])
+    batched, _ = dispatch._price_candidates(s.market, res.pricing, [res.g_star])
     assert abs(batched - res.q_star) <= CROSS_CHECK_TOL
     assert len(res.policy.action(1, res.policy.space.initial)) == 6
 
@@ -232,26 +258,31 @@ def test_batched_values_match_reference_on_every_plan():
             return abs(got - want) <= 1e-9
 
         plans = list(itertools.product(*levels))
-        grid = _batched_inner_values(market, space, _grid_stages(levels))
+        tables = _CostTables(market, space, levels)
+        grid = _batched_inner_values(market, space, tables, _grid_stages(levels))
         assert grid.shape == (len(plans),)
         for plan, got in zip(plans, grid):
             want = reference(plan)
             infeasible += want == math.inf
             assert agrees(got, want), plan
+        rows = np.array(list(itertools.product(*(range(len(lt)) for lt in levels))))
         for depth in range(1, market.horizon + 1):
-            prefixes = sorted({plan[:depth] for plan in plans})
-            tail = _greedy_tail(_CostTables(market, space, levels), depth + 1)
+            prefixes = np.unique(rows[:, :depth], axis=0)
+            tail = _greedy_tail(tables, depth + 1)
             stages, cols = _prefix_stages(prefixes, tail)
-            inner = _batched_inner_values(market, space, stages)
+            inner = _batched_inner_values(market, space, tables, stages)
             for prefix, col in zip(prefixes, cols):
-                assert agrees(inner[col], reference(prefix + tuple(tail))), prefix
+                plan = _plan(levels, prefix.tolist() + tail)
+                assert agrees(inner[col], reference(plan)), plan
         # full-length plans with an empty tail, as solve_outer prices a
-        # candidate list: a duplicate shares its column, and an off-grid
-        # plan is priced like any other
+        # candidate list, on tables over their own levels: a duplicate
+        # shares its column, and an off-grid plan is priced like any other
         off_grid = tuple(g + 0.25 * config.step for g in plans[len(plans) // 2])
         explicit = plans[::7] + [plans[0], off_grid]
-        stages, cols = _prefix_stages(explicit, ())
-        inner = _batched_inner_values(market, space, stages)
+        own = [sorted(set(column)) for column in zip(*explicit)]
+        rows = np.column_stack([np.searchsorted(lt, c) for lt, c in zip(own, zip(*explicit))])
+        stages, cols = _prefix_stages(rows, ())
+        inner = _batched_inner_values(market, space, _CostTables(market, space, own), stages)
         assert cols[len(explicit) - 2] == cols[0]
         for plan, col in zip(explicit, cols):
             assert agrees(inner[col], reference(plan)), plan
@@ -312,7 +343,7 @@ def test_non_dyadic_levels_solve(fleet, mode):
     res = solve_outer(bids, config, market, specs)
     space = StateSpace(specs, bids)
     levels = grid_levels(market, specs, config)
-    inner = _batched_inner_values(market, space, _grid_stages(levels))
+    inner = _grid_values(market, space, levels)
     idx = 0
     for lt, g in zip(levels, res.g_star):
         idx = idx * len(lt) + lt.index(g)
@@ -708,8 +739,8 @@ def test_lumped_prices_match_product_prices_on_every_plan():
         counts = CountSpace(s.specs, s.params)
         product = StateSpace(s.specs, s.params)
         assert counts.n_states < product.n_states
-        lumped = _batched_inner_values(s.market, counts, _grid_stages(levels))
-        exact = _batched_inner_values(s.market, product, _grid_stages(levels))
+        lumped = _grid_values(s.market, counts, levels)
+        exact = _grid_values(s.market, product, levels)
         infeasible = exact >= INF_THRESHOLD
         assert np.array_equal(lumped >= INF_THRESHOLD, infeasible)
         assert np.abs(lumped - exact)[~infeasible].max() <= 1e-9
@@ -751,15 +782,18 @@ def test_pricing_bits_are_frozen():
         lumped = len(set(zip(specs, bids))) < len(specs)
         singles = StateSpace(specs, bids)
         pricing = CountSpace(specs, bids) if lumped else singles
-        flat, q = _price_grid(s.market, pricing, specs, levels)
+        rows, q = _price_grid(s.market, pricing, specs, levels)
+        flat = _flat(levels, rows)
         digests["grid"].update(flat.astype(np.int64).tobytes() + q.tobytes())
-        g, score, evaluated = _solve_beam(levels, s.market, singles, 8)
-        digests["beam"].update(repr((g, score.hex(), evaluated)).encode())
+        row, score, evaluated = _solve_beam(levels, s.market, singles, 8)
+        digests["beam"].update(repr((_plan(levels, row), score.hex(), evaluated)).encode())
         size = math.prod(len(lt) for lt in levels)
         picks = np.random.default_rng(0).integers(0, size, 48).tolist() + flat[:8].tolist()
-        plans = [dispatch._unflatten(k, levels) for k in sorted(set(picks))]
-        scored = _price_plans(s.market, singles, plans)
-        digests["plans"].update(repr([(c.hex(), p) for c, p in scored]).encode())
+        rows = np.column_stack(np.unravel_index(sorted(set(picks)), [len(lt) for lt in levels]))
+        tables = _CostTables(s.market, singles, levels)
+        q, order = _price_plans(s.market, singles, tables, rows)
+        scored = [(float(q[k]).hex(), _plan(levels, rows[k])) for k in order]
+        digests["plans"].update(repr(scored).encode())
     assert {key: h.hexdigest() for key, h in digests.items()} == PRICING_SHA256
 
 
@@ -787,17 +821,16 @@ def test_singleton_classes_price_like_the_product_space():
         pairs = {(int(s), int(p)) for s, p in zip(state, post)}
         grouped = {(row, q) for _, row, posts in reference.runs(counts.action_groups) for q in posts}
         assert grouped == pairs
-        lumped = _batched_inner_values(market, counts, _grid_stages(levels))
-        unlumped = _batched_inner_values(market, singles, _grid_stages(levels))
+        lumped = _grid_values(market, counts, levels)
+        unlumped = _grid_values(market, singles, levels)
         assert np.array_equal(lumped, unlumped)
 
 
 def _product_argmin(s) -> tuple[float, ...]:
     levels = grid_levels(s.market, s.specs, s.solver)
     singles = StateSpace(s.specs, s.params)
-    inner = _batched_inner_values(s.market, singles, _grid_stages(levels))
-    q_flat = _grid_gen_costs(s.market, levels) + inner
-    return dispatch._unflatten(int(np.argmin(q_flat)), levels)
+    q_flat = _grid_gen_costs(s.market, levels) + _grid_values(s.market, singles, levels)
+    return _unflat(levels, int(np.argmin(q_flat)))
 
 
 def _jittered(amplitude: float):
@@ -806,12 +839,12 @@ def _jittered(amplitude: float):
     price = dispatch._price_grid
 
     def jittered(market, space, specs, levels):
-        flat, q = price(market, space, specs, levels)
+        rows, q = price(market, space, specs, levels)
         if space.n_states < math.prod(2 * len(s.levels) for s in specs):  # lumped
             size = math.prod(len(lt) for lt in levels)
             signs = np.random.default_rng(3).choice([-amplitude, amplitude], size=size)
-            q = q + signs[flat]
-        return flat, q
+            q = q + signs[_flat(levels, rows)]
+        return rows, q
 
     return jittered
 
@@ -836,8 +869,8 @@ def test_near_ties_are_settled_on_product_prices(monkeypatch):
     flipped = 0
     for s, g, base in zip(setups, want, plain):
         levels = grid_levels(s.market, s.specs, s.solver)
-        flat, q = jittered(s.market, CountSpace(s.specs, s.params), s.specs, levels)
-        flipped += dispatch._unflatten(int(flat[np.argmin(q)]), levels) != g
+        rows, q = jittered(s.market, CountSpace(s.specs, s.params), s.specs, levels)
+        flipped += _plan(levels, rows[np.argmin(q)]) != g
         res = solve_outer(s.params, s.solver, s.market, s.specs)
         assert res.g_star == g and res.q_star == base.q_star
     assert flipped > 0
@@ -1071,10 +1104,9 @@ def test_pruned_pass_matches_the_full_grid():
     kept = {}
     for name, market, specs, bids, levels in _pruning_instances():
         space = CountSpace(specs, bids)
-        full = _grid_gen_costs(market, levels) + _batched_inner_values(
-            market, space, _grid_stages(levels)
-        )
-        flat, q = _price_grid(market, space, specs, levels)
+        full = _grid_gen_costs(market, levels) + _grid_values(market, space, levels)
+        rows, q = _price_grid(market, space, specs, levels)
+        flat = _flat(levels, rows)
         assert np.all(np.diff(flat) > 0), name
         assert np.array_equal(q, full[flat]), name
         best = int(np.argmin(full))
@@ -1144,9 +1176,9 @@ def _kernel_case(i: int):
 )
 def test_min_over_actions_equals_the_reference_loop(case, slot, width, grid, chunk, seed):
     # the broadcast kernel against the reference's add-and-min per (sum,
-    # block), on == for every element: small chunks split the columns and
-    # the output chunks with ragged edges; beam blocks repeat and reorder
-    # their parents
+    # level), on == for every element: small chunks split the columns and
+    # the output chunks with ragged edges; beam stages repeat and reorder
+    # their sources and interleave their levels
     market, specs, space = _kernel_case(case)
     rng = np.random.default_rng(seed)
     groups = space.action_groups if slot > 1 else space.initial_groups
@@ -1156,14 +1188,82 @@ def test_min_over_actions_equals_the_reference_loop(case, slot, width, grid, chu
     levels = grid_levels(market, specs, SolverConfig())[slot - 1]
     gs = rng.permutation(levels)[: rng.integers(1, len(levels) + 1)].tolist()
     if grid:
-        blocks = [(g, None) for g in gs]
+        stage = (np.repeat(np.arange(len(gs)), width), np.tile(np.arange(width), len(gs)))
     else:
-        blocks = [(g, rng.integers(0, width, rng.integers(1, 2 * width + 1))) for g in gs]
+        n_out = rng.integers(1, 2 * width * len(gs) + 1)
+        stage = (rng.integers(0, len(gs), n_out), rng.integers(0, width, n_out))
     with mock.patch.object(dispatch, "CHUNK_ELEMS", chunk):
         costs = dispatch._reserve_table(market, slot, groups.sums, gs)
-        got = dispatch._min_over_actions(costs, post.copy(), groups, blocks, n_rows)
-        want = reference.min_over_actions(market, slot, post.copy(), groups, blocks, n_rows)
+        got = dispatch._min_over_actions(costs, post.copy(), groups, stage, n_rows)
+        want = reference.min_over_actions(market, slot, post.copy(), groups, stage, n_rows, gs)
     assert got.shape == want.shape and (got == want).all()
+
+
+@functools.cache
+def _order_case(i: int):
+    """(market, space, levels) for the plan-encoding test: example1 at its
+    exact tie, reserves that price most mismatches +inf, and no EV."""
+    if i == 0:
+        s = setup_for("example1:p=0.2")
+        return s.market, StateSpace(s.specs, s.params), grid_levels(s.market, s.specs, s.solver)
+    market, specs, space = _kernel_case(i + 1)
+    return market, space, grid_levels(market, specs, SolverConfig())
+
+
+@st.composite
+def index_plans(draw):
+    """A case of ``_order_case``, rows of level indices of its slots
+    1..d drawn from a small pool (so rows repeat), and a tail of level
+    indices of slots d+1..T."""
+    case = draw(st.integers(0, 2))
+    levels = _order_case(case)[2]
+    depth = draw(st.integers(1, len(levels)))
+    row = st.tuples(*(st.integers(0, len(lt) - 1) for lt in levels[:depth]))
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    tail = [draw(st.integers(0, len(lt) - 1)) for lt in levels[depth:]]
+    return case, np.array(rows, dtype=np.intp), tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(index_plans())
+def test_index_rows_lay_out_and_order_like_their_plans(drawn):
+    case, rows, tail = drawn
+    stages, cols = _prefix_stages(rows, tail)
+    full = [tuple(r) + tuple(tail) for r in rows.tolist()]
+    # walking a row's column back through the stages spells the row, then
+    # the tail, and ends on the terminal layer's one column
+    for plan, col in zip(full, cols.tolist()):
+        walked = []
+        for level, src in stages:
+            walked.append(int(level[col]))
+            col = int(src[col])
+        assert tuple(walked) == plan and col == 0
+    # each stage lists each distinct suffix once, as a distinct pair
+    for t, (level, src) in enumerate(stages):
+        pairs = set(zip(level.tolist(), src.tolist()))
+        assert len(pairs) == len(level) == len({plan[t:] for plan in full})
+    # plans sort by cost, then by their rows, as float tuples do
+    market, space, levels = _order_case(case)
+    q, order = _price_plans(market, space, _CostTables(market, space, levels), rows, tail)
+    got = [(q[k], tuple(rows[k].tolist())) for k in order.tolist()]
+    assert got == sorted(zip(q.tolist(), map(tuple, rows.tolist())))
+
+
+def test_explicit_ties_go_to_the_smallest_plan_in_any_order():
+    # example1 at p = 0.2 prices (1, 0) and (0, 1) alike, bit for bit;
+    # listed out of order, with a repeat and an infeasible plan, the
+    # smaller plan still wins
+    s = setup_for("example1:p=0.2")
+    space = StateSpace(s.specs, s.params)
+    assert dispatch._price_candidates(s.market, space, [(1.0, 0.0)])[0] == 2.0
+    assert dispatch._price_candidates(s.market, space, [(0.0, 1.0)])[0] == 2.0
+    assert dispatch._price_candidates(s.market, space, [(0.0, 2.0)])[0] == math.inf
+    tied, infeasible = (0.0, 1.0), (0.0, 2.0)
+    for plans in (((1.0, 0.0), infeasible, (1.0, 0.0), tied), (infeasible, (1.0, 0.0), tied)):
+        res = solve_outer(s.params, SolverConfig(step=1.0, candidates=plans), s.market, s.specs)
+        assert res.g_star == tied and res.q_star == 2.0
+        assert res.candidates_evaluated == len(plans)
 
 
 def _gappy_generator(market, levels):
@@ -1188,9 +1288,9 @@ def test_plan_scores_are_dispatch_cost_plus_inner_bit_for_bit(monkeypatch):
     calls = []
     price = dispatch._price_plans
 
-    def spy(market, space, plans, tail=(), *shared):
-        scored = price(market, space, plans, tail, *shared)
-        calls.append((market, space, plans, tuple(tail), scored))
+    def spy(market, space, tables, plans, tail=(), *shared):
+        scored = price(market, space, tables, plans, tail, *shared)
+        calls.append((market, space, tables, plans, list(tail), scored))
         return scored
 
     monkeypatch.setattr(dispatch, "_price_plans", spy)
@@ -1198,7 +1298,7 @@ def test_plan_scores_are_dispatch_cost_plus_inner_bit_for_bit(monkeypatch):
     for s in (mixed, lumped):
         levels = grid_levels(s.market, s.specs, s.solver)
         picks = np.random.default_rng(1).choice(math.prod(map(len, levels)), 12, replace=False)
-        explicit = SolverConfig(candidates=[dispatch._unflatten(int(k), levels) for k in picks])
+        explicit = SolverConfig(candidates=[_unflat(levels, int(k)) for k in picks])
         for market in (s.market, _gappy_generator(s.market, levels)):
             for config in (SolverConfig(mode="beam"), explicit):
                 solve_outer(s.params, config, market, s.specs)
@@ -1210,19 +1310,21 @@ def test_plan_scores_are_dispatch_cost_plus_inner_bit_for_bit(monkeypatch):
     for market in (lumped.market, _gappy_generator(lumped.market, levels)):
         n_calls = len(calls)
         solve_outer(lumped.params, lumped.solver, market, lumped.specs)
-        assert len(calls) == n_calls + 1 and len(calls[-1][2]) > 1
+        assert len(calls) == n_calls + 1 and len(calls[-1][3]) > 1
 
     infinite = 0
-    for market, space, plans, tail, scored in calls:
+    for market, space, tables, plans, tail, (q, order) in calls:
         stages, cols = _prefix_stages(plans, tail)
-        inner = _batched_inner_values(market, space, stages)
+        inner = _batched_inner_values(market, space, tables, stages)
         want = []
-        for p, col in zip(plans, cols):
-            gen = market.generator_cost(list(p) + list(tail))
+        for row, col in zip(plans, cols):
+            p = _plan(tables.levels, row)
+            gen = market.generator_cost(_plan(tables.levels, row.tolist() + tail))
             infinite += gen == math.inf
             want.append((gen + float(inner[col]) if inner[col] < INF_THRESHOLD else math.inf, p))
         want.sort()
-        assert [(q.hex(), p) for q, p in scored] == [(q.hex(), p) for q, p in want]
+        scored = [(float(q[k]).hex(), _plan(tables.levels, plans[k])) for k in order]
+        assert scored == [(q.hex(), p) for q, p in want]
     assert infinite > 0
 
 
@@ -1243,10 +1345,10 @@ def test_beam_depth_holds_its_values_plus_chunked_temporaries(monkeypatch):
     measured = []
     batched = dispatch._batched_inner_values
 
-    def traced(market, space, stages, *shared):
+    def traced(market, space, tables, stages, *shared):
         widths = [1]  # layer T, then layer t-1 as slot t forms it
-        for stage in stages[::-1]:
-            widths.append(sum(widths[-1] if p is None else len(p) for _, p in stage))
+        for level, _ in stages[::-1]:
+            widths.append(len(level))
         # slot t: layer t with the expectation's temporaries, layer t-1
         # and its column indices
         values = max(
@@ -1255,7 +1357,7 @@ def test_beam_depth_holds_its_values_plus_chunked_temporaries(monkeypatch):
         )
         tracemalloc.start()
         try:
-            inner = batched(market, space, stages, *shared)
+            inner = batched(market, space, tables, stages, *shared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

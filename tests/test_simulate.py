@@ -592,6 +592,20 @@ def test_run_horizon_rejects_fixed_slots_outside_the_day():
             )
 
 
+def test_run_horizon_rejects_histogram_targets_of_another_horizon(monkeypatch):
+    # a 2-slot target on a 5-slot day would be zipped against the first 2
+    # slots only; it fails by name before the day-ahead solve
+    def no_solve(*args):
+        raise AssertionError("validation must come before the day-ahead solve")
+
+    monkeypatch.setattr(simulate, "day_ahead", no_solve)
+    t = load_setup(table1_config(n=1))
+    rule = HistogramMatch(DeadlineDistribution((0.5, 0.5)))
+    strategies = (BiddingStrategy(t.params[0], rule),)
+    with pytest.raises(ValueError, match="EV 1: histogram target has 2 slots, the market has 5"):
+        run_horizon(t.market, t.specs, t.params, strategies, 50, 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 4), st.integers(1, 6), st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_profile_index_is_the_row_unique(n_evs, horizon, days, seed):
