@@ -14,7 +14,13 @@ So storage should win exactly while 10p < 2.
 """
 from storemkt.costs import MarketModel, table
 from storemkt.deadlines import DeadlineDistribution
-from storemkt.dispatch import SolverConfig, beta_bar, conditional_beta, solve_outer
+from storemkt.dispatch import (
+    BATCH_BYTE_BUDGET,
+    SolverConfig,
+    beta_bar,
+    conditional_beta,
+    solve_outer,
+)
 from storemkt.mdp import EVSpec, MdpModel, rollout
 
 market = MarketModel(
@@ -37,19 +43,21 @@ for p in [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35]:
     assert abs(res.q_star - min(2.0, 10.0 * p)) <= 1e-12
     print(f"{p:>5.2f}  {early:>12.2f}  {late:>14.2f}  g* = {res.g_star}")
 
-# below the flip the solver commits to storage; unroll both departures
+# below the flip the solver commits to storage; unroll both departures,
+# one report profile per row, in one pass
 p = 0.19
 bid = DeadlineDistribution((p, 1.0 - p))
 res = solve_outer([bid], config, market, [spec])
 model = MdpModel(market, (spec,), (bid,), res.g_star)
 print()
 print(f"p = {p}: q* = {res.q_star}, plan {res.g_star}")
-for t in (1, 2):
-    r = rollout(model, res.policy, [t])
+r = rollout(model, res.policy, [[1], [2]], BATCH_BYTE_BUDGET)
+for k, t in enumerate((1, 2)):
     print(
-        f"  departs slot {t}: storage path {r.storage[0].tolist()}, "
-        f"mismatch {r.mismatch.tolist()}, reserve cost {r.reserve_cost}"
+        f"  departs slot {t}: storage path {r.storage[k, 0].tolist()}, "
+        f"mismatch {r.mismatch[k].tolist()}, reserve cost {float(r.reserve_cost[k])}"
     )
+assert r.reserve_cost.tolist() == [11.0, 0.0]
 
 # realized cost conditional on the departure slot, then back to the mean
 b1 = conditional_beta(model, res.policy, 0, 1)

@@ -106,9 +106,9 @@ from .mdp import (
     policy_artifact,
     rollout,
     solve_dp,
-    support_costs,
     system_cost,
     _Groups,
+    _left_sum,
 )
 
 DEFAULT_STEP = 10.0
@@ -715,6 +715,8 @@ def solve_outer(
     reference recursion; any disagreement beyond CROSS_CHECK_TOL raises."""
     bids = tuple(bids)
     specs = tuple(specs)
+    if len(bids) != len(specs):
+        raise ValueError(f"{len(bids)} bids for {len(specs)} EVs: need one bid per EV")
     need = _space_bytes(specs)
     if need > BATCH_BYTE_BUDGET:
         raise BatchTooLarge(
@@ -786,15 +788,18 @@ def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> f
         raise ValueError(f"slot {t} outside 1..{model.horizon}")
     if model.params[i].pmf[t - 1] <= 0.0:
         raise ValueError(f"slot {t} has zero probability for EV {i + 1}")
-    generator_cost = model.market.generator_cost(model.dispatch)
     others = model.params[:i] + model.params[i + 1 :]
-    total = 0.0
-    for combo, p in iter_profiles(others, model.horizon):
-        if p == 0.0:
-            continue
-        r = rollout(model, policy, combo[:i] + (t,) + combo[i:])
-        total += p * system_cost(model.market, generator_cost, r.reserve_cost, r.terminal)
-    return total
+    weighted = [(combo, p) for combo, p in iter_profiles(others, model.horizon) if p != 0.0]
+    profiles = np.array([combo[:i] + (t,) + combo[i:] for combo, _ in weighted], dtype=np.intp)
+    weights = np.array([p for _, p in weighted])
+    return _left_sum(weights * _profile_costs(model, policy, profiles))
+
+
+def _profile_costs(model: MdpModel, policy: MarkovPolicy, profiles: np.ndarray) -> np.ndarray:
+    """Each report profile's realized system cost, from one ``rollout``."""
+    r = rollout(model, policy, profiles, BATCH_BYTE_BUDGET)
+    generator_cost = model.market.generator_cost(model.dispatch)
+    return system_cost(model.market, generator_cost, r.reserve_cost, r.terminal)
 
 
 def estimate_lipschitz_K(
@@ -833,12 +838,22 @@ def estimate_lipschitz_K(
 
 def _conditional_costs(model: MdpModel, policy: MarkovPolicy) -> list[list[float]]:
     """Per EV i, ``conditional_beta(model, policy, i, t)`` for each slot t
-    of its support, in slot order, bit for bit, from one batched rollout
-    (``mdp.support_costs``).  As there, each term is p times a profile's
-    cost, p multiplied up in EV order over the other EVs' slots; the terms
-    run in ``itertools.product`` order, p == 0 is skipped, and they are
-    added one at a time from 0.0."""
-    supports, costs = support_costs(model, policy, BATCH_BYTE_BUDGET)
+    of its support, in slot order, bit for bit, from one ``rollout`` of
+    every profile on the support of the beliefs (each EV's slots with pmf >
+    0).  As there, each term is p times a profile's cost, p multiplied up
+    in EV order over the other EVs' slots; the terms run in
+    ``itertools.product`` order, p == 0 is skipped, and they are added one
+    at a time from 0.0."""
+    supports = [
+        tuple(t for t in range(1, model.horizon + 1) if d.pmf[t - 1] > 0.0) for d in model.params
+    ]
+    shape = tuple(len(s) for s in supports)
+    # every support profile, in product order
+    picks = np.indices(shape).reshape(len(shape), math.prod(shape))
+    profiles = np.empty(picks.shape[::-1], dtype=np.intp)
+    for i, (s, k) in enumerate(zip(supports, picks)):
+        profiles[:, i] = np.array(s)[k]
+    costs = _profile_costs(model, policy, profiles).reshape(shape)
     weights = [[dist.pmf[t - 1] for t in s] for dist, s in zip(model.params, supports)]
     out = []
     for i, support in enumerate(supports):
@@ -848,13 +863,7 @@ def _conditional_costs(model: MdpModel, policy: MarkovPolicy) -> list[list[float
         # row k: the profiles in which EV i reports support[k]
         axes = [i] + [j for j in range(len(supports)) if j != i]
         terms = p * costs.transpose(axes).reshape(len(support), -1)
-        sums = []
-        for row in terms[:, p != 0.0].tolist():
-            total = 0.0
-            for x in row:
-                total += x
-            sums.append(total)
-        out.append(sums)
+        out.append([_left_sum(row) for row in terms[:, p != 0.0]])
     return out
 
 

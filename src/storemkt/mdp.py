@@ -33,10 +33,11 @@ The batched pricing in ``dispatch`` reads them as flat runs, one per
 (``expect``); the reference ``solve_dp`` reads them as one table, plus
 each post-decision state's successors (``successor_table``).
 
-``rollout`` unrolls one report profile.  ``support_costs`` unrolls every
-profile on the beliefs' support at once, as arrays of joint ids, with the
-same floats; the miss-fine probe in ``dispatch`` reads its conditional
-costs from it.
+``rollout`` is the one forward pass over report profiles: it steps a
+batch of them through the committed policy together, as arrays of joint
+ids; the day loop in ``simulate`` and the miss-fine probe in ``dispatch``
+read it.  ``expected_outcome`` moves the state distribution by the same
+per-slot step (``_policy_step``), so both price a slot with equal floats.
 
 Values are expected dollars to go.  The terminal layer credits stored
 energy at the market's ``ev_energy_value``.
@@ -46,9 +47,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,9 +60,9 @@ from .deadlines import DeadlineDistribution
 
 #: refuse exhaustive deadline-profile enumeration beyond this many profiles
 ENUMERATION_GUARD = 10_000_000
-#: peak bytes ``support_costs`` holds per report profile: ROLLOUT_EV_BYTES
-#: per EV, 8 per slot and 8 more for its leave steps, and ROLLOUT_BYTES;
-#: 190 to 230 bytes in all were measured at 4 to 6 EVs and 5 slots
+#: peak bytes ``rollout`` holds per report profile: ROLLOUT_EV_BYTES per
+#: EV, 8 per slot and 8 more for its leave steps, ROLLOUT_BYTES, and the
+#: storage and mismatch it returns, 8 per EV and slot and 8 per slot
 ROLLOUT_EV_BYTES = 32
 ROLLOUT_BYTES = 128
 
@@ -136,20 +138,22 @@ def check_dispatch(dispatch: Sequence[float], horizon: int) -> None:
         raise ValueError("dispatch must be nonnegative")
 
 
-def stage_cost(
-    market: MarketModel, slot: int, g_slot: float, actions: Sequence[float]
-) -> float:
-    """Reserve cost of one slot given the dispatch and joint charge deltas."""
-    mismatch = market.demand[slot - 1] + float(sum(actions)) - g_slot
-    return market.reserve_cost_at(slot, mismatch)
-
-
 def system_cost(
-    market: MarketModel, generator_cost: float, reserve_cost: float, terminal: np.ndarray
-) -> float:
+    market: MarketModel,
+    generator_cost: float,
+    reserve_cost: float | np.ndarray,
+    terminal: np.ndarray,
+) -> float | np.ndarray:
     """Realized system cost: dispatch cost + reserve cost - value of the
-    energy ``terminal`` (kWh per EV) handed to EVs."""
-    return generator_cost + reserve_cost - market.ev_energy_value * float(terminal.sum())
+    energy ``terminal`` (kWh per EV, on its last axis) handed to EVs.  On a
+    batch of profiles, one cost per profile; each profile's charges are
+    summed as one row, as an (n_evs,) array sums them."""
+    return generator_cost + reserve_cost - market.ev_energy_value * terminal.sum(axis=-1)
+
+
+def _left_sum(x: np.ndarray) -> float:
+    """Python float sum, left to right, as a running account adds it."""
+    return reduce(operator.add, x.tolist(), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -656,113 +660,91 @@ def solve_dp(model: MdpModel, space: StateSpace) -> tuple[ValueTable, MarkovPoli
 
 @dataclass(frozen=True)
 class RolloutResult:
-    """One day's realized schedule under reported deadlines."""
+    """Realized schedules of a batch of report profiles, row k for profile k."""
 
-    storage: np.ndarray  # (n_evs, T) stored kWh at the end of each slot
-    mismatch: np.ndarray  # (T,) reserve kWh, positive = production
-    reserve_cost: float
-    terminal: np.ndarray  # (n_evs,) kWh at end of day (frozen at departure)
+    storage: np.ndarray  # (count, n_evs, T) stored kWh at the end of each slot
+    mismatch: np.ndarray  # (count, T) reserve kWh, positive = production
+    reserve_cost: np.ndarray  # (count,)
+    terminal: np.ndarray  # (count, n_evs) kWh at end of day (frozen at departure)
 
 
-def rollout(model: MdpModel, policy: MarkovPolicy, reported: Sequence[int]) -> RolloutResult:
-    """Deterministic unroll: EV j disconnects at the end of slot reported_j.
+def _policy_step(
+    model: MdpModel, policy: MarkovPolicy, slot: int, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The policy's move at ``slot`` from each of ``states`` (joint ids):
+    (post-decision ids, per-EV charge deltas one row per state, mismatch,
+    reserve cost).  The mismatch adds ``sum`` of a row's deltas to the
+    demand; the reserve cost is looked up once per distinct mismatch.  A
+    state with no action raises ``UnreachableStateError``."""
+    posts = policy.posts[slot - 1, states]
+    if (posts < 0).any():
+        raise UnreachableStateError(
+            f"policy has no action for slot {slot}, state {states[posts < 0][0]}"
+        )
+    charge_by_ev = policy.space.charge_by_ev
+    deltas = (charge_by_ev[:, posts] - charge_by_ev[:, states]).T
+    market = model.market
+    demand, g = market.demand[slot - 1], model.dispatch[slot - 1]
+    mismatch = [demand + sum(action) - g for action in deltas.tolist()]
+    cost = {m: market.reserve_cost_at(slot, m) for m in dict.fromkeys(mismatch)}
+    return posts, deltas, np.array(mismatch), np.array([cost[m] for m in mismatch])
 
-    The slot-``reported_j`` action still applies to EV j; afterwards its
-    storage is frozen, matching the implementability constraint.  Each
-    slot moves the joint id to its post-decision id, plus the ``leave_step``
-    of each EV leaving.  Storage is the running sum of the action deltas.
+
+def rollout(
+    model: MdpModel, policy: MarkovPolicy, profiles: np.ndarray, budget: int
+) -> RolloutResult:
+    """Deterministic unroll of every report profile, a (count, n_evs)
+    array of slots in 1..T: in row k, EV j disconnects at the end of slot
+    ``profiles[k, j]``.
+
+    The slot-``profiles[k, j]`` action still applies to EV j; afterwards
+    its storage is frozen, matching the implementability constraint.  The
+    profiles step through ``policy.posts`` together: each slot moves every
+    distinct joint id once (``_policy_step``) to its post-decision id, plus
+    the ``leave_step`` of each EV leaving.  Each EV's storage is the
+    running sum of its deltas, and each profile's reserve cost is added
+    slot by slot from 0.0.  Past ``budget`` bytes the pass raises
+    ``RolloutBatchTooLarge`` before it allocates.
     """
-    leave_step = policy.space.leave_step
-    horizon = model.horizon
-    n_evs = len(model.specs)
-    connected = [True] * n_evs
-    charge = [0.0] * n_evs
-    storage = np.zeros((n_evs, horizon))
-    mismatch = np.zeros(horizon)
-    reserve_total = 0.0
-    joint = policy.space.initial
-    for slot in range(1, horizon + 1):
-        action = policy.action(slot, joint)
-        joint = int(policy.posts[slot - 1, joint])
-        for i in range(n_evs):
-            charge[i] += action[i]
-        m = model.market.demand[slot - 1] + float(sum(action)) - model.dispatch[slot - 1]
-        mismatch[slot - 1] = m
-        reserve_total += model.market.reserve_cost_at(slot, m)
-        for i in range(n_evs):
-            if connected[i] and slot >= reported[i]:
-                connected[i] = False
-                joint += leave_step[i]
-        storage[:, slot - 1] = charge
-    return RolloutResult(storage, mismatch, float(reserve_total), storage[:, -1].copy())
-
-
-def support_costs(
-    model: MdpModel, policy: MarkovPolicy, budget: int
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Realized system cost of every report profile on the support of the
-    model's beliefs, from one batched rollout.
-
-    ``supports[i]`` lists the slots EV i reports with positive probability;
-    ``costs[k_1, ..., k_n]`` is the cost of profile (supports[0][k_1], ...),
-    so ``costs.ravel()`` runs in ``itertools.product`` order.  The profiles
-    step through ``policy.posts`` together, and every float is the one
-    ``rollout`` and ``system_cost`` compute: each EV's charge is the
-    running sum of its deltas, a slot's mismatch adds ``sum(action)`` to
-    the demand, the reserve cost (looked up once per distinct mismatch) is
-    added slot by slot from 0.0, and the terminal charge is summed per
-    profile row as ``terminal.sum()`` sums it.  Past ``budget`` bytes the
-    pass raises ``RolloutBatchTooLarge`` before it allocates.
-    """
-    horizon = model.horizon
-    supports = [
-        tuple(t for t in range(1, horizon + 1) if d.pmf[t - 1] > 0.0) for d in model.params
-    ]
-    shape = tuple(len(s) for s in supports)
-    count, n_evs = math.prod(shape), len(shape)
-    need = count * (ROLLOUT_EV_BYTES * n_evs + 8 * (horizon + 1) + ROLLOUT_BYTES)
+    horizon, n_evs = model.horizon, model.n_evs
+    profiles = np.asarray(profiles)
+    if profiles.ndim != 2 or profiles.shape[1] != n_evs:
+        raise ValueError(f"profiles must be a (count, {n_evs}) array of report slots")
+    count = len(profiles)
+    working = ROLLOUT_EV_BYTES * n_evs + 8 * (horizon + 1) + ROLLOUT_BYTES
+    need = count * (working + 8 * n_evs * horizon + 8 * horizon)
     if need > budget:
         raise RolloutBatchTooLarge(
             f"a batched rollout of {count} report profiles would hold about {need} bytes "
             f"(limit {budget})"
         )
-    space, market = policy.space, model.market
+    slots = profiles.astype(np.intp, copy=False)
+    if (slots != profiles).any() or ((slots < 1) | (slots > horizon)).any():
+        raise ValueError(f"report slots must be integers in 1..{horizon}")
+    space = policy.space
     # leaves[t]: the joint-id step of each profile's EVs that leave at the
-    # end of slot t (their leave_step); profiles in product order
-    picks = np.indices(shape).reshape(n_evs, count)
+    # end of slot t (their leave_step)
     leaves = np.zeros((horizon + 1, count), dtype=np.intp)
     every = np.arange(count)
-    for s, k, step in zip(supports, picks, space.leave_step):
-        leaves[np.array(s)[k], every] += step
-    charge_by_ev = space.charge_by_ev
+    for column, step in zip(slots.T, space.leave_step):
+        leaves[column, every] += step
+    storage = np.empty((count, n_evs, horizon))
+    mismatch = np.empty((count, horizon))
     charge = np.zeros((count, n_evs))
     reserve = np.zeros(count)
-    rank = np.zeros(space.n_states, dtype=np.intp)
     # the distinct states the profiles are in, and each profile's one
     states, at = np.array([space.initial]), np.zeros(count, dtype=np.intp)
     for slot in range(1, horizon + 1):
-        posts = policy.posts[slot - 1, states]
-        if posts.min() < 0:
-            raise UnreachableStateError(
-                f"policy has no action for slot {slot}, state {states[posts < 0][0]}"
-            )
-        deltas = (charge_by_ev[:, posts] - charge_by_ev[:, states]).T
+        posts, deltas, slot_mismatch, cost = _policy_step(model, policy, slot, states)
         charge += deltas[at]
-        demand, g = market.demand[slot - 1], model.dispatch[slot - 1]
-        mismatch = [demand + sum(action) - g for action in deltas.tolist()]
-        cost = {m: market.reserve_cost_at(slot, m) for m in dict.fromkeys(mismatch)}
-        reserve += np.array([cost[m] for m in mismatch])[at]
+        storage[:, :, slot - 1] = charge
+        mismatch[:, slot - 1] = slot_mismatch[at]
+        reserve += cost[at]
         if slot < horizon:
             joint = posts[at] + leaves[slot]
-            rank[joint] = 1
-            states = np.flatnonzero(rank)
-            rank[states] = np.arange(len(states))
-            at = rank[joint]
-            rank[states] = 0
-    terminal = charge.sum(axis=1)  # row by row, as a (n_evs,) terminal sums
-    generator_cost = market.generator_cost(model.dispatch)
-    costs = generator_cost + reserve - market.ev_energy_value * terminal
-    return supports, costs.reshape(shape)
+            states = np.flatnonzero(np.bincount(joint))
+            at = np.searchsorted(states, joint)
+    return RolloutResult(storage, mismatch, reserve, charge)
 
 
 @dataclass(frozen=True)
@@ -775,8 +757,10 @@ class ExpectedOutcome:
 def expected_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
     """Exact expectations under the model's deadline beliefs by forward
     propagation of the state distribution through the policy: each state's
-    mass moves to its action's post-decision state, then along that
-    state's row of ``StateSpace.successor_table``."""
+    mass moves to its action's post-decision state (``_policy_step``, as
+    in ``rollout``), then along that state's row of
+    ``StateSpace.successor_table``.  The expected reserve cost adds each
+    state's mass times its reserve cost, state by state in id order."""
     space = policy.space
     horizon = model.horizon
     mu = np.zeros(space.n_states)
@@ -784,12 +768,10 @@ def expected_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
     exp_reserve = 0.0
     for slot in range(1, horizon + 1):
         support = np.flatnonzero(mu)
-        for s in support.tolist():
-            action = policy.action(slot, s)
-            exp_reserve += mu[s] * stage_cost(
-                model.market, slot, model.dispatch[slot - 1], action
-            )
-        ids, probs, count = space.successor_table(slot, policy.posts[slot - 1, support])
+        posts, _, _, cost = _policy_step(model, policy, slot, support)
+        for mass, c in zip(mu[support].tolist(), cost.tolist()):
+            exp_reserve += mass * c
+        ids, probs, count = space.successor_table(slot, posts)
         listed = np.arange(ids.shape[1]) < count[:, None]
         mu_next = np.zeros(space.n_states)
         # row-major: mass arrives in (state, successor) order
@@ -798,7 +780,7 @@ def expected_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
     terminal = space.charge_by_ev @ mu
     market = model.market
     total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
-    return ExpectedOutcome(float(exp_reserve), terminal, float(total))
+    return ExpectedOutcome(exp_reserve, terminal, float(total))
 
 
 def iter_profiles(

@@ -14,6 +14,7 @@ import functools
 import logging
 from typing import Callable
 
+from .config import ConfigError
 from .deadlines import SUM_TOL
 
 log = logging.getLogger("storemkt")
@@ -153,26 +154,37 @@ def theorem1_config() -> dict:
     return cfg
 
 
-_BUILDERS: dict[str, Callable[..., dict]] = {
-    "example1": example1_config,
-    "table1": table1_config,
-    "theorem1": theorem1_config,
+#: each single-instance preset's builder and the type of each argument it takes
+_BUILDERS: dict[str, tuple[Callable[..., dict], dict[str, type]]] = {
+    "example1": (example1_config, {"p": float}),
+    "table1": (table1_config, {"n": int, "profile": str}),
+    "theorem1": (theorem1_config, {}),
 }
-
-_ARG_TYPES = {"p": float, "n": int, "profile": str}
 
 
 def parse_preset_name(name: str) -> tuple[str, dict]:
-    """Split ``table1:n=0,profile=C`` into (base, kwargs)."""
+    """Split ``table1:n=0,profile=C`` into (base, kwargs).  Raises
+    ValueError naming an unknown or experiment-only preset, an argument it
+    does not take, a repeated one, or a value of the wrong type."""
     base, _, argstr = name.partition(":")
+    if base not in _BUILDERS:
+        raise ValueError(
+            f"preset {base!r} is experiment-only or unknown; "
+            f"single-instance presets: {SINGLE_PRESETS}"
+        )
+    types = _BUILDERS[base][1]
     kwargs: dict = {}
-    if argstr:
-        for part in argstr.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if key not in _ARG_TYPES or not value:
-                raise ValueError(f"unknown preset argument {part!r}")
-            kwargs[key] = _ARG_TYPES[key](value)
+    for part in argstr.split(",") if argstr else ():
+        key, _, value = part.partition("=")
+        key = key.strip()
+        if key not in types:
+            raise ValueError(f"unknown argument {key!r} ({base} takes {', '.join(types) or 'none'})")
+        if key in kwargs:
+            raise ValueError(f"argument {key!r} given twice")
+        try:
+            kwargs[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"{key} takes {types[key].__name__} values, not {value!r}") from None
     return base, kwargs
 
 
@@ -182,11 +194,10 @@ def is_preset(name: str) -> bool:
 
 
 def preset_config(name: str) -> dict:
-    """Materialize a single-instance preset (with optional arguments)."""
-    base, kwargs = parse_preset_name(name)
-    if base not in _BUILDERS:
-        raise ValueError(
-            f"preset {base!r} is experiment-only or unknown; "
-            f"single-instance presets: {SINGLE_PRESETS}"
-        )
-    return _BUILDERS[base](**kwargs)
+    """Materialize a single-instance preset (with optional arguments);
+    raises ConfigError naming a bad name, argument or value."""
+    try:
+        base, kwargs = parse_preset_name(name)
+        return _BUILDERS[base][0](**kwargs)
+    except ValueError as exc:
+        raise ConfigError([f"{name}: {exc}"]) from None

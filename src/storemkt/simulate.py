@@ -23,17 +23,15 @@ between runs are therefore free of sampling noise from the draws.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
 
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
-from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K
-from .mdp import EVSpec, RolloutResult, rollout, system_cost
+from .dispatch import BATCH_BYTE_BUDGET, SolveResult, SolverConfig, estimate_lipschitz_K
+from .mdp import EVSpec, RolloutResult, _left_sum, rollout, system_cost
 from .mechanism import (
     DayAhead,
     EmpiricalRecord,
@@ -425,24 +423,28 @@ def _report_days(
 def _day_outcome(
     reported: tuple[int, ...],
     r: RolloutResult,
+    k: int,
     da: DayAhead,
     market: MarketModel,
     j_m: float,
 ) -> DayOutcome:
-    """One report profile's settlement and trace inputs, with the floats
-    that ``settlement`` and ``ev_cost`` would compute for it."""
+    """The settlement and trace inputs of report profile ``reported``, row
+    ``k`` of ``r``, with the floats that ``settlement`` and ``ev_cost``
+    would compute for it."""
     value = market.ev_energy_value
+    storage, terminal = r.storage[k], r.terminal[k]
+    reserve_cost = float(r.reserve_cost[k])
     return DayOutcome(
         reported=reported,
-        reserve_cost=float(r.reserve_cost),
-        beta=system_cost(market, da.generator_cost, r.reserve_cost, r.terminal),
+        reserve_cost=reserve_cost,
+        beta=float(system_cost(market, da.generator_cost, reserve_cost, terminal)),
         charge_gap=tuple(
             float(value * (float(e) - float(h)))
-            for e, h in zip(da.expected.terminal_charge, r.terminal)
+            for e, h in zip(da.expected.terminal_charge, terminal)
         ),
-        kept_cost=tuple(ev_cost(t, t, r.storage[i], j_m, value) for i, t in enumerate(reported)),
-        mismatch=";".join(_fmt(float(m)) for m in r.mismatch),
-        storage=tuple(";".join(_fmt(float(h)) for h in row) for row in r.storage),
+        kept_cost=tuple(ev_cost(t, t, storage[i], j_m, value) for i, t in enumerate(reported)),
+        mismatch=";".join(_fmt(float(m)) for m in r.mismatch[k]),
+        storage=tuple(";".join(_fmt(float(h)) for h in row) for row in storage),
     )
 
 
@@ -455,11 +457,6 @@ def _window_events(reports: np.ndarray, bid: DeadlineDistribution, windows: np.n
     np.cumsum(counts, axis=0, out=counts)
     l = np.arange(1, days + 1)[:, None]
     return max_frequency_gap(counts, l, np.array(bid.pmf)) >= windows
-
-
-def _left_sum(x: np.ndarray) -> float:
-    """Python float sum, left to right, as a running account adds it."""
-    return reduce(operator.add, x.tolist(), 0.0)
 
 
 def run_horizon(
@@ -499,10 +496,9 @@ def run_horizon(
     da = day_ahead(bids, solver_config, market, specs)
     solve, p_da = da.solve, list(da.p_da)
     j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs, solve)
-    # the nominal profile's path steers the reports; days reporting it reuse its rollout
-    nominal = _nominal_reports(bids)
-    rolled = {nominal: rollout(solve.model, solve.policy, nominal)}
-    planned = rolled[nominal].storage
+    # the nominal profile's path steers the reports
+    nominal = np.array([_nominal_reports(bids)], dtype=np.intp)
+    planned = rollout(solve.model, solve.policy, nominal, BATCH_BYTE_BUDGET).storage[0]
 
     true_days = draw_deadlines(true_params, make_rng(seed), days)
     windows = window_schedule.windows(days)
@@ -510,13 +506,13 @@ def run_horizon(
     for i, strategy in enumerate(strategies):
         reports[i] = _report_days(strategy, true_days[i], planned[i], windows)
 
-    # one rollout per distinct report profile; profile_days maps days to them
+    # one rollout of the distinct report profiles; profile_days maps days to them
     profiles, profile_days = _profile_index(reports, horizon)
-    outcomes = []
-    for row in map(tuple, profiles.tolist()):
-        if row not in rolled:
-            rolled[row] = rollout(solve.model, solve.policy, row)
-        outcomes.append(_day_outcome(row, rolled[row], da, market, j_m_value))
+    rolled = rollout(solve.model, solve.policy, profiles, BATCH_BYTE_BUDGET)
+    outcomes = [
+        _day_outcome(row, rolled, k, da, market, j_m_value)
+        for k, row in enumerate(map(tuple, profiles.tolist()))
+    ]
 
     # settlement, every day at once
     shape = (n_evs, days)

@@ -1,10 +1,11 @@
 """Reference implementations the tests hold the package to.
 
 Each is a plain, loop-by-loop form of something the package computes in
-another way: the product-form transition kernel, expectations by
-enumerating every deadline profile, the grouping of (state, action) pairs
-by charge sum, and the batched kernel's min over actions as one
-add-and-min per (charge sum, dispatch level).
+another way: the product-form transition kernel, the forward pass over
+report profiles one profile and one slot at a time, expectations and
+conditional costs by enumerating every deadline profile, the grouping of
+(state, action) pairs by charge sum, and the batched kernel's min over
+actions as one add-and-min per (charge sum, dispatch level).
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from storemkt.mdp import (
     ExpectedOutcome,
     MarkovPolicy,
     MdpModel,
+    RolloutResult,
     UnreachableStateError,
     iter_profiles,
-    rollout,
     system_cost,
 )
 
@@ -58,23 +59,90 @@ def transition_prob(
     return prob
 
 
+def stage_cost(
+    market: MarketModel, slot: int, g_slot: float, actions: Sequence[float]
+) -> float:
+    """Reserve cost of one slot given the dispatch and joint charge deltas."""
+    mismatch = market.demand[slot - 1] + float(sum(actions)) - g_slot
+    return market.reserve_cost_at(slot, mismatch)
+
+
+def rollout(
+    model: MdpModel, policy: MarkovPolicy, profiles: Sequence[Sequence[int]]
+) -> RolloutResult:
+    """``mdp.rollout`` one profile at a time and one slot at a time.
+
+    Per profile, EV j disconnects at the end of slot ``reported[j]``: each
+    slot applies ``policy.action`` to the joint id, adds its deltas to each
+    EV's charge, moves the id to its post-decision id plus the
+    ``leave_step`` of each EV leaving, and adds the slot's ``stage_cost``
+    to a running reserve total from 0.0.
+    """
+    leave_step = policy.space.leave_step
+    horizon, n_evs = model.horizon, len(model.specs)
+    rows = []
+    for reported in profiles:
+        connected = [True] * n_evs
+        charge = [0.0] * n_evs
+        storage = np.zeros((n_evs, horizon))
+        mismatch = np.zeros(horizon)
+        reserve_total = 0.0
+        joint = policy.space.initial
+        for slot in range(1, horizon + 1):
+            action = policy.action(slot, joint)
+            joint = int(policy.posts[slot - 1, joint])
+            for i in range(n_evs):
+                charge[i] += action[i]
+            g = model.dispatch[slot - 1]
+            mismatch[slot - 1] = model.market.demand[slot - 1] + float(sum(action)) - g
+            reserve_total += stage_cost(model.market, slot, g, action)
+            for i in range(n_evs):
+                if connected[i] and slot >= reported[i]:
+                    connected[i] = False
+                    joint += leave_step[i]
+            storage[:, slot - 1] = charge
+        rows.append((storage, mismatch, reserve_total))
+    return RolloutResult(
+        np.array([r[0] for r in rows]).reshape(len(rows), n_evs, horizon),
+        np.array([r[1] for r in rows]).reshape(len(rows), horizon),
+        np.array([r[2] for r in rows]),
+        np.array([r[0][:, -1] for r in rows]).reshape(len(rows), n_evs),
+    )
+
+
 def enumerated_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
-    """Expectations by exhaustive deadline-profile enumeration.
+    """Expectations by exhaustive deadline-profile enumeration, each
+    profile rolled out by the scalar ``rollout`` above.
 
     Independent of the forward-propagation path of ``mdp.expected_outcome``;
     tests hold the two to agree within 1e-9.
     """
+    weighted = [(profile, p) for profile, p in iter_profiles(model.params, model.horizon) if p]
+    r = rollout(model, policy, [profile for profile, _ in weighted])
     exp_reserve = 0.0
     terminal = np.zeros(len(model.specs))
-    for profile, p in iter_profiles(model.params, model.horizon):
-        if p == 0.0:
-            continue
-        r = rollout(model, policy, profile)
-        exp_reserve += p * r.reserve_cost
-        terminal += p * r.terminal
+    for k, (_, p) in enumerate(weighted):
+        exp_reserve += p * r.reserve_cost[k]
+        terminal += p * r.terminal[k]
     market = model.market
     total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
     return ExpectedOutcome(float(exp_reserve), terminal, float(total))
+
+
+def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> float:
+    """``dispatch.conditional_beta`` by enumeration, one scalar ``rollout``
+    per profile: the terms p times a profile's system cost, in
+    ``iter_profiles`` order over the other EVs, p == 0 skipped."""
+    generator_cost = model.market.generator_cost(model.dispatch)
+    others = model.params[:i] + model.params[i + 1 :]
+    total = 0.0
+    for combo, p in iter_profiles(others, model.horizon):
+        if p == 0.0:
+            continue
+        r = rollout(model, policy, [combo[:i] + (t,) + combo[i:]])
+        cost = system_cost(model.market, generator_cost, r.reserve_cost[0], r.terminal[0])
+        total += p * float(cost)
+    return total
 
 
 def group_by_sum(

@@ -126,6 +126,27 @@ def test_bad_counts_and_seeds_exit_2(argv, capsys):
     assert "need an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,named",
+    [
+        ("table1:n=9", "table1:n=9: n must be in 0..4"),
+        ("table1:n=abc", "n takes int values, not 'abc'"),
+        ("table1:profile=Z", "profile must be one of"),
+        ("example1:p=1.5", "p must be inside (0, 1)"),
+        ("theorem1:p=0.3", "unknown argument 'p'"),
+        ("example1:n=2", "unknown argument 'n'"),
+        ("fig2", "preset 'fig2' is experiment-only"),
+        ("table1:n=2,n=3", "argument 'n' given twice"),
+    ],
+)
+def test_bad_preset_names_fail_by_name(name, named, capsys):
+    # a bad value, an argument the preset does not take, a repeated one or
+    # an experiment-only preset is a config error: exit 2, argument named
+    assert main(["solve", name]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and captured.out == ""
+
+
 def test_negative_config_seeds_fail_by_name(tmp_path, capsys):
     cfg = preset_config("theorem1")
     cfg["simulation"]["seeds"] = [-1]

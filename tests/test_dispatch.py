@@ -391,14 +391,16 @@ def test_profile_enumeration_guard_fires_before_any_rollout(monkeypatch):
     s = setup_for("table1:n=2")
     res = solve_outer(s.params, s.solver, s.market, s.specs)
     rolled = []
-    real = mdp.rollout
 
-    def counted(model, policy, reported):
-        rolled.append(tuple(reported))
-        return real(model, policy, reported)
+    def counting(real):
+        def counted(model, policy, profiles, *budget):
+            rolled.extend(map(tuple, np.asarray(profiles).tolist()))
+            return real(model, policy, profiles, *budget)
 
-    monkeypatch.setattr(mdp, "rollout", counted)
-    monkeypatch.setattr(dispatch, "rollout", counted)
+        return counted
+
+    monkeypatch.setattr(dispatch, "rollout", counting(mdp.rollout))
+    monkeypatch.setattr(reference, "rollout", counting(reference.rollout))
     monkeypatch.setattr(mdp, "ENUMERATION_GUARD", 4)
     with pytest.raises(ValueError, match="visit 25 profiles"):
         enumerated_outcome(res.model, res.policy)
@@ -432,11 +434,11 @@ def test_lipschitz_estimate_frozen_and_monotone():
 
 
 def _scalar_conditional_costs(res):
-    """A fresh scalar ``conditional_beta`` per EV and support slot: one
-    ``mdp.rollout`` per report profile."""
+    """The reference ``conditional_beta`` per EV and support slot: one
+    scalar ``reference.rollout`` per report profile."""
     params = res.model.params
     return [
-        [conditional_beta(res.model, res.policy, i, t)
+        [reference.conditional_beta(res.model, res.policy, i, t)
          for t in range(1, res.model.horizon + 1) if params[i].pmf[t - 1] > 0.0]
         for i in range(len(params))
     ]
@@ -452,48 +454,44 @@ def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
     solves = [solve_outer(bids, s.solver, s.market, s.specs) for bids in profiles]
     # the reference: a fresh scalar conditional_beta per cost
     want = [_scalar_conditional_costs(res) for res in solves]
-    passes, got, rolled = [], [], []
-    batched, conditional, scalar = mdp.support_costs, dispatch._conditional_costs, mdp.rollout
+    passes, got = [], []
+    batched, conditional = mdp.rollout, dispatch._conditional_costs
 
-    def counted_pass(model, policy, budget):
-        passes.append(model.params)
-        return batched(model, policy, budget)
+    def counted_pass(model, policy, reported, budget):
+        passes.append((model.params, len(reported)))
+        return batched(model, policy, reported, budget)
 
     def kept_costs(model, policy):
         got.append(conditional(model, policy))
         return got[-1]
 
-    def counted_rollout(model, policy, reported):
-        rolled.append(tuple(reported))
-        return scalar(model, policy, reported)
-
-    monkeypatch.setattr(dispatch, "support_costs", counted_pass)
+    monkeypatch.setattr(dispatch, "rollout", counted_pass)
     monkeypatch.setattr(dispatch, "_conditional_costs", kept_costs)
-    monkeypatch.setattr(mdp, "rollout", counted_rollout)
-    monkeypatch.setattr(dispatch, "rollout", counted_rollout)
     k_hat = estimate_lipschitz_K(profiles, s.solver, s.market, s.specs, solves[0])
-    # one batched pass per solve, and no scalar rollout
-    assert passes == [tuple(bids) for bids in profiles]
-    assert rolled == []
+    # one batched pass per solve, over every profile of the support
+    assert passes == [(tuple(bids), 5**3) for bids in profiles]
     assert got == want  # bit-identical, not approximately
     norm = 2.0 * math.sqrt(s.market.horizon)
     assert k_hat == max(norm * float(np.linalg.norm(np.array(v))) for w in want for v in w)
 
 
 def _assert_batched_costs_are_scalar(res):
-    supports, got = mdp.support_costs(res.model, res.policy, dispatch.BATCH_BYTE_BUDGET)
+    # every profile of the support, the one batched pass against the scalar
+    # loop, then the conditional costs read from it against the reference's
     horizon = res.model.horizon
-    assert supports == [
+    supports = [
         tuple(t for t in range(1, horizon + 1) if law.pmf[t - 1] > 0.0) for law in res.model.params
     ]
-    assert got.shape == tuple(len(x) for x in supports)
-    gen = res.model.market.generator_cost(res.model.dispatch)
-    want = [
-        mdp.system_cost(res.model.market, gen, r.reserve_cost, r.terminal)
-        for r in (mdp.rollout(res.model, res.policy, p) for p in itertools.product(*supports))
-    ]
-    assert got.ravel().tolist() == want  # every entry ==
+    profiles = list(itertools.product(*supports))
+    got = mdp.rollout(res.model, res.policy, np.array(profiles), dispatch.BATCH_BYTE_BUDGET)
+    want = reference.rollout(res.model, res.policy, profiles)
+    for name in ("storage", "mismatch", "reserve_cost", "terminal"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()  # every entry ==
     assert dispatch._conditional_costs(res.model, res.policy) == _scalar_conditional_costs(res)
+    i = len(supports) - 1
+    assert [conditional_beta(res.model, res.policy, i, t) for t in supports[i]] == [
+        reference.conditional_beta(res.model, res.policy, i, t) for t in supports[i]
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -533,43 +531,59 @@ def test_batched_rollout_skips_zero_probability_slots():
     res = solve_outer(bids, s.solver, s.market, s.specs)
     assert (res.policy.posts[2:] < 0).any()
     with pytest.raises(mdp.UnreachableStateError, match="no action"):
-        mdp.rollout(res.model, res.policy, (3, 1))
-    # the batched pass rolls out the support only
+        reference.rollout(res.model, res.policy, [(3, 1)])
+    with pytest.raises(mdp.UnreachableStateError, match="no action for slot 3"):
+        mdp.rollout(res.model, res.policy, np.array([(1, 1), (3, 1)]), dispatch.BATCH_BYTE_BUDGET)
+    # the conditional costs roll out the support only
     _assert_batched_costs_are_scalar(res)
-    # under beliefs that do put mass there, it fails by name as well
+    # under beliefs that do put mass there, they fail by name as well
     model = MdpModel(s.market, s.specs, s.params, res.g_star)
     with pytest.raises(mdp.UnreachableStateError, match="no action for slot 3"):
-        mdp.support_costs(model, res.policy, dispatch.BATCH_BYTE_BUDGET)
+        dispatch._conditional_costs(model, res.policy)
 
 
 def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
     s = setup_for("table1:n=4")
     res = solve_outer(s.params, s.solver, s.market, s.specs)
-    count, horizon = 5**4, s.market.horizon
-    need = count * (mdp.ROLLOUT_EV_BYTES * 4 + 8 * (horizon + 1) + mdp.ROLLOUT_BYTES)
-    rolled = []
-    scalar = mdp.rollout
-    monkeypatch.setattr(mdp, "rollout", lambda *a: rolled.append(a) or scalar(*a))
-    monkeypatch.setattr(dispatch, "rollout", mdp.rollout)
+    count, n, horizon = 5**4, 4, s.market.horizon
+    # per profile: the pass's working arrays, then the storage and
+    # mismatch it returns
+    need = count * (
+        mdp.ROLLOUT_EV_BYTES * n + 8 * (horizon + 1) + mdp.ROLLOUT_BYTES
+        + 8 * n * horizon + 8 * horizon
+    )
+    budgets = []
+    real = mdp.rollout
+    monkeypatch.setattr(dispatch, "rollout", lambda *a: budgets.append(a[3]) or real(*a))
     monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", need - 1)
+    with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
+        estimate_lipschitz_K([s.params], s.solver, s.market, s.specs, res)
+    assert budgets == [need - 1]  # the probe's one pass, refused
+    profiles = np.array(list(itertools.product(range(1, horizon + 1), repeat=n)))
     tracemalloc.start()
     try:
-        with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
-            estimate_lipschitz_K([s.params], s.solver, s.market, s.specs, res)
+        with pytest.raises(mdp.RolloutBatchTooLarge):
+            real(res.model, res.policy, profiles, need - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # nothing was rolled out: less was allocated than the profiles'
     # (count, n_evs) charge array alone
-    assert rolled == [] and peak < 8 * count * 4
-    # at the budget the pass runs, within its estimate
-    tracemalloc.start()
-    try:
-        mdp.support_costs(res.model, res.policy, need)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 8 * count * 4 < peak <= need
+    assert peak < 8 * count * n
+    # at the budget the pass runs, within its estimate, and so does the
+    # probe's pass with the support profiles it builds
+    monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", need)
+    for run in (
+        lambda: real(res.model, res.policy, profiles, need),
+        lambda: dispatch._conditional_costs(res.model, res.policy),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * count * n < peak <= need
 
 
 def test_dominated_pair_check_reuses_the_shifted_solve(monkeypatch):
@@ -991,6 +1005,24 @@ def test_oversized_joint_space_fails_by_name_in_every_mode(monkeypatch):
     ):
         with pytest.raises(BatchTooLarge, match="11 EVs"):
             solve_outer(s.params, config, s.market, s.specs)
+
+
+def test_solve_outer_needs_one_bid_per_ev(monkeypatch):
+    # checked first, in every mode: no space is built for a missing bid
+    def never(*args):
+        raise AssertionError("no space may be built")
+
+    s = setup_for("table1:n=2")
+    monkeypatch.setattr(CountSpace, "__init__", never)
+    plan = (0.0,) * s.market.horizon
+    for config in (
+        SolverConfig(step=10.0, mode="beam"),
+        SolverConfig(step=10.0),
+        SolverConfig(candidates=(plan,)),
+    ):
+        for bids in (s.params[:1], s.params + s.params[:1]):
+            with pytest.raises(ValueError, match=f"{len(bids)} bids for 2 EVs"):
+                solve_outer(bids, config, s.market, s.specs)
 
 
 def test_space_byte_bound_holds_on_the_reference_resolve():

@@ -23,13 +23,13 @@ from storemkt.mdp import (
     policy_artifact,
     rollout,
     solve_dp,
-    stage_cost,
     system_cost,
 )
-from storemkt.scenarios import random_small_instance
+from storemkt.dispatch import BATCH_BYTE_BUDGET, solve_outer
+from storemkt.scenarios import random_floored_pmf, random_small_instance
 
 import reference
-from reference import enumerated_outcome, transition_prob
+from reference import enumerated_outcome, stage_cost, transition_prob
 
 UNIFORM5 = DeadlineDistribution((0.2,) * 5)
 
@@ -229,18 +229,63 @@ def test_infeasible_initial_state_raises():
 def test_rollout_paths_and_departure_freeze():
     model = two_slot_model(0.19, (1.0, 0.0))
     _, policy = solve(model)
-    early = rollout(model, policy, (1,))
-    assert early.storage.tolist() == [[1.0, 1.0]]
-    assert early.terminal.tolist() == [1.0]
-    assert early.mismatch.tolist() == [0.0, 1.0]
-    assert early.reserve_cost == pytest.approx(11.0)
-    late = rollout(model, policy, (2,))
-    assert late.storage.tolist() == [[1.0, 0.0]]
-    assert late.terminal.tolist() == [0.0]
-    assert late.reserve_cost == pytest.approx(0.0)
+    r = rollout(model, policy, np.array([[1], [2]]), BATCH_BYTE_BUDGET)
+    # profile 0 leaves early, profile 1 late
+    assert r.storage.tolist() == [[[1.0, 1.0]], [[1.0, 0.0]]]
+    assert r.terminal.tolist() == [[1.0], [0.0]]
+    assert r.mismatch.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+    assert r.reserve_cost.tolist() == [11.0, 0.0]
     gen = model.market.generator_cost(model.dispatch)
-    assert system_cost(model.market, gen, early.reserve_cost, early.terminal) == 10.0
-    assert system_cost(model.market, gen, late.reserve_cost, late.terminal) == 0.0
+    assert system_cost(model.market, gen, r.reserve_cost, r.terminal).tolist() == [10.0, 0.0]
+    assert system_cost(model.market, gen, r.reserve_cost[0], r.terminal[0]) == 10.0
+
+
+def test_rollout_rejects_profiles_by_name():
+    # one (count, n_evs) array of slots in 1..T: a lone profile, a 3-D
+    # array or the wrong EV count is refused, and so is a slot outside the
+    # day, where a scalar loop would read 0 as slot 1 and T + 1 as never
+    model = two_slot_model(0.19, (1.0, 0.0))
+    _, policy = solve(model)
+    for bad in ((1,), [1, 2], [[[1]]], [[1, 2]], np.zeros((1, 0), dtype=int)):
+        with pytest.raises(ValueError, match=r"\(count, 1\) array of report slots"):
+            rollout(model, policy, bad, BATCH_BYTE_BUDGET)
+    for bad in ([[0]], [[-3]], [[3]], [[1], [1.5]]):
+        with pytest.raises(ValueError, match=r"integers in 1\.\.2"):
+            rollout(model, policy, bad, BATCH_BYTE_BUDGET)
+    assert rollout(model, policy, [[2.0]], BATCH_BYTE_BUDGET).terminal.tolist() == [[0.0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_batched_rollout_equals_the_scalar_loop(seed, data):
+    # every field ==, on rows that may repeat and come in any order; levels
+    # on a 0.1 kWh grid make charge sums round, so the order of every
+    # addition shows.  A bid cut short leaves the policy no action for its
+    # EV connected past the cut, which a late report reaches
+    market, specs, bids, config, _ = random_small_instance(make_rng(seed))
+    horizon, n = market.horizon, len(specs)
+    level = st.integers(1, 99)
+    tenths = data.draw(st.lists(st.tuples(level, level), min_size=n, max_size=n))
+    specs = tuple(EVSpec(10.0, tuple(sorted({0.0, a / 10, b / 10}))) for a, b in tenths)
+    cut = data.draw(st.integers(1, horizon))
+    if cut < horizon:
+        head = random_floored_pmf(make_rng(seed), cut, 0.02)
+        bids = (DeadlineDistribution(tuple(head) + (0.0,) * (horizon - cut), floor=0.0),) + bids[1:]
+    res = solve_outer(bids, config, market, specs)
+    row = st.lists(st.integers(1, horizon), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        rows = rows + rows[::-1]
+    try:
+        want = reference.rollout(res.model, res.policy, rows)
+    except UnreachableStateError:
+        with pytest.raises(UnreachableStateError, match="no action"):
+            rollout(res.model, res.policy, np.array(rows), BATCH_BYTE_BUDGET)
+        return
+    got = rollout(res.model, res.policy, np.array(rows), BATCH_BYTE_BUDGET)
+    for name in ("storage", "mismatch", "reserve_cost", "terminal"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tolist() == b.tolist(), name
 
 
 def test_rollout_steps_ids_and_sums_deltas():
@@ -262,9 +307,10 @@ def test_rollout_steps_ids_and_sums_deltas():
     policy = MarkovPolicy(space, posts)
     drift = 3.0 + (0.7 - 3.0)
     assert drift != 0.7
-    assert rollout(model, policy, (3,)).storage.tolist() == [[3.0, drift, drift - 0.7]]
-    assert rollout(model, policy, (2,)).storage.tolist() == [[3.0, drift, drift]]
-    assert rollout(model, policy, (1,)).storage.tolist() == [[3.0, 3.0, 3.0]]
+    r = rollout(model, policy, np.array([[3], [2], [1]]), BATCH_BYTE_BUDGET)
+    assert r.storage.tolist() == [
+        [[3.0, drift, drift - 0.7]], [[3.0, drift, drift]], [[3.0, 3.0, 3.0]]
+    ]
 
 
 def test_expected_outcome_matches_enumeration_and_dp():
@@ -418,9 +464,10 @@ def test_flat_groups_hold_the_reference_grouping(layout):
 
 
 def test_row_sums_are_the_one_dimensional_sums():
-    # support_costs sums each profile's terminal charges as one row of a
-    # C-contiguous (profiles, n_evs) array, where rollout sums an (n_evs,)
-    # array; numpy sums pairwise from 8 terms on, so the orders must agree
+    # system_cost sums each profile's terminal charges as one row of
+    # rollout's C-contiguous (profiles, n_evs) array, where the scalar
+    # reference sums an (n_evs,) array; numpy sums pairwise from 8 terms
+    # on, so the orders must agree
     rng = np.random.default_rng(3)
     for n in range(24):
         a = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-6, 7, (50, n))

@@ -11,7 +11,7 @@ from storemkt.config import load_setup
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import SolverConfig, solve_outer
 from storemkt.experiments import payments_table, to_json
-from storemkt.mdp import expected_outcome, rollout
+from storemkt.mdp import expected_outcome
 from storemkt.mechanism import (
     EmpiricalRecord,
     WindowSchedule,
@@ -35,6 +35,8 @@ from storemkt.simulate import (
     run_horizon,
     verify_theorem1,
 )
+
+import reference
 
 THETA_A = DeadlineDistribution((0.2,) * 5)
 EXAMPLE1_J_M = 282.84271247461903  # 10x the sampled sensitivity bound
@@ -500,6 +502,55 @@ def test_theorem1_5000_day_bytes_are_frozen(name):
     assert got == (csv_sha, diag_sha)
 
 
+# A fleet whose storage paths follow the reports: table1 n=3 with seed-7
+# floored bids, the last EV on three levels, and stored energy valued at
+# 0.03 $/kWh, so EVs do not all fill at once.  Over 300 days at seed 5 the
+# truthful reports reach 80 distinct profiles with 16 distinct storage
+# paths.  sha256 of to_csv() and of to_json(diagnostics), and float.hex of
+# the miss fine, the day-ahead payments and the forward expectation
+# (reserve cost, terminal charges, beta), recorded from the per-profile
+# scalar rollouts
+BID_SENSITIVE_PIN = {
+    "csv": "8c2d99c50ce27904f16f9e3dab7b6c0427cb4deef63fe1b2b15284275f9b4c46",
+    "diagnostics": "184b4d71508ac6d724471289bc138449d8a8cd431a44a921c455804714418846",
+    "j_m": "0x1.318d8dbe29dffp+9",
+    "p_da": ["-0x1.76bb910297eb8p-6", "-0x1.3f21b615c0d9cp-4", "0x1.0bb379e4aae1ep-3"],
+    "expected": (
+        "0x1.4738f32b7552ap+1",
+        ["0x1.abeddc035ee68p+2", "0x1.0f9057ae31c95p+3", "0x1.1d4c40a00dddcp+2"],
+        "0x1.86119dcaffc60p+2",
+    ),
+}
+
+
+def test_bid_sensitive_fleet_bytes_are_frozen():
+    rng = np.random.default_rng(7)
+    cfg = table1_config(n=3)
+    for ev in cfg["evs"]:
+        ev["theta"] = {"pmf": list(random_floored_pmf(rng, 5, 0.02)), "floor": 0.02}
+    cfg["evs"][-1]["levels"] = [0.0, 5.0, 10.0]
+    cfg["units"]["ev_energy_value"] = 0.03
+    s = load_setup(cfg)
+    res = run_horizon(
+        s.market, s.specs, s.params, s.strategies, 300, 5,
+        s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
+    )
+    assert len(res.outcomes) == 80 and len({o.storage for o in res.outcomes}) == 16
+    fwd = expected_outcome(res.solve.model, res.solve.policy)
+    got = {
+        "csv": hashlib.sha256(res.to_csv().encode()).hexdigest(),
+        "diagnostics": hashlib.sha256(to_json(res.diagnostics).encode()).hexdigest(),
+        "j_m": res.j_m.hex(),
+        "p_da": [p.hex() for p in res.p_da],
+        "expected": (
+            fwd.reserve_cost.hex(),
+            [float(h).hex() for h in fwd.terminal_charge],
+            fwd.beta.hex(),
+        ),
+    }
+    assert got == BID_SENSITIVE_PIN
+
+
 def test_settlement_columns_match_the_per_day_settlement():
     # always reporting slot 2 misses on true-slot-1 days and trips the
     # window on some days but not others
@@ -516,9 +567,9 @@ def test_settlement_columns_match_the_per_day_settlement():
     for d, k in enumerate(res.profile_days.tolist()):
         reported = res.outcomes[k].reported[0]
         record.update(reported)
-        realized = rollout(solve.model, solve.policy, (reported,))
+        realized = reference.rollout(solve.model, solve.policy, [(reported,)])
         want = settlement(
-            d + 1, record, s.params[0], float(expected), float(realized.terminal[0]),
+            d + 1, record, s.params[0], float(expected), float(realized.terminal[0, 0]),
             s.window_schedule, s.penalty_schedule, s.market.ev_energy_value,
         )
         got = (res.charge_gap_days[0, d], res.penalty_days[0, d], bool(res.event_days[0, d]))
@@ -544,9 +595,9 @@ def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
     rolled = []
     real = mdp.rollout
 
-    def counted(model, policy, reported):
-        rolled.append(tuple(reported))
-        return real(model, policy, reported)
+    def counted(model, policy, profiles, budget):
+        rolled.append(list(map(tuple, profiles.tolist())))
+        return real(model, policy, profiles, budget)
 
     monkeypatch.setattr(mdp, "rollout", counted)
     monkeypatch.setattr(simulate, "rollout", counted)
@@ -562,8 +613,10 @@ def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
     )
     distinct = {res.outcomes[k].reported for k in res.profile_days.tolist()}
     assert len(distinct) > 1
-    assert len(rolled) <= len(distinct) + 1  # + the nominal path's profile
-    assert len(set(rolled)) == len(rolled)
+    # one pass for the nominal path's profile, one for the days' profiles
+    nominal = simulate._nominal_reports(tuple(b.day_ahead_bid for b in strategies))
+    assert rolled[0] == [nominal]
+    assert len(rolled) == 2 and sorted(rolled[1]) == sorted(distinct)
 
 
 def test_run_horizon_rejects_true_laws_of_another_horizon(monkeypatch):
