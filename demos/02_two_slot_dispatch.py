@@ -14,13 +14,7 @@ So storage should win exactly while 10p < 2.
 """
 from storemkt.costs import MarketModel, table
 from storemkt.deadlines import DeadlineDistribution
-from storemkt.dispatch import (
-    BATCH_BYTE_BUDGET,
-    SolverConfig,
-    beta_bar,
-    conditional_beta,
-    solve_outer,
-)
+from storemkt.dispatch import SolverConfig, beta_bar, conditional_beta, solve_outer
 from storemkt.mdp import EVSpec, MdpModel, rollout
 
 market = MarketModel(
@@ -51,7 +45,7 @@ res = solve_outer([bid], config, market, [spec])
 model = MdpModel(market, (spec,), (bid,), res.g_star)
 print()
 print(f"p = {p}: q* = {res.q_star}, plan {res.g_star}")
-r = rollout(model, res.policy, [[1], [2]], BATCH_BYTE_BUDGET)
+r = rollout(model, res.policy, [[1], [2]])
 for k, t in enumerate((1, 2)):
     print(
         f"  departs slot {t}: storage path {r.storage[k, 0].tolist()}, "

@@ -95,6 +95,7 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution
 from .mdp import (
+    BATCH_BYTE_BUDGET,
     CountSpace,
     EVSpec,
     MarkovPolicy,
@@ -102,6 +103,7 @@ from .mdp import (
     StateSpace,
     ValueTable,
     check_dispatch,
+    check_rollout_size,
     iter_profiles,
     policy_artifact,
     rollout,
@@ -120,9 +122,6 @@ CROSS_CHECK_TOL = 1e-6
 ORACLE_POLICY_GUARD = 500_000
 #: values per column chunk of the batched kernel's min over actions
 CHUNK_ELEMS = 16_384
-#: bytes one slot of the exhaustive pass, or the joint-state tables every
-#: mode builds, may hold at once; a larger one fails by name
-BATCH_BYTE_BUDGET = 2 * 2**30
 #: peak bytes ``mdp._product_pairs`` holds per (state, action) pair while it
 #: builds the pair table (about 75 measured, for 2 to 5 levels per EV)
 PAIR_BYTES = 80
@@ -781,7 +780,8 @@ def solve_outer(
 def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> float:
     """Expected realized cost given EV ``i`` reports slot ``t``, others
     drawn from their distributions.  Exact by enumeration
-    (``mdp.iter_profiles``)."""
+    (``mdp.iter_profiles``), rolled out as many at a time as one
+    ``rollout`` takes, so any count the enumeration guard admits runs."""
     if not 0 <= i < model.n_evs:
         raise IndexError(f"EV index {i} out of range")
     if not 1 <= t <= model.horizon:
@@ -789,15 +789,19 @@ def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> f
     if model.params[i].pmf[t - 1] <= 0.0:
         raise ValueError(f"slot {t} has zero probability for EV {i + 1}")
     others = model.params[:i] + model.params[i + 1 :]
-    weighted = [(combo, p) for combo, p in iter_profiles(others, model.horizon) if p != 0.0]
-    profiles = np.array([combo[:i] + (t,) + combo[i:] for combo, _ in weighted], dtype=np.intp)
-    weights = np.array([p for _, p in weighted])
-    return _left_sum(weights * _profile_costs(model, policy, profiles))
+    weighted = ((combo, p) for combo, p in iter_profiles(others, model.horizon) if p != 0.0)
+    per_pass = check_rollout_size(1, model.n_evs, model.horizon)
+    total = 0.0
+    while chunk := list(itertools.islice(weighted, per_pass)):
+        profiles = np.array([combo[:i] + (t,) + combo[i:] for combo, _ in chunk], dtype=np.intp)
+        weights = np.array([p for _, p in chunk])
+        total = _left_sum(weights * _profile_costs(model, policy, profiles), total)
+    return total
 
 
 def _profile_costs(model: MdpModel, policy: MarkovPolicy, profiles: np.ndarray) -> np.ndarray:
     """Each report profile's realized system cost, from one ``rollout``."""
-    r = rollout(model, policy, profiles, BATCH_BYTE_BUDGET)
+    r = rollout(model, policy, profiles)
     generator_cost = model.market.generator_cost(model.dispatch)
     return system_cost(model.market, generator_cost, r.reserve_cost, r.terminal)
 
@@ -825,14 +829,11 @@ def estimate_lipschitz_K(
     ):
         raise ValueError("solved is not the solve of profiles[0] on these EVs")
     best = 0.0
-    horizon = market.horizon
     for k, bids in enumerate(profiles):
-        if solved is not None and k == 0:
-            result = solved
-        else:
-            result = solve_outer(tuple(bids), config, market, specs)
+        fresh = solved is None or k > 0
+        result = solve_outer(tuple(bids), config, market, specs) if fresh else solved
         for vec in _conditional_costs(result.model, result.policy):
-            best = max(best, 2.0 * math.sqrt(horizon) * float(np.linalg.norm(vec)))
+            best = max(best, 2.0 * math.sqrt(market.horizon) * float(np.linalg.norm(vec)))
     return best
 
 
@@ -843,11 +844,13 @@ def _conditional_costs(model: MdpModel, policy: MarkovPolicy) -> list[list[float
     0).  As there, each term is p times a profile's cost, p multiplied up
     in EV order over the other EVs' slots; the terms run in
     ``itertools.product`` order, p == 0 is skipped, and they are added one
-    at a time from 0.0."""
+    at a time from 0.0.  Past BATCH_BYTE_BUDGET the pass raises
+    ``RolloutBatchTooLarge`` before the profiles are built."""
     supports = [
         tuple(t for t in range(1, model.horizon + 1) if d.pmf[t - 1] > 0.0) for d in model.params
     ]
     shape = tuple(len(s) for s in supports)
+    check_rollout_size(math.prod(shape), model.n_evs, model.horizon)
     # every support profile, in product order
     picks = np.indices(shape).reshape(len(shape), math.prod(shape))
     profiles = np.empty(picks.shape[::-1], dtype=np.intp)

@@ -60,6 +60,10 @@ from .deadlines import DeadlineDistribution
 
 #: refuse exhaustive deadline-profile enumeration beyond this many profiles
 ENUMERATION_GUARD = 10_000_000
+#: bytes one batched ``rollout``, one slot of the exhaustive pass in
+#: ``dispatch``, or the joint-state tables every solve builds may hold at
+#: once; a larger one fails by name
+BATCH_BYTE_BUDGET = 2 * 2**30
 #: peak bytes ``rollout`` holds per report profile: ROLLOUT_EV_BYTES per
 #: EV, 8 per slot and 8 more for its leave steps, ROLLOUT_BYTES, and the
 #: storage and mismatch it returns, 8 per EV and slot and 8 per slot
@@ -151,9 +155,9 @@ def system_cost(
     return generator_cost + reserve_cost - market.ev_energy_value * terminal.sum(axis=-1)
 
 
-def _left_sum(x: np.ndarray) -> float:
-    """Python float sum, left to right, as a running account adds it."""
-    return reduce(operator.add, x.tolist(), 0.0)
+def _left_sum(x: np.ndarray, start: float = 0.0) -> float:
+    """Python float sum, left to right from ``start``, as a running account adds it."""
+    return reduce(operator.add, x.tolist(), start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,22 +580,23 @@ class MarkovPolicy:
     space: StateSpace = field(repr=False)
     posts: np.ndarray = field(repr=False)
 
-    def action(self, slot: int, joint: int) -> tuple[float, ...]:
-        horizon, n_states = self.posts.shape
-        # bounds first: a negative index would wrap around
-        inside = 1 <= slot <= horizon and 0 <= joint < n_states
-        post = self.posts[slot - 1, joint] if inside else -1
-        if post < 0:
-            raise UnreachableStateError(f"policy has no action for slot {slot}, state {joint}")
+    def step(self, slot: int, joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The post-decision ids of ``joints`` at ``slot`` and their actions'
+        per-EV charge deltas, one row per joint.  A joint with no action
+        raises ``UnreachableStateError``."""
+        posts = self.posts[slot - 1, joints]
+        if (posts < 0).any():
+            raise UnreachableStateError(
+                f"policy has no action for slot {slot}, state {joints[posts < 0][0]}"
+            )
         charge = self.space.charge_by_ev
-        return tuple((charge[:, post] - charge[:, joint]).tolist())
+        return posts, (charge[:, posts] - charge[:, joints]).T
 
     def to_jsonable(self) -> dict[str, list[float]]:
-        charge = self.space.charge_by_ev
         out: dict[str, list[float]] = {}
         for slot, row in enumerate(self.posts, start=1):
             joints = np.flatnonzero(row >= 0)
-            deltas = (charge[:, row[joints]] - charge[:, joints]).T.tolist()
+            deltas = self.step(slot, joints)[1].tolist()
             out.update(zip((f"{slot},{j}" for j in joints.tolist()), deltas))
         return out
 
@@ -676,13 +681,7 @@ def _policy_step(
     reserve cost).  The mismatch adds ``sum`` of a row's deltas to the
     demand; the reserve cost is looked up once per distinct mismatch.  A
     state with no action raises ``UnreachableStateError``."""
-    posts = policy.posts[slot - 1, states]
-    if (posts < 0).any():
-        raise UnreachableStateError(
-            f"policy has no action for slot {slot}, state {states[posts < 0][0]}"
-        )
-    charge_by_ev = policy.space.charge_by_ev
-    deltas = (charge_by_ev[:, posts] - charge_by_ev[:, states]).T
+    posts, deltas = policy.step(slot, states)
     market = model.market
     demand, g = market.demand[slot - 1], model.dispatch[slot - 1]
     mismatch = [demand + sum(action) - g for action in deltas.tolist()]
@@ -690,9 +689,21 @@ def _policy_step(
     return posts, deltas, np.array(mismatch), np.array([cost[m] for m in mismatch])
 
 
-def rollout(
-    model: MdpModel, policy: MarkovPolicy, profiles: np.ndarray, budget: int
-) -> RolloutResult:
+def check_rollout_size(count: int, n_evs: int, horizon: int) -> int:
+    """Raise ``RolloutBatchTooLarge`` if ``rollout`` of ``count`` report
+    profiles would hold more than BATCH_BYTE_BUDGET bytes, else return how
+    many one pass takes.  A caller that builds profiles checks first."""
+    working = ROLLOUT_EV_BYTES * n_evs + 8 * (horizon + 1) + ROLLOUT_BYTES
+    per_profile = working + 8 * n_evs * horizon + 8 * horizon
+    if count * per_profile > BATCH_BYTE_BUDGET:
+        raise RolloutBatchTooLarge(
+            f"a batched rollout of {count} report profiles would hold about "
+            f"{count * per_profile} bytes (limit {BATCH_BYTE_BUDGET})"
+        )
+    return BATCH_BYTE_BUDGET // per_profile
+
+
+def rollout(model: MdpModel, policy: MarkovPolicy, profiles: np.ndarray) -> RolloutResult:
     """Deterministic unroll of every report profile, a (count, n_evs)
     array of slots in 1..T: in row k, EV j disconnects at the end of slot
     ``profiles[k, j]``.
@@ -703,21 +714,15 @@ def rollout(
     distinct joint id once (``_policy_step``) to its post-decision id, plus
     the ``leave_step`` of each EV leaving.  Each EV's storage is the
     running sum of its deltas, and each profile's reserve cost is added
-    slot by slot from 0.0.  Past ``budget`` bytes the pass raises
-    ``RolloutBatchTooLarge`` before it allocates.
+    slot by slot from 0.0.  Past BATCH_BYTE_BUDGET bytes the pass raises
+    ``RolloutBatchTooLarge`` before it allocates (``check_rollout_size``).
     """
     horizon, n_evs = model.horizon, model.n_evs
     profiles = np.asarray(profiles)
     if profiles.ndim != 2 or profiles.shape[1] != n_evs:
         raise ValueError(f"profiles must be a (count, {n_evs}) array of report slots")
     count = len(profiles)
-    working = ROLLOUT_EV_BYTES * n_evs + 8 * (horizon + 1) + ROLLOUT_BYTES
-    need = count * (working + 8 * n_evs * horizon + 8 * horizon)
-    if need > budget:
-        raise RolloutBatchTooLarge(
-            f"a batched rollout of {count} report profiles would hold about {need} bytes "
-            f"(limit {budget})"
-        )
+    check_rollout_size(count, n_evs, horizon)
     slots = profiles.astype(np.intp, copy=False)
     if (slots != profiles).any() or ((slots < 1) | (slots > horizon)).any():
         raise ValueError(f"report slots must be integers in 1..{horizon}")
@@ -740,10 +745,9 @@ def rollout(
         storage[:, :, slot - 1] = charge
         mismatch[:, slot - 1] = slot_mismatch[at]
         reserve += cost[at]
-        if slot < horizon:
-            joint = posts[at] + leaves[slot]
-            states = np.flatnonzero(np.bincount(joint))
-            at = np.searchsorted(states, joint)
+        joint = posts[at] + leaves[slot]
+        states = np.flatnonzero(np.bincount(joint))
+        at = np.searchsorted(states, joint)
     return RolloutResult(storage, mismatch, reserve, charge)
 
 
@@ -769,8 +773,7 @@ def expected_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
     for slot in range(1, horizon + 1):
         support = np.flatnonzero(mu)
         posts, _, _, cost = _policy_step(model, policy, slot, support)
-        for mass, c in zip(mu[support].tolist(), cost.tolist()):
-            exp_reserve += mass * c
+        exp_reserve = _left_sum(mu[support] * cost, exp_reserve)
         ids, probs, count = space.successor_table(slot, posts)
         listed = np.arange(ids.shape[1]) < count[:, None]
         mu_next = np.zeros(space.n_states)

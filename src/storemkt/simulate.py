@@ -30,7 +30,7 @@ import numpy as np
 
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
-from .dispatch import BATCH_BYTE_BUDGET, SolveResult, SolverConfig, estimate_lipschitz_K
+from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K
 from .mdp import EVSpec, RolloutResult, _left_sum, rollout, system_cost
 from .mechanism import (
     DayAhead,
@@ -70,14 +70,8 @@ def resolve_j_m(
     rng = make_rng(J_M_PROBE_SEED)
     profiles = [tuple(bids)]
     for _ in range(J_M_PROBE_TRIALS):
-        profiles.append(
-            tuple(
-                DeadlineDistribution(
-                    random_floored_pmf(rng, market.horizon, 0.02), floor=0.02
-                )
-                for _ in specs
-            )
-        )
+        pmfs = [random_floored_pmf(rng, market.horizon, 0.02) for _ in specs]
+        profiles.append(tuple(DeadlineDistribution(pmf, floor=0.02) for pmf in pmfs))
     k_hat = estimate_lipschitz_K(profiles, solver_config, market, specs, solved)
     return 10.0 * k_hat
 
@@ -498,7 +492,7 @@ def run_horizon(
     j_m_value = resolve_j_m(j_m, bids, solver_config, market, specs, solve)
     # the nominal profile's path steers the reports
     nominal = np.array([_nominal_reports(bids)], dtype=np.intp)
-    planned = rollout(solve.model, solve.policy, nominal, BATCH_BYTE_BUDGET).storage[0]
+    planned = rollout(solve.model, solve.policy, nominal).storage[0]
 
     true_days = draw_deadlines(true_params, make_rng(seed), days)
     windows = window_schedule.windows(days)
@@ -508,7 +502,7 @@ def run_horizon(
 
     # one rollout of the distinct report profiles; profile_days maps days to them
     profiles, profile_days = _profile_index(reports, horizon)
-    rolled = rollout(solve.model, solve.policy, profiles, BATCH_BYTE_BUDGET)
+    rolled = rollout(solve.model, solve.policy, profiles)
     outcomes = [
         _day_outcome(row, rolled, k, da, market, j_m_value)
         for k, row in enumerate(map(tuple, profiles.tolist()))

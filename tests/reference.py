@@ -67,13 +67,27 @@ def stage_cost(
     return market.reserve_cost_at(slot, mismatch)
 
 
+def action(policy: MarkovPolicy, slot: int, joint: int) -> tuple[float, ...]:
+    """One state's per-EV charge deltas at ``slot``: its post-decision
+    state's charges minus its own.  A slot outside 1..T, a state id out of
+    range or a state with no action raises ``UnreachableStateError``."""
+    horizon, n_states = policy.posts.shape
+    # bounds first: a negative index would wrap around
+    inside = 1 <= slot <= horizon and 0 <= joint < n_states
+    post = policy.posts[slot - 1, joint] if inside else -1
+    if post < 0:
+        raise UnreachableStateError(f"policy has no action for slot {slot}, state {joint}")
+    charge = policy.space.charge_by_ev
+    return tuple((charge[:, post] - charge[:, joint]).tolist())
+
+
 def rollout(
     model: MdpModel, policy: MarkovPolicy, profiles: Sequence[Sequence[int]]
 ) -> RolloutResult:
     """``mdp.rollout`` one profile at a time and one slot at a time.
 
     Per profile, EV j disconnects at the end of slot ``reported[j]``: each
-    slot applies ``policy.action`` to the joint id, adds its deltas to each
+    slot applies ``action`` to the joint id, adds its deltas to each
     EV's charge, moves the id to its post-decision id plus the
     ``leave_step`` of each EV leaving, and adds the slot's ``stage_cost``
     to a running reserve total from 0.0.
@@ -89,13 +103,13 @@ def rollout(
         reserve_total = 0.0
         joint = policy.space.initial
         for slot in range(1, horizon + 1):
-            action = policy.action(slot, joint)
+            deltas = action(policy, slot, joint)
             joint = int(policy.posts[slot - 1, joint])
             for i in range(n_evs):
-                charge[i] += action[i]
+                charge[i] += deltas[i]
             g = model.dispatch[slot - 1]
-            mismatch[slot - 1] = model.market.demand[slot - 1] + float(sum(action)) - g
-            reserve_total += stage_cost(model.market, slot, g, action)
+            mismatch[slot - 1] = model.market.demand[slot - 1] + float(sum(deltas)) - g
+            reserve_total += stage_cost(model.market, slot, g, deltas)
             for i in range(n_evs):
                 if connected[i] and slot >= reported[i]:
                     connected[i] = False

@@ -217,7 +217,7 @@ def test_six_ev_beam_solve_is_cross_checked():
     assert res.pricing.n_states == 4**6
     batched, _ = dispatch._price_candidates(s.market, res.pricing, [res.g_star])
     assert abs(batched - res.q_star) <= CROSS_CHECK_TOL
-    assert len(res.policy.action(1, res.policy.space.initial)) == 6
+    assert len(reference.action(res.policy, 1, res.policy.space.initial)) == 6
 
 
 def _every_plan_instances():
@@ -393,9 +393,9 @@ def test_profile_enumeration_guard_fires_before_any_rollout(monkeypatch):
     rolled = []
 
     def counting(real):
-        def counted(model, policy, profiles, *budget):
+        def counted(model, policy, profiles):
             rolled.extend(map(tuple, np.asarray(profiles).tolist()))
-            return real(model, policy, profiles, *budget)
+            return real(model, policy, profiles)
 
         return counted
 
@@ -457,9 +457,9 @@ def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
     passes, got = [], []
     batched, conditional = mdp.rollout, dispatch._conditional_costs
 
-    def counted_pass(model, policy, reported, budget):
+    def counted_pass(model, policy, reported):
         passes.append((model.params, len(reported)))
-        return batched(model, policy, reported, budget)
+        return batched(model, policy, reported)
 
     def kept_costs(model, policy):
         got.append(conditional(model, policy))
@@ -483,7 +483,7 @@ def _assert_batched_costs_are_scalar(res):
         tuple(t for t in range(1, horizon + 1) if law.pmf[t - 1] > 0.0) for law in res.model.params
     ]
     profiles = list(itertools.product(*supports))
-    got = mdp.rollout(res.model, res.policy, np.array(profiles), dispatch.BATCH_BYTE_BUDGET)
+    got = mdp.rollout(res.model, res.policy, np.array(profiles))
     want = reference.rollout(res.model, res.policy, profiles)
     for name in ("storage", "mismatch", "reserve_cost", "terminal"):
         assert getattr(got, name).tolist() == getattr(want, name).tolist()  # every entry ==
@@ -533,7 +533,7 @@ def test_batched_rollout_skips_zero_probability_slots():
     with pytest.raises(mdp.UnreachableStateError, match="no action"):
         reference.rollout(res.model, res.policy, [(3, 1)])
     with pytest.raises(mdp.UnreachableStateError, match="no action for slot 3"):
-        mdp.rollout(res.model, res.policy, np.array([(1, 1), (3, 1)]), dispatch.BATCH_BYTE_BUDGET)
+        mdp.rollout(res.model, res.policy, np.array([(1, 1), (3, 1)]))
     # the conditional costs roll out the support only
     _assert_batched_costs_are_scalar(res)
     # under beliefs that do put mass there, they fail by name as well
@@ -552,29 +552,35 @@ def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
         mdp.ROLLOUT_EV_BYTES * n + 8 * (horizon + 1) + mdp.ROLLOUT_BYTES
         + 8 * n * horizon + 8 * horizon
     )
-    budgets = []
+    rolled = []
     real = mdp.rollout
-    monkeypatch.setattr(dispatch, "rollout", lambda *a: budgets.append(a[3]) or real(*a))
-    monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", need - 1)
-    with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
-        estimate_lipschitz_K([s.params], s.solver, s.market, s.specs, res)
-    assert budgets == [need - 1]  # the probe's one pass, refused
+    monkeypatch.setattr(dispatch, "rollout", lambda *a: rolled.append(a) or real(*a))
+    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
+            estimate_lipschitz_K([s.params], s.solver, s.market, s.specs, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # nothing was rolled out and the support profiles were never built:
+    # less was allocated than the profiles' (count, n_evs) charge array alone
+    assert rolled == [] and peak < 8 * count * n
+    # a caller's profile array is refused the same way
     profiles = np.array(list(itertools.product(range(1, horizon + 1), repeat=n)))
     tracemalloc.start()
     try:
         with pytest.raises(mdp.RolloutBatchTooLarge):
-            real(res.model, res.policy, profiles, need - 1)
+            real(res.model, res.policy, profiles)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # nothing was rolled out: less was allocated than the profiles'
-    # (count, n_evs) charge array alone
     assert peak < 8 * count * n
     # at the budget the pass runs, within its estimate, and so does the
     # probe's pass with the support profiles it builds
-    monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", need)
+    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", need)
     for run in (
-        lambda: real(res.model, res.policy, profiles, need),
+        lambda: real(res.model, res.policy, profiles),
         lambda: dispatch._conditional_costs(res.model, res.policy),
     ):
         tracemalloc.start()
@@ -584,6 +590,24 @@ def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
         finally:
             tracemalloc.stop()
         assert 8 * count * n < peak <= need
+
+
+def test_conditional_beta_rolls_out_in_passes_that_fit(monkeypatch):
+    # a byte budget below all of EV 1's conditional profiles splits them
+    # into passes that fit; the terms still add in enumeration order, so
+    # every float is the one-pass float
+    s = setup_for("table1:n=3")
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    want = [conditional_beta(res.model, res.policy, 0, t) for t in (1, 3, 5)]
+    sizes = []
+    real = mdp.rollout
+    monkeypatch.setattr(dispatch, "rollout", lambda *a: sizes.append(len(a[2])) or real(*a))
+    per_profile = mdp.ROLLOUT_EV_BYTES * 3 + 8 * 6 + mdp.ROLLOUT_BYTES + 8 * 3 * 5 + 8 * 5
+    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", 7 * per_profile)
+    got = [conditional_beta(res.model, res.policy, 0, t) for t in (1, 3, 5)]
+    assert got == want  # bit-identical, not approximately
+    assert sizes == [7, 7, 7, 4] * 3
+    assert got[0] == reference.conditional_beta(res.model, res.policy, 0, 1)
 
 
 def test_dominated_pair_check_reuses_the_shifted_solve(monkeypatch):

@@ -25,11 +25,11 @@ from storemkt.mdp import (
     solve_dp,
     system_cost,
 )
-from storemkt.dispatch import BATCH_BYTE_BUDGET, solve_outer
+from storemkt.dispatch import solve_outer
 from storemkt.scenarios import random_floored_pmf, random_small_instance
 
 import reference
-from reference import enumerated_outcome, stage_cost, transition_prob
+from reference import action, enumerated_outcome, stage_cost, transition_prob
 
 UNIFORM5 = DeadlineDistribution((0.2,) * 5)
 
@@ -182,7 +182,7 @@ def test_two_slot_value_is_ten_p():
         values, policy = solve(two_slot_model(p, (1.0, 0.0)))
         assert values.v0() == pytest.approx(10.0 * p, abs=1e-12)
         # committed plan charges immediately
-        assert policy.action(1, 0) == (1.0,)
+        assert action(policy, 1, 0) == (1.0,)
 
 
 def test_two_slot_alternative_plan_value():
@@ -206,7 +206,7 @@ def test_tied_actions_resolve_to_the_smallest_target_index():
     one = MdpModel(market, (EVSpec(2.0, (0.0, 1.0, 2.0)),), (half,), (0.0, 0.0))
     values, policy = solve(one)
     assert values.v0() == 0.0
-    assert policy.action(1, 0) == (1.0,)
+    assert action(policy, 1, 0) == (1.0,)
     # two EVs: (0, 1) and (1, 0) tie on the same charge sum, target (0, 1)
     # wins; in slot 2 every action ties, so every EV moves to level 0
     unit = EVSpec(1.0, (0.0, 1.0))
@@ -214,9 +214,9 @@ def test_tied_actions_resolve_to_the_smallest_target_index():
     space = StateSpace(two.specs, two.params)
     values, policy = solve_dp(two, space)
     assert values.v0() == 0.0
-    assert policy.action(1, space.initial) == (0.0, 1.0)
-    assert policy.action(2, state_id(space, ((True, 1.0), (True, 0.0)))) == (-1.0, 0.0)
-    assert policy.action(2, state_id(space, ((False, 1.0), (True, 1.0)))) == (0.0, -1.0)
+    assert action(policy, 1, space.initial) == (0.0, 1.0)
+    assert action(policy, 2, state_id(space, ((True, 1.0), (True, 0.0)))) == (-1.0, 0.0)
+    assert action(policy, 2, state_id(space, ((False, 1.0), (True, 1.0)))) == (0.0, -1.0)
 
 
 def test_infeasible_initial_state_raises():
@@ -229,7 +229,7 @@ def test_infeasible_initial_state_raises():
 def test_rollout_paths_and_departure_freeze():
     model = two_slot_model(0.19, (1.0, 0.0))
     _, policy = solve(model)
-    r = rollout(model, policy, np.array([[1], [2]]), BATCH_BYTE_BUDGET)
+    r = rollout(model, policy, np.array([[1], [2]]))
     # profile 0 leaves early, profile 1 late
     assert r.storage.tolist() == [[[1.0, 1.0]], [[1.0, 0.0]]]
     assert r.terminal.tolist() == [[1.0], [0.0]]
@@ -248,11 +248,11 @@ def test_rollout_rejects_profiles_by_name():
     _, policy = solve(model)
     for bad in ((1,), [1, 2], [[[1]]], [[1, 2]], np.zeros((1, 0), dtype=int)):
         with pytest.raises(ValueError, match=r"\(count, 1\) array of report slots"):
-            rollout(model, policy, bad, BATCH_BYTE_BUDGET)
+            rollout(model, policy, bad)
     for bad in ([[0]], [[-3]], [[3]], [[1], [1.5]]):
         with pytest.raises(ValueError, match=r"integers in 1\.\.2"):
-            rollout(model, policy, bad, BATCH_BYTE_BUDGET)
-    assert rollout(model, policy, [[2.0]], BATCH_BYTE_BUDGET).terminal.tolist() == [[0.0]]
+            rollout(model, policy, bad)
+    assert rollout(model, policy, [[2.0]]).terminal.tolist() == [[0.0]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,9 +280,9 @@ def test_batched_rollout_equals_the_scalar_loop(seed, data):
         want = reference.rollout(res.model, res.policy, rows)
     except UnreachableStateError:
         with pytest.raises(UnreachableStateError, match="no action"):
-            rollout(res.model, res.policy, np.array(rows), BATCH_BYTE_BUDGET)
+            rollout(res.model, res.policy, np.array(rows))
         return
-    got = rollout(res.model, res.policy, np.array(rows), BATCH_BYTE_BUDGET)
+    got = rollout(res.model, res.policy, np.array(rows))
     for name in ("storage", "mismatch", "reserve_cost", "terminal"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tolist() == b.tolist(), name
@@ -307,7 +307,7 @@ def test_rollout_steps_ids_and_sums_deltas():
     policy = MarkovPolicy(space, posts)
     drift = 3.0 + (0.7 - 3.0)
     assert drift != 0.7
-    r = rollout(model, policy, np.array([[3], [2], [1]]), BATCH_BYTE_BUDGET)
+    r = rollout(model, policy, np.array([[3], [2], [1]]))
     assert r.storage.tolist() == [
         [[3.0, drift, drift - 0.7]], [[3.0, drift, drift]], [[3.0, 3.0, 3.0]]
     ]
@@ -348,7 +348,7 @@ def test_policy_rejects_unknown_state():
     # out of range either way: never an IndexError, never a wrapped-around row
     for slot, joint in ((1, 10**6), (0, 0), (3, 0), (1, -1), (1, n_states)):
         with pytest.raises(UnreachableStateError):
-            policy.action(slot, joint)
+            action(policy, slot, joint)
     # an EV certain to leave after slot 1 has no slot-2 action while connected
     gone = MdpModel(
         two_slot_market(),
@@ -361,7 +361,10 @@ def test_policy_rejects_unknown_state():
     assert dead and all(policy.space.decode(s)[0][0] for s in dead)
     for s in dead:
         with pytest.raises(UnreachableStateError):
-            policy.action(2, s)
+            action(policy, 2, s)
+    # the batched step refuses them too, naming the first
+    with pytest.raises(UnreachableStateError, match=f"slot 2, state {dead[0]}$"):
+        policy.step(2, np.array(dead))
 
 
 def test_state_space_decode_is_injective():

@@ -595,9 +595,9 @@ def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
     rolled = []
     real = mdp.rollout
 
-    def counted(model, policy, profiles, budget):
+    def counted(model, policy, profiles):
         rolled.append(list(map(tuple, profiles.tolist())))
-        return real(model, policy, profiles, budget)
+        return real(model, policy, profiles)
 
     monkeypatch.setattr(mdp, "rollout", counted)
     monkeypatch.setattr(simulate, "rollout", counted)
