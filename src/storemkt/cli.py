@@ -5,8 +5,9 @@ Positional configs accept either a JSON file path or a built-in scenario
 name ("example1", "table1", "theorem1", optionally parameterized like
 "example1:p=0.25" or "table1:n=2,profile=C").
 
-Exit codes: 0 success, 2 configuration problem or a run over its memory
-budget, 3 infeasible model, 4 an experiment or oracle assertion failed.
+Exit codes: 0 success, 2 configuration problem, a run over its memory
+budget or a fine that overflows a float, 3 infeasible model, 4 an
+experiment or oracle assertion failed.
 --seed overrides the config seed where a command consumes one.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .dispatch import (
 )
 from .experiments import SUITES, payments_csv, payments_table, to_json
 from .mdp import NoFeasibleContinuation, RolloutBatchTooLarge
+from .mechanism import FineOverflow
 from .presets import is_preset, preset_config
 from .scenarios import random_tiny_instance
 from .simulate import resolve_j_m, run_horizon
@@ -219,7 +221,7 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return 2
-    except (GridTooLarge, RolloutBatchTooLarge) as exc:
+    except (GridTooLarge, RolloutBatchTooLarge, FineOverflow) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (InfeasibleModel, NoFeasibleContinuation) as exc:

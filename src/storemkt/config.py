@@ -106,6 +106,13 @@ DEFAULTS = {
     "solver": {f.name: f.default for f in fields(SolverConfig)},
     "simulation": {"days": 1, "seeds": [0], "strategies": None},
 }
+#: the top-level keys the builder reads
+TOP_KEYS = ("horizon", "demand", "generator", "reserves", "evs", *DEFAULTS)
+
+
+def _unknown(obj: dict, path: str, keys, diags: list[str]) -> None:
+    """One diagnostic per key of ``obj`` not among ``keys``."""
+    diags.extend(f"{path}{key}: unknown key" for key in obj if key not in keys)
 
 
 def _merged(section: str, raw: dict, diags: list[str]) -> dict:
@@ -113,6 +120,7 @@ def _merged(section: str, raw: dict, diags: list[str]) -> dict:
     if not isinstance(given, dict):
         diags.append(f"{section}: must be an object")
         given = {}
+    _unknown(given, f"{section}.", DEFAULTS[section], diags)
     return {**DEFAULTS[section], **given}
 
 
@@ -136,6 +144,7 @@ def _cost_form(spec, horizon: int, path: str, diags: list[str]) -> CostForm | No
     if not isinstance(spec, dict) or spec.get("form") not in COST_FORMS:
         diags.append(f"{path}.form: must be one of {COST_FORMS}")
         return None
+    _unknown(spec, f"{path}.", ("form", "slots" if spec["form"] == "table" else "rates"), diags)
     if spec["form"] != "table":
         rates = spec.get("rates")
         if not (_is_num(rates) or _num_list(rates, horizon)):
@@ -173,9 +182,13 @@ def _strategy(strat, horizon: int, path: str, diags: list[str]):
         diags.append(f"{path}: must be an object")
         return None
     n = len(diags)
+    _unknown(strat, f"{path}.", ("bid_pmf", "rule"), diags)
     bid = _optional_pmf(strat.get("bid_pmf"), horizon, f"{path}.bid_pmf", diags)
     rule = strat.get("rule", {"kind": "truthful"})
     kind = rule.get("kind") if isinstance(rule, dict) else None
+    if kind in RULE_KINDS:
+        extra = {"fixed": "slot", "histogram_match": "target_pmf"}.get(kind)
+        _unknown(rule, f"{path}.rule.", ("kind", extra), diags)
     if kind == "truthful":
         rule = Truthful()
     elif kind == "early_exit":
@@ -203,6 +216,7 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
     if not _is_int(horizon) or horizon < 1:
         return None, None, ["horizon: must be a positive integer"]
     diags: list[str] = []
+    _unknown(raw, "", TOP_KEYS, diags)
     norm: dict = {"horizon": horizon}
 
     demand = raw.get("demand")
@@ -241,6 +255,8 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
         cap, levels = ev.get("capacity"), ev.get("levels")
         pmf, floor = theta.get("pmf"), theta.get("floor")
         n = len(diags)
+        _unknown(ev, f"{path}.", ("capacity", "levels", "theta"), diags)
+        _unknown(theta, f"{path}.theta.", ("pmf", "floor"), diags)
         _numbers(ev, path, ("capacity",), diags)
         _numbers(theta, f"{path}.theta", ("floor",), diags)
         if not _num_list(levels):

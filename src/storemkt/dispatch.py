@@ -82,6 +82,12 @@ each post-decision state's successors explicitly and minimises per
 (state, action), where the pricing here applies ``expect`` class by class
 and takes its min over equal-sum actions.  So the cross-check compares
 two encodings.
+
+The miss-fine probe reads solves.  ``_conditional_costs`` is the one
+enumeration of report profiles: it rolls the product of the EVs' supports
+through a solve's policy (``mdp.rollout``), in passes that fit
+BATCH_BYTE_BUDGET.  ``conditional_beta`` and ``estimate_lipschitz_K`` read
+it; neither solves anything.
 """
 from __future__ import annotations
 
@@ -100,12 +106,11 @@ from .mdp import (
     EVSpec,
     MarkovPolicy,
     MdpModel,
+    RolloutBatchTooLarge,
     StateSpace,
     ValueTable,
     check_dispatch,
     check_rollout_size,
-    iter_profiles,
-    policy_artifact,
     rollout,
     solve_dp,
     system_cost,
@@ -120,6 +125,8 @@ INF_PROXY = 1e30
 INF_THRESHOLD = 1e20
 CROSS_CHECK_TOL = 1e-6
 ORACLE_POLICY_GUARD = 500_000
+#: report profiles the conditional costs may enumerate; more fail by name
+ENUMERATION_GUARD = 10_000_000
 #: values per column chunk of the batched kernel's min over actions
 CHUNK_ELEMS = 16_384
 #: peak bytes ``mdp._product_pairs`` holds per (state, action) pair while it
@@ -243,15 +250,13 @@ class SolveResult:
     pricing: CountSpace = field(repr=False, compare=False)
 
     def to_jsonable(self) -> dict:
-        import json
-
-        payload = json.loads(policy_artifact(self.values, self.policy))
-        payload.update(
-            g_star=list(self.g_star),
-            q_star=self.q_star,
-            candidates_evaluated=self.candidates_evaluated,
-        )
-        return payload
+        return {
+            "values": self.values.to_jsonable(),
+            "policy": self.policy.to_jsonable(),
+            "g_star": list(self.g_star),
+            "q_star": self.q_star,
+            "candidates_evaluated": self.candidates_evaluated,
+        }
 
 
 def quantize_up(x: float, step: float) -> float:
@@ -779,95 +784,79 @@ def solve_outer(
 
 def conditional_beta(model: MdpModel, policy: MarkovPolicy, i: int, t: int) -> float:
     """Expected realized cost given EV ``i`` reports slot ``t``, others
-    drawn from their distributions.  Exact by enumeration
-    (``mdp.iter_profiles``), rolled out as many at a time as one
-    ``rollout`` takes, so any count the enumeration guard admits runs."""
+    drawn from their distributions: exact, from the one enumeration of
+    report profiles (``_conditional_costs``) with EV i's support ``(t,)``."""
     if not 0 <= i < model.n_evs:
         raise IndexError(f"EV index {i} out of range")
     if not 1 <= t <= model.horizon:
         raise ValueError(f"slot {t} outside 1..{model.horizon}")
     if model.params[i].pmf[t - 1] <= 0.0:
         raise ValueError(f"slot {t} has zero probability for EV {i + 1}")
-    others = model.params[:i] + model.params[i + 1 :]
-    weighted = ((combo, p) for combo, p in iter_profiles(others, model.horizon) if p != 0.0)
-    per_pass = check_rollout_size(1, model.n_evs, model.horizon)
-    total = 0.0
-    while chunk := list(itertools.islice(weighted, per_pass)):
-        profiles = np.array([combo[:i] + (t,) + combo[i:] for combo, _ in chunk], dtype=np.intp)
-        weights = np.array([p for _, p in chunk])
-        total = _left_sum(weights * _profile_costs(model, policy, profiles), total)
-    return total
+    supports = _supports(model)
+    supports[i] = (t,)
+    return _conditional_costs(model, policy, supports)[i][0]
 
 
-def _profile_costs(model: MdpModel, policy: MarkovPolicy, profiles: np.ndarray) -> np.ndarray:
-    """Each report profile's realized system cost, from one ``rollout``."""
-    r = rollout(model, policy, profiles)
-    generator_cost = model.market.generator_cost(model.dispatch)
-    return system_cost(model.market, generator_cost, r.reserve_cost, r.terminal)
+def estimate_lipschitz_K(solves: Sequence[SolveResult]) -> float:
+    """Sampled bound on the cost sensitivity to belief perturbations: the
+    max over ``solves`` and their EVs of 2*sqrt(T) times the l2 norm of the
+    EV's per-slot conditional costs (``_conditional_costs``).  Prices the
+    solves it is given and solves nothing itself."""
+    if not solves:
+        raise ValueError("need at least one solve")
+    norms = (
+        2.0 * math.sqrt(res.model.horizon) * float(np.linalg.norm(vec))
+        for res in solves for vec in _conditional_costs(res.model, res.policy)
+    )
+    return max(norms, default=0.0)
 
 
-def estimate_lipschitz_K(
-    profiles: Sequence[Sequence[DeadlineDistribution]],
-    config: SolverConfig,
-    market: MarketModel,
-    specs: Sequence[EVSpec],
-    solved: SolveResult | None = None,
-) -> float:
-    """Sampled bound on the cost sensitivity to belief perturbations.
-
-    For each bid profile in ``profiles``, solve the two-stage problem and
-    take 2*sqrt(T) times the l2 norm of the per-slot conditional costs,
-    read from one batched rollout per solve (``_conditional_costs``); the
-    estimate is the max over the profiles.  ``solved``, when given, is the
-    solve of ``profiles[0]`` under ``config`` and is used in place of
-    solving that profile again.
-    """
-    if not profiles:
-        raise ValueError("need at least one bid profile")
-    if solved is not None and (
-        solved.model.params != tuple(profiles[0]) or solved.model.specs != tuple(specs)
-    ):
-        raise ValueError("solved is not the solve of profiles[0] on these EVs")
-    best = 0.0
-    for k, bids in enumerate(profiles):
-        fresh = solved is None or k > 0
-        result = solve_outer(tuple(bids), config, market, specs) if fresh else solved
-        for vec in _conditional_costs(result.model, result.policy):
-            best = max(best, 2.0 * math.sqrt(market.horizon) * float(np.linalg.norm(vec)))
-    return best
+def _supports(model: MdpModel) -> list[tuple[int, ...]]:
+    """Each EV's slots with pmf > 0, in slot order."""
+    return [tuple(t for t, p in enumerate(law.pmf, 1) if p > 0.0) for law in model.params]
 
 
-def _conditional_costs(model: MdpModel, policy: MarkovPolicy) -> list[list[float]]:
+def _conditional_costs(
+    model: MdpModel, policy: MarkovPolicy, supports: Sequence[Sequence[int]] | None = None
+) -> list[list[float]]:
     """Per EV i, ``conditional_beta(model, policy, i, t)`` for each slot t
-    of its support, in slot order, bit for bit, from one ``rollout`` of
-    every profile on the support of the beliefs (each EV's slots with pmf >
-    0).  As there, each term is p times a profile's cost, p multiplied up
-    in EV order over the other EVs' slots; the terms run in
-    ``itertools.product`` order, p == 0 is skipped, and they are added one
-    at a time from 0.0.  Past BATCH_BYTE_BUDGET the pass raises
-    ``RolloutBatchTooLarge`` before the profiles are built."""
-    supports = [
-        tuple(t for t in range(1, model.horizon + 1) if d.pmf[t - 1] > 0.0) for d in model.params
-    ]
+    of ``supports[i]`` (by default, its slots with pmf > 0), in that order.
+
+    The one enumeration of report profiles: the supports' product in
+    ``itertools.product`` order, in passes of at most the profiles one
+    ``rollout`` takes (``check_rollout_size``).  Each (EV, slot) total
+    adds its terms from 0.0 in that order, so no float depends on the pass
+    size: p times a profile's cost, p multiplied up from 1.0 in EV order
+    over the other EVs, p == 0 skipped.  Past ENUMERATION_GUARD profiles
+    it raises ``RolloutBatchTooLarge`` before anything is built."""
+    supports = _supports(model) if supports is None else supports
     shape = tuple(len(s) for s in supports)
-    check_rollout_size(math.prod(shape), model.n_evs, model.horizon)
-    # every support profile, in product order
-    picks = np.indices(shape).reshape(len(shape), math.prod(shape))
-    profiles = np.empty(picks.shape[::-1], dtype=np.intp)
-    for i, (s, k) in enumerate(zip(supports, picks)):
-        profiles[:, i] = np.array(s)[k]
-    costs = _profile_costs(model, policy, profiles).reshape(shape)
-    weights = [[dist.pmf[t - 1] for t in s] for dist, s in zip(model.params, supports)]
-    out = []
-    for i, support in enumerate(supports):
-        p = np.ones(1)
-        for w in weights[:i] + weights[i + 1 :]:
-            p = np.multiply.outer(p, w).ravel()
-        # row k: the profiles in which EV i reports support[k]
-        axes = [i] + [j for j in range(len(supports)) if j != i]
-        terms = p * costs.transpose(axes).reshape(len(support), -1)
-        out.append([_left_sum(row) for row in terms[:, p != 0.0]])
-    return out
+    count = math.prod(shape) if shape else 0  # no EVs: nothing to condition on
+    if count > ENUMERATION_GUARD:
+        raise RolloutBatchTooLarge(
+            f"conditional costs over {count} report profiles (limit {ENUMERATION_GUARD})"
+        )
+    per_pass = check_rollout_size(1, model.n_evs, model.horizon)
+    slots = [np.array(s, dtype=np.intp) for s in supports]
+    # each EV's pmf indexed by slot, so a profile's slots read its weights
+    pmfs = [np.array((0.0,) + law.pmf) for law in model.params]
+    generator_cost = model.market.generator_cost(model.dispatch)
+    totals = [[0.0] * len(s) for s in supports]
+    for start in range(0, count, per_pass):
+        ids = np.arange(start, min(start + per_pass, count))
+        profiles = np.array([s[k] for s, k in zip(slots, np.unravel_index(ids, shape))]).T
+        r = rollout(model, policy, profiles)
+        costs = system_cost(model.market, generator_cost, r.reserve_cost, r.terminal)
+        del r  # freed before the next pass allocates
+        for i, (support, total) in enumerate(zip(supports, totals)):
+            p = np.ones(len(costs))
+            for j, pmf in enumerate(pmfs):
+                if j != i:
+                    p = p * pmf[profiles[:, j]]
+            terms, live = p * costs, p != 0.0
+            for k, t in enumerate(support):
+                total[k] = _left_sum(terms[live & (profiles[:, i] == t)], total[k])
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -129,10 +129,7 @@ def payments_table(setup: RunSetup) -> tuple[SolveResult, list[dict]]:
 
 def payments_csv(rows: Sequence[dict]) -> str:
     out = ["ev,p_da,identity_residual"]
-    for r in rows:
-        out.append(
-            f"{r['ev']},{r['p_da']:.12g},{r['identity_residual']:.12g}"
-        )
+    out += [f"{r['ev']},{r['p_da']:.12g},{r['identity_residual']:.12g}" for r in rows]
     return "\n".join(out) + "\n"
 
 
@@ -225,12 +222,10 @@ def dominated_pair_check(rng: np.random.Generator) -> dict | None:
     def with_focal(dist):
         return tuple(dist if k == focal else bids[k] for k in range(len(bids)))
 
-    q_base = solve_outer(with_focal(lam), config, market, specs).q_star
+    base = solve_outer(with_focal(lam), config, market, specs)
     shifted = solve_outer(with_focal(lam_tilde), config, market, specs)
-    q_shift = shifted.q_star
-    k_hat = estimate_lipschitz_K(
-        [with_focal(lam_tilde), with_focal(lam)], config, market, specs, shifted
-    )
+    q_base, q_shift = base.q_star, shifted.q_star
+    k_hat = estimate_lipschitz_K([shifted, base])
     gap = q_shift - q_base
     return {
         "alpha": a,

@@ -35,17 +35,17 @@ each post-decision state's successors (``successor_table``).
 
 ``rollout`` is the one forward pass over report profiles: it steps a
 batch of them through the committed policy together, as arrays of joint
-ids; the day loop in ``simulate`` and the miss-fine probe in ``dispatch``
-read it.  ``expected_outcome`` moves the state distribution by the same
-per-slot step (``_policy_step``), so both price a slot with equal floats.
+ids; the day loop in ``simulate`` reads it, and so does the miss-fine
+probe's one enumeration of report profiles, ``dispatch._conditional_costs``,
+in passes of at most the profiles one ``rollout`` takes.
+``expected_outcome`` moves the state distribution by the same per-slot
+step (``_policy_step``), so both price a slot with equal floats.
 
 Values are expected dollars to go.  The terminal layer credits stored
 energy at the market's ``ev_energy_value``.
 """
 from __future__ import annotations
 
-import itertools
-import json
 import math
 import operator
 import weakref
@@ -58,8 +58,6 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution
 
-#: refuse exhaustive deadline-profile enumeration beyond this many profiles
-ENUMERATION_GUARD = 10_000_000
 #: bytes one batched ``rollout``, one slot of the exhaustive pass in
 #: ``dispatch``, or the joint-state tables every solve builds may hold at
 #: once; a larger one fails by name
@@ -601,12 +599,6 @@ class MarkovPolicy:
         return out
 
 
-def policy_artifact(values: ValueTable, policy: MarkovPolicy) -> str:
-    """JSON export of a solved policy and its value table."""
-    payload = {"values": values.to_jsonable(), "policy": policy.to_jsonable()}
-    return json.dumps(payload, sort_keys=True)
-
-
 def solve_dp(model: MdpModel, space: StateSpace) -> tuple[ValueTable, MarkovPolicy]:
     """Backward induction over all joint states (Puterman 1994, §4.5).
 
@@ -785,20 +777,3 @@ def expected_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:
     total = system_cost(market, market.generator_cost(model.dispatch), exp_reserve, terminal)
     return ExpectedOutcome(exp_reserve, terminal, float(total))
 
-
-def iter_profiles(
-    params: Sequence[DeadlineDistribution], horizon: int
-) -> Iterable[tuple[tuple[int, ...], float]]:
-    """Yield every report profile of EVs with beliefs ``params`` in
-    ``itertools.product`` order, its probability multiplied up in EV order.
-    Past ENUMERATION_GUARD profiles, raises ValueError before the first."""
-    count = horizon ** len(params)
-    if count > ENUMERATION_GUARD:
-        raise ValueError(
-            f"profile enumeration would visit {count} profiles (limit {ENUMERATION_GUARD})"
-        )
-    for profile in itertools.product(range(1, horizon + 1), repeat=len(params)):
-        p = 1.0
-        for dist, t in zip(params, profile):
-            p *= dist.pmf[t - 1]
-        yield profile, p

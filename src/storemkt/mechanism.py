@@ -86,6 +86,10 @@ def window_closing_day(
         days *= 2
 
 
+class FineOverflow(ValueError):
+    """A penalty fine too large for a float."""
+
+
 @dataclass(frozen=True)
 class PenaltySchedule:
     """Event fine J_p(l) = coefficient * l**exponent; superlinear growth."""
@@ -103,9 +107,19 @@ class PenaltySchedule:
             )
 
     def penalty(self, l: int) -> float:
+        """The fine on day ``l``; ``FineOverflow`` where it exceeds a float."""
         if l < 1:
             raise ValueError("day index starts at 1")
-        return self.coefficient * float(l) ** self.exponent
+        try:
+            fine = self.coefficient * float(l) ** self.exponent
+        except OverflowError:
+            fine = math.inf
+        if math.isinf(fine):
+            raise FineOverflow(
+                f"penalty fine with coefficient {self.coefficient}, exponent "
+                f"{self.exponent} overflows a float on day {l}"
+            )
+        return fine
 
     def penalties(self, days: np.ndarray) -> np.ndarray:
         """``penalty(l)`` for every day index l in ``days``, the same floats

@@ -30,7 +30,7 @@ import numpy as np
 
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
-from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K
+from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K, solve_outer
 from .mdp import EVSpec, RolloutResult, _left_sum, rollout, system_cost
 from .mechanism import (
     DayAhead,
@@ -44,6 +44,7 @@ from .scenarios import random_floored_pmf
 
 J_M_PROBE_SEED = 141_727
 J_M_PROBE_TRIALS = 6
+J_M_PROBE_FLOOR = 0.02
 
 
 def resolve_j_m(
@@ -54,26 +55,36 @@ def resolve_j_m(
     specs: Sequence["EVSpec"],
     solved: SolveResult | None = None,
 ) -> float:
-    """Turn the "auto" sentinel into a concrete miss fine.
+    """Turn the "auto" sentinel into a concrete miss fine: 10 times
+    ``estimate_lipschitz_K`` over the solves of the bids and of
+    J_M_PROBE_TRIALS fixed-seed random profiles.
 
-    The fine must deter misses under ANY bid, so the probe set is the
-    submitted bids plus fixed-seed random profiles; probing only the bids
-    would let a degenerate bid (for which the policy never pays the EV)
-    buy itself a toothless fine.  ``solved`` is the day-ahead solve of
-    ``bids``, when the caller has one: the probe then reuses it instead of
-    solving the bids again.
+    The fine must deter misses under ANY bid: probing only the bids would
+    let a degenerate bid (for which the policy never pays the EV) buy
+    itself a toothless fine.  ``solved``, the day-ahead solve of ``bids``
+    when the caller has one, is reused instead of solving them again.
+    The random profiles have probability floor J_M_PROBE_FLOOR while
+    J_M_PROBE_FLOOR * T <= 1, else 1/(2T): no law on T slots admits a
+    floor above 1/T.
     """
     if j_m != "auto":
         return float(j_m)
     if not specs:
         return 0.0
+    bids, specs = tuple(bids), tuple(specs)
+    if solved is None:
+        solved = solve_outer(bids, solver_config, market, specs)
+    elif solved.model.params != bids or solved.model.specs != specs:
+        raise ValueError("solved is not the solve of these bids on these EVs")
+    horizon = market.horizon
+    floor = J_M_PROBE_FLOOR if J_M_PROBE_FLOOR * horizon <= 1.0 else 0.5 / horizon
     rng = make_rng(J_M_PROBE_SEED)
-    profiles = [tuple(bids)]
+    solves = [solved]
     for _ in range(J_M_PROBE_TRIALS):
-        pmfs = [random_floored_pmf(rng, market.horizon, 0.02) for _ in specs]
-        profiles.append(tuple(DeadlineDistribution(pmf, floor=0.02) for pmf in pmfs))
-    k_hat = estimate_lipschitz_K(profiles, solver_config, market, specs, solved)
-    return 10.0 * k_hat
+        pmfs = [random_floored_pmf(rng, horizon, floor) for _ in specs]
+        probe = tuple(DeadlineDistribution(pmf, floor=floor) for pmf in pmfs)
+        solves.append(solve_outer(probe, solver_config, market, specs))
+    return 10.0 * estimate_lipschitz_K(solves)
 
 
 @dataclass(frozen=True)
@@ -149,12 +160,8 @@ def realtime_report(
     horizon = record.horizon
     path = np.zeros(horizon) if planned is None else np.asarray(planned, dtype=float)
     if isinstance(rule, EarlyExit):
-        cands = range(1, true_deadline + 1)
-        best = max(path[t - 1] for t in cands)
-        for t in cands:
-            if path[t - 1] == best:
-                return t
-        return true_deadline
+        # the earliest in-deadline slot with the most planned charge
+        return int(np.argmax(path[:true_deadline])) + 1
     if window_schedule is None:
         raise ValueError("histogram matching needs the window schedule")
     target, bid_pmf = _match_pmfs(strategy)
@@ -483,6 +490,7 @@ def run_horizon(
             raise ValueError(f"EV {i + 1}: fixed report slot {rule.slot} outside 1..{horizon}")
     window_schedule = window_schedule or WindowSchedule()
     penalty_schedule = penalty_schedule or PenaltySchedule()
+    penalty_schedule.penalty(days)  # fines grow with the day: the last must fit a float
     solver_config = solver_config or SolverConfig()
     n_evs = len(specs)
     bids = tuple(s.day_ahead_bid for s in strategies)
@@ -599,12 +607,10 @@ def default_adversary_suite(theta: DeadlineDistribution) -> list[tuple[str, Bidd
     truthful bid."""
     pmf = list(theta.pmf)
     horizon = len(pmf)
-    earlier = [0.0] * horizon
-    for t in range(horizon):
-        earlier[max(t - 1, 0)] += pmf[t]
-    later = [0.0] * horizon
-    for t in range(horizon):
-        later[min(t + 1, horizon - 1)] += pmf[t]
+    earlier, later = [0.0] * horizon, [0.0] * horizon
+    for t, p in enumerate(pmf):
+        earlier[max(t - 1, 0)] += p
+        later[min(t + 1, horizon - 1)] += p
     bid_earlier = DeadlineDistribution(tuple(earlier), floor=0.0)
     bid_later = DeadlineDistribution(tuple(later), floor=0.0)
     return [

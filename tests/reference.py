@@ -9,8 +9,9 @@ actions as one add-and-min per (charge sum, dispatch level).
 """
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from storemkt.mdp import (
     MdpModel,
     RolloutResult,
     UnreachableStateError,
-    iter_profiles,
     system_cost,
 )
 
@@ -122,6 +122,19 @@ def rollout(
         np.array([r[2] for r in rows]),
         np.array([r[0][:, -1] for r in rows]).reshape(len(rows), n_evs),
     )
+
+
+def iter_profiles(
+    params: Sequence[DeadlineDistribution], horizon: int
+) -> Iterable[tuple[tuple[int, ...], float]]:
+    """Every report profile of EVs with beliefs ``params``, in
+    ``itertools.product`` order, with its probability multiplied up in EV
+    order."""
+    for profile in itertools.product(range(1, horizon + 1), repeat=len(params)):
+        p = 1.0
+        for dist, t in zip(params, profile):
+            p *= dist.pmf[t - 1]
+        yield profile, p
 
 
 def enumerated_outcome(model: MdpModel, policy: MarkovPolicy) -> ExpectedOutcome:

@@ -157,6 +157,30 @@ def test_negative_config_seeds_fail_by_name(tmp_path, capsys):
         assert "simulation.seeds: must be nonnegative" in capsys.readouterr().err
 
 
+def test_misspelled_keys_exit_2(tmp_path, capsys):
+    cfg = preset_config("table1:n=1")
+    cfg["solver"]["mdoe"] = "beam"
+    path = tmp_path / "typo.json"
+    path.write_text(emit(cfg))
+    for command in ("validate", "solve"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "solver.mdoe: unknown key\n" and captured.out == ""
+
+
+def test_overflowing_fine_exits_2(tmp_path, capsys):
+    cfg = preset_config("theorem1")
+    cfg["mechanism"]["penalty_exponent"] = 400
+    cfg["simulation"].update(days=50, strategies=[{"rule": {"kind": "fixed", "slot": 1}}])
+    path = tmp_path / "fine.json"
+    path.write_text(emit(cfg))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "exponent 400 overflows a float on day 50" in captured.err and captured.out == ""
+
+
 def test_simulate_replays_byte_identical(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):

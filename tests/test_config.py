@@ -278,3 +278,30 @@ def test_booleans_are_not_integers(path, diag):
         parent = parent[key]
     parent[path[-1]] = True
     assert validate_config(cfg) == (None, [diag])
+
+
+@pytest.mark.parametrize(
+    "path, diag",
+    [
+        (("mechansim",), "mechansim: unknown key"),
+        (("solver", "mdoe"), "solver.mdoe: unknown key"),
+        (("units", "rate_unit"), "units.rate_unit: unknown key"),
+        (("generator", "slots"), "generator.slots: unknown key"),
+        (("evs", 0, "capcity"), "evs[0].capcity: unknown key"),
+        (("evs", 0, "theta", "flor"), "evs[0].theta.flor: unknown key"),
+        (("simulation", "strategies", 0, "bid"), "simulation.strategies[0].bid: unknown key"),
+        (("simulation", "strategies", 0, "rule", "target_pmf"),
+         "simulation.strategies[0].rule.target_pmf: unknown key"),
+    ],
+)
+def test_unknown_keys_fail_by_name(path, diag):
+    # a misspelled key is refused, not ignored (nor echoed in the normal form)
+    cfg = copy.deepcopy(_BASES["table1:n=2"])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = None
+    assert validate_config(cfg) == (None, [diag])
+    with pytest.raises(ConfigError) as err:
+        load_setup(cfg)
+    assert err.value.diagnostics == [diag]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storemkt import costs, dispatch, experiments, mdp
+from storemkt import cli, costs, dispatch, experiments, mdp
 from storemkt.config import load_setup
 from storemkt.costs import MarketModel, asym_lin_quad, linear
 from storemkt.deadlines import DeadlineDistribution, make_rng
@@ -385,40 +385,42 @@ def test_conditional_beta_total_expectation():
             assert total == pytest.approx(res.q_star, abs=1e-9)
 
 
-def test_profile_enumeration_guard_fires_before_any_rollout(monkeypatch):
-    # enumerated_outcome visits T^n profiles, conditional_beta T^(n-1); both
-    # go through mdp.iter_profiles, whose guard must fire before any rollout
+def test_profile_enumeration_guard_fires_before_any_rollout(monkeypatch, capsys):
+    # conditional_beta enumerates the other EVs' supports (5 profiles here),
+    # estimate_lipschitz_K every EV's (25); both go through
+    # _conditional_costs, whose count guard fires before any rollout
     s = setup_for("table1:n=2")
     res = solve_outer(s.params, s.solver, s.market, s.specs)
     rolled = []
-
-    def counting(real):
-        def counted(model, policy, profiles):
-            rolled.extend(map(tuple, np.asarray(profiles).tolist()))
-            return real(model, policy, profiles)
-
-        return counted
-
-    monkeypatch.setattr(dispatch, "rollout", counting(mdp.rollout))
-    monkeypatch.setattr(reference, "rollout", counting(reference.rollout))
-    monkeypatch.setattr(mdp, "ENUMERATION_GUARD", 4)
-    with pytest.raises(ValueError, match="visit 25 profiles"):
-        enumerated_outcome(res.model, res.policy)
-    with pytest.raises(ValueError, match="visit 5 profiles"):
+    real = mdp.rollout
+    monkeypatch.setattr(dispatch, "rollout", lambda *a: rolled.append(len(a[2])) or real(*a))
+    monkeypatch.setattr(dispatch, "ENUMERATION_GUARD", 4)
+    with pytest.raises(mdp.RolloutBatchTooLarge, match="25 report profiles"):
+        estimate_lipschitz_K([res])
+    with pytest.raises(mdp.RolloutBatchTooLarge, match="5 report profiles"):
         conditional_beta(res.model, res.policy, 0, 1)
     assert rolled == []
     # at the guard itself the conditional enumeration runs
-    monkeypatch.setattr(mdp, "ENUMERATION_GUARD", 5)
+    monkeypatch.setattr(dispatch, "ENUMERATION_GUARD", 5)
     conditional_beta(res.model, res.policy, 0, 1)
-    assert len(rolled) == 5
-    with pytest.raises(ValueError, match="visit 25 profiles"):
-        enumerated_outcome(res.model, res.policy)
-    assert len(rolled) == 5
+    assert rolled == [5]
+    with pytest.raises(mdp.RolloutBatchTooLarge, match="25 report profiles"):
+        estimate_lipschitz_K([res])
+    assert rolled == [5]
+    # the payments command's j_m probe fails by name, exit 2
+    monkeypatch.setattr(dispatch, "ENUMERATION_GUARD", 24)
+    assert cli.main(["payments", "table1:n=2"]) == 2
+    assert "25 report profiles (limit 24)" in capsys.readouterr().err
+    assert rolled == [5]
 
 
-def test_lipschitz_estimate_frozen_and_monotone():
+def test_lipschitz_estimate_frozen_and_monotone(monkeypatch):
     s = setup_for("example1:p=0.19")
-    k1 = estimate_lipschitz_K([s.params], s.solver, s.market, s.specs)
+
+    def solve(bids):
+        return solve_outer(bids, s.solver, s.market, s.specs)
+
+    k1 = estimate_lipschitz_K([solve(s.params)])
     assert k1 == pytest.approx(EXAMPLE1_K_HAT, abs=1e-12)
 
     rng = make_rng(7)
@@ -426,11 +428,14 @@ def test_lipschitz_estimate_frozen_and_monotone():
         tuple(DeadlineDistribution(random_floored_pmf(rng, 2, 0.02), floor=0.02) for _ in s.specs)
         for _ in range(4)
     ]
-    # the max over the profiles, so it grows as profiles are added
-    each = [estimate_lipschitz_K([p], s.solver, s.market, s.specs) for p in profiles]
-    assert estimate_lipschitz_K(profiles, s.solver, s.market, s.specs) == max(each)
-    with pytest.raises(ValueError, match="at least one bid profile"):
-        estimate_lipschitz_K([], s.solver, s.market, s.specs)
+    solves = [solve(p) for p in profiles]
+    # it prices the solves it is given and solves nothing itself
+    monkeypatch.setattr(dispatch, "solve_outer", None)
+    # the max over the solves, so it grows as solves are added
+    each = [estimate_lipschitz_K([res]) for res in solves]
+    assert estimate_lipschitz_K(solves) == max(each)
+    with pytest.raises(ValueError, match="at least one solve"):
+        estimate_lipschitz_K([])
 
 
 def _scalar_conditional_costs(res):
@@ -461,13 +466,13 @@ def test_probe_rolls_each_profile_once_per_solve(monkeypatch):
         passes.append((model.params, len(reported)))
         return batched(model, policy, reported)
 
-    def kept_costs(model, policy):
-        got.append(conditional(model, policy))
+    def kept_costs(model, policy, supports=None):
+        got.append(conditional(model, policy, supports))
         return got[-1]
 
     monkeypatch.setattr(dispatch, "rollout", counted_pass)
     monkeypatch.setattr(dispatch, "_conditional_costs", kept_costs)
-    k_hat = estimate_lipschitz_K(profiles, s.solver, s.market, s.specs, solves[0])
+    k_hat = estimate_lipschitz_K(solves)
     # one batched pass per solve, over every profile of the support
     assert passes == [(tuple(bids), 5**3) for bids in profiles]
     assert got == want  # bit-identical, not approximately
@@ -542,54 +547,91 @@ def test_batched_rollout_skips_zero_probability_slots():
         dispatch._conditional_costs(model, res.policy)
 
 
+def _traced_peak(run):
+    """``run()``'s result and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _rollout_bytes(n_evs, horizon):
+    # per profile: the pass's working arrays, then the storage and
+    # mismatch it returns
+    return (
+        mdp.ROLLOUT_EV_BYTES * n_evs + 8 * (horizon + 1) + mdp.ROLLOUT_BYTES
+        + 8 * n_evs * horizon + 8 * horizon
+    )
+
+
 def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
     s = setup_for("table1:n=4")
     res = solve_outer(s.params, s.solver, s.market, s.specs)
     count, n, horizon = 5**4, 4, s.market.horizon
-    # per profile: the pass's working arrays, then the storage and
-    # mismatch it returns
-    need = count * (
-        mdp.ROLLOUT_EV_BYTES * n + 8 * (horizon + 1) + mdp.ROLLOUT_BYTES
-        + 8 * n * horizon + 8 * horizon
-    )
-    rolled = []
+    need = count * _rollout_bytes(n, horizon)
+    one_pass = dispatch._conditional_costs(res.model, res.policy)
+    sizes = []
     real = mdp.rollout
-    monkeypatch.setattr(dispatch, "rollout", lambda *a: rolled.append(a) or real(*a))
+    monkeypatch.setattr(dispatch, "rollout", lambda *a: sizes.append(len(a[2])) or real(*a))
     monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", need - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
-            estimate_lipschitz_K([s.params], s.solver, s.market, s.specs, res)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # nothing was rolled out and the support profiles were never built:
-    # less was allocated than the profiles' (count, n_evs) charge array alone
-    assert rolled == [] and peak < 8 * count * n
-    # a caller's profile array is refused the same way
+    # a caller's profile array is refused before the pass allocates: less
+    # was allocated than the profiles' (count, n_evs) charge array alone
     profiles = np.array(list(itertools.product(range(1, horizon + 1), repeat=n)))
     tracemalloc.start()
     try:
-        with pytest.raises(mdp.RolloutBatchTooLarge):
+        with pytest.raises(mdp.RolloutBatchTooLarge, match=f"{count} report profiles .* {need} bytes"):
             real(res.model, res.policy, profiles)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * count * n
+    # the probe's support profiles need not fit one pass: they run in two,
+    # to the one-pass bits
+    assert dispatch._conditional_costs(res.model, res.policy) == one_pass
+    assert sizes == [count - 1, 1]
     # at the budget the pass runs, within its estimate, and so does the
-    # probe's pass with the support profiles it builds
+    # probe's one pass with the support profiles it builds
     monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", need)
     for run in (
         lambda: real(res.model, res.policy, profiles),
         lambda: dispatch._conditional_costs(res.model, res.policy),
     ):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(run)[1]
         assert 8 * count * n < peak <= need
+    assert sizes == [count - 1, 1, count]
+
+
+def test_probe_rolls_out_in_passes_that_fit(monkeypatch):
+    # budgets below the 625 support profiles of four table1 EVs split the
+    # probe into passes; the terms still add in product order, so every
+    # float is the one-pass float, and the peak follows the pass, not the
+    # product
+    s = setup_for("table1:n=4")
+    res = solve_outer(s.params, s.solver, s.market, s.specs)
+    count, per_profile = 5**4, _rollout_bytes(4, s.market.horizon)
+    one_pass, one_peak = _traced_peak(lambda: dispatch._conditional_costs(res.model, res.policy))
+    k_hat = estimate_lipschitz_K([res])
+    sizes = []
+    real = mdp.rollout
+    monkeypatch.setattr(dispatch, "rollout", lambda *a: sizes.append(len(a[2])) or real(*a))
+    peaks = {}
+    for per_pass in (7, count // 2):
+        budget = per_pass * per_profile
+        monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", budget)
+        sizes.clear()
+        got, peaks[per_pass] = _traced_peak(
+            lambda: dispatch._conditional_costs(res.model, res.policy)
+        )
+        assert got == one_pass  # bit-identical, not approximately
+        assert sizes == [per_pass] * (count // per_pass) + [count % per_pass]
+        assert estimate_lipschitz_K([res]) == k_hat
+    # at 7 profiles a pass's fixed allocations (array headers, the policy
+    # step's lists) outweigh its profiles, so the budget itself is checked
+    # at half the product, where the per-profile bytes dominate
+    assert peaks[7] < one_peak / 8
+    assert peaks[count // 2] <= (count // 2) * per_profile
 
 
 def test_conditional_beta_rolls_out_in_passes_that_fit(monkeypatch):
@@ -602,8 +644,7 @@ def test_conditional_beta_rolls_out_in_passes_that_fit(monkeypatch):
     sizes = []
     real = mdp.rollout
     monkeypatch.setattr(dispatch, "rollout", lambda *a: sizes.append(len(a[2])) or real(*a))
-    per_profile = mdp.ROLLOUT_EV_BYTES * 3 + 8 * 6 + mdp.ROLLOUT_BYTES + 8 * 3 * 5 + 8 * 5
-    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", 7 * per_profile)
+    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", 7 * _rollout_bytes(3, 5))
     got = [conditional_beta(res.model, res.policy, 0, t) for t in (1, 3, 5)]
     assert got == want  # bit-identical, not approximately
     assert sizes == [7, 7, 7, 4] * 3
@@ -611,34 +652,33 @@ def test_conditional_beta_rolls_out_in_passes_that_fit(monkeypatch):
 
 
 def test_dominated_pair_check_reuses_the_shifted_solve(monkeypatch):
-    # the shifted profile's solve is profiles[0] of the Lipschitz estimate:
-    # three solves per check, and the same k_hat as solving it again
-    calls = []
-    real = dispatch.solve_outer
+    # the Lipschitz estimate prices the check's own two solves, shifted
+    # then base: two solves per check, and the same k_hat as fresh solves
+    # of the two profiles
+    calls, priced = [], []
+    real, estimate = dispatch.solve_outer, dispatch.estimate_lipschitz_K
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(dispatch, "solve_outer", counted)
     monkeypatch.setattr(experiments, "solve_outer", counted)
+    monkeypatch.setattr(experiments, "estimate_lipschitz_K", lambda r: priced.append(r) or estimate(r))
     rng = make_rng(experiments.PAIR_SEED)
-    checks = []
-    while len(checks) < 3:
+    checks = 0
+    while checks < 3:
         calls.clear()
+        priced.clear()
         check = experiments.dominated_pair_check(rng)
-        if check is not None:
-            assert len(calls) == 3
-            checks.append(check)
-    estimate = dispatch.estimate_lipschitz_K
-    monkeypatch.setattr(experiments, "estimate_lipschitz_K", lambda *args: estimate(*args[:4]))
-    rng = make_rng(experiments.PAIR_SEED)
-    again = []
-    while len(again) < 3:
-        check = experiments.dominated_pair_check(rng)
-        if check is not None:
-            again.append(check)
-    assert again == checks  # bit-identical
+        if check is None:
+            continue
+        checks += 1
+        assert len(calls) == 2
+        [(shifted, base)] = priced
+        assert (shifted.q_star, base.q_star) == (check["q_shifted"], check["q_base"])
+        fresh = [real(*args) for args in reversed(calls)]
+        assert estimate(fresh) == check["k_hat"]  # bit-identical
 
 
 def test_explicit_winner_is_cross_checked(monkeypatch):

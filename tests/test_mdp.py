@@ -20,12 +20,11 @@ from storemkt.mdp import (
     StateSpace,
     UnreachableStateError,
     expected_outcome,
-    policy_artifact,
     rollout,
     solve_dp,
     system_cost,
 )
-from storemkt.dispatch import solve_outer
+from storemkt.dispatch import SolverConfig, solve_outer
 from storemkt.scenarios import random_floored_pmf, random_small_instance
 
 import reference
@@ -333,10 +332,16 @@ def test_expected_outcome_matches_enumeration_and_dp():
 
 
 def test_policy_artifact_round_trip():
+    # a solve's artifact is plain JSON: it dumps and loads back unchanged
     model = two_slot_model(0.19, (1.0, 0.0))
-    values, policy = solve(model)
-    payload = json.loads(policy_artifact(values, policy))
-    assert "values" in payload and "policy" in payload
+    config = SolverConfig(step=1.0, candidates=(model.dispatch,))
+    res = solve_outer(model.params, config, model.market, model.specs)
+    payload = res.to_jsonable()
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["values"] == res.values.to_jsonable()
+    assert payload["policy"] == res.policy.to_jsonable()
+    assert (payload["g_star"], payload["q_star"]) == ([1.0, 0.0], res.q_star)
+    assert payload["candidates_evaluated"] == 1
     key = next(iter(payload["policy"]))
     assert "," in key  # "slot,state" keys
 

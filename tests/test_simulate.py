@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storemkt import dispatch, mdp, simulate
-from storemkt.config import load_setup
+from storemkt import mdp, simulate
+from storemkt.cli import main
+from storemkt.config import emit, load_setup
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import SolverConfig, solve_outer
 from storemkt.experiments import payments_table, to_json
 from storemkt.mdp import expected_outcome
 from storemkt.mechanism import (
     EmpiricalRecord,
+    FineOverflow,
+    PenaltySchedule,
     WindowSchedule,
     max_frequency_gap,
     settlement,
@@ -235,22 +238,79 @@ def test_probe_reuses_the_day_ahead_solve(monkeypatch):
     s = load_setup(preset_config("table1:n=2"))
     solved = solve_outer(s.params, s.solver, s.market, s.specs)
     calls = []
-    real = dispatch.solve_outer
+    real = simulate.solve_outer
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dispatch, "solve_outer", counted)
+    monkeypatch.setattr(simulate, "solve_outer", counted)
     fresh = resolve_j_m("auto", s.params, s.solver, s.market, s.specs)
     assert len(calls) == 1 + simulate.J_M_PROBE_TRIALS == 7
+    assert calls[0][0] == s.params
     calls.clear()
     reused = resolve_j_m("auto", s.params, s.solver, s.market, s.specs, solved)
     assert len(calls) == simulate.J_M_PROBE_TRIALS == 6
     assert reused == fresh
     other = load_setup(preset_config("table1:n=2,profile=C"))
-    with pytest.raises(ValueError, match="profiles\\[0\\]"):
+    with pytest.raises(ValueError, match="not the solve of these bids"):
         resolve_j_m("auto", other.params, s.solver, s.market, s.specs, solved)
+    assert len(calls) == 6
+
+
+def _long_day_config(horizon):
+    """One table1-like EV on levels (0, 10) over ``horizon`` slots, with no
+    dispatch (caps all 0), a uniform deadline law at floor 0.001 and
+    reserves that absorb any mismatch."""
+    return {
+        "horizon": horizon,
+        "demand": [0.0] * horizon,
+        "generator": {"form": "linear", "rates": 20.0},
+        "reserves": {"form": "asym_lin_quad", "rates": 30.0},
+        "evs": [
+            {
+                "capacity": 10.0,
+                "levels": [0.0, 10.0],
+                "theta": {"pmf": [1.0 / horizon] * horizon, "floor": 0.001},
+            }
+        ],
+        "solver": {"caps": [0.0] * horizon},
+    }
+
+
+def test_probe_floor_fits_long_days(tmp_path, capsys, monkeypatch):
+    # the probe draws its profiles at floor 0.02 while 0.02 * T <= 1 (T =
+    # 50 here) and at 1/(2T) beyond: on 60 slots 0.02 exceeds 1/T, which
+    # every deadline law refuses
+    path = tmp_path / "long-day.json"
+    path.write_text(emit(_long_day_config(60)))
+    assert main(["payments", str(path)]) == 0
+    assert "recommended miss fine" in capsys.readouterr().err
+    drawn = []
+    real = simulate.random_floored_pmf
+    monkeypatch.setattr(simulate, "random_floored_pmf", lambda *a: drawn.append(a[2]) or real(*a))
+    for horizon, floor in ((50, 0.02), (60, 1.0 / 120)):
+        s = load_setup(_long_day_config(horizon))
+        drawn.clear()
+        fine = resolve_j_m("auto", s.params, s.solver, s.market, s.specs)
+        assert drawn == [floor] * simulate.J_M_PROBE_TRIALS
+        assert math.isfinite(fine) and fine > 0.0
+
+
+def test_overflowing_fine_fails_before_the_first_day(monkeypatch):
+    # 6.0**400 overflows a float: the fine schedule is refused by name
+    # before any deadline is drawn, and finite fines keep their floats
+    s = load_setup(preset_config("theorem1"))
+    fixed = (BiddingStrategy(s.params[0], Fixed(1)),)
+    schedule = PenaltySchedule(1.0, 400.0)
+    assert schedule.penalty(5) == 5.0**400
+    drawn = []
+    monkeypatch.setattr(simulate, "draw_deadlines", lambda *a: drawn.append(a))
+    with pytest.raises(FineOverflow, match="coefficient 1.0, exponent 400.0 .* day 50"):
+        run_horizon(s.market, s.specs, s.params, fixed, 50, 0, None, schedule, s.solver, 1.0)
+    assert drawn == []
+    with pytest.raises(FineOverflow, match="day 6"):
+        schedule.penalty(6)
 
 
 def test_run_horizon_single_day_trace():
