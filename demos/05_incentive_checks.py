@@ -71,7 +71,7 @@ for days in (5_000, 50_000):
     first = int(events[0]) + 1 if events.size else None
     print(
         f"  {days:>6} days: gap over truthful {float(diff.mean()):+.6g}"
-        f" (band {band:.3g}), penalties {adv.accounts[0].penalties}"
+        f" (band {band:.3g}), penalties {int(adv.event_days[0].sum())}"
         + (f", first window event day {first}" if first else ", window never trips")
     )
 

@@ -5,8 +5,8 @@ Positional configs accept either a JSON file path or a built-in scenario
 name ("example1", "table1", "theorem1", optionally parameterized like
 "example1:p=0.25" or "table1:n=2,profile=C").
 
-Exit codes: 0 success, 2 configuration problem, a run over its memory
-budget or a fine that overflows a float, 3 infeasible model, 4 an
+Exit codes: 0 success, 2 configuration problem, a run or a horizon over
+its memory budget or a fine that overflows a float, 3 infeasible model, 4 an
 experiment or oracle assertion failed.
 --seed overrides the config seed where a command consumes one.
 """
@@ -31,7 +31,7 @@ from .mdp import NoFeasibleContinuation, RolloutBatchTooLarge
 from .mechanism import FineOverflow
 from .presets import is_preset, preset_config
 from .scenarios import random_tiny_instance
-from .simulate import resolve_j_m, run_horizon
+from .simulate import HorizonTooLong, resolve_j_m, run_horizon
 
 ORACLE_TOL = 1e-9
 
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return 2
-    except (GridTooLarge, RolloutBatchTooLarge, FineOverflow) as exc:
+    except (GridTooLarge, RolloutBatchTooLarge, FineOverflow, HorizonTooLong) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (InfeasibleModel, NoFeasibleContinuation) as exc:

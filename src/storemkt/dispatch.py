@@ -127,6 +127,12 @@ CROSS_CHECK_TOL = 1e-6
 ORACLE_POLICY_GUARD = 500_000
 #: report profiles the conditional costs may enumerate; more fail by name
 ENUMERATION_GUARD = 10_000_000
+#: bytes a ``_conditional_costs`` pass holds per profile beside its
+#: ``rollout``: PROBE_EV_BYTES per EV for the unravelled slots and the
+#: profile array, and PROBE_BYTES for the ids, the costs, the weights, the
+#: terms, the masks and the terms they select
+PROBE_EV_BYTES = 16
+PROBE_BYTES = 48
 #: values per column chunk of the batched kernel's min over actions
 CHUNK_ELEMS = 16_384
 #: peak bytes ``mdp._product_pairs`` holds per (state, action) pair while it
@@ -824,7 +830,8 @@ def _conditional_costs(
 
     The one enumeration of report profiles: the supports' product in
     ``itertools.product`` order, in passes of at most the profiles one
-    ``rollout`` takes (``check_rollout_size``).  Each (EV, slot) total
+    ``rollout`` takes beside the pass's own arrays (``check_rollout_size``
+    with PROBE_EV_BYTES and PROBE_BYTES).  Each (EV, slot) total
     adds its terms from 0.0 in that order, so no float depends on the pass
     size: p times a profile's cost, p multiplied up from 1.0 in EV order
     over the other EVs, p == 0 skipped.  Past ENUMERATION_GUARD profiles
@@ -836,7 +843,8 @@ def _conditional_costs(
         raise RolloutBatchTooLarge(
             f"conditional costs over {count} report profiles (limit {ENUMERATION_GUARD})"
         )
-    per_pass = check_rollout_size(1, model.n_evs, model.horizon)
+    n = model.n_evs
+    per_pass = check_rollout_size(1, n, model.horizon, PROBE_EV_BYTES * n + PROBE_BYTES)
     slots = [np.array(s, dtype=np.intp) for s in supports]
     # each EV's pmf indexed by slot, so a profile's slots read its weights
     pmfs = [np.array((0.0,) + law.pmf) for law in model.params]

@@ -681,12 +681,13 @@ def _policy_step(
     return posts, deltas, np.array(mismatch), np.array([cost[m] for m in mismatch])
 
 
-def check_rollout_size(count: int, n_evs: int, horizon: int) -> int:
+def check_rollout_size(count: int, n_evs: int, horizon: int, extra: int = 0) -> int:
     """Raise ``RolloutBatchTooLarge`` if ``rollout`` of ``count`` report
-    profiles would hold more than BATCH_BYTE_BUDGET bytes, else return how
-    many one pass takes.  A caller that builds profiles checks first."""
+    profiles, plus ``extra`` bytes per profile that the caller holds beside
+    it, would hold more than BATCH_BYTE_BUDGET bytes, else return how many
+    one pass takes.  A caller that builds profiles checks first."""
     working = ROLLOUT_EV_BYTES * n_evs + 8 * (horizon + 1) + ROLLOUT_BYTES
-    per_profile = working + 8 * n_evs * horizon + 8 * horizon
+    per_profile = working + 8 * n_evs * horizon + 8 * horizon + extra
     if count * per_profile > BATCH_BYTE_BUDGET:
         raise RolloutBatchTooLarge(
             f"a batched rollout of {count} report profiles would hold about "

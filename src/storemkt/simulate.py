@@ -31,9 +31,8 @@ import numpy as np
 from .costs import MarketModel
 from .deadlines import DeadlineDistribution, make_rng
 from .dispatch import SolveResult, SolverConfig, estimate_lipschitz_K, solve_outer
-from .mdp import EVSpec, RolloutResult, _left_sum, rollout, system_cost
+from .mdp import BATCH_BYTE_BUDGET, EVSpec, RolloutResult, _left_sum, rollout, system_cost
 from .mechanism import (
-    DayAhead,
     EmpiricalRecord,
     PenaltySchedule,
     WindowSchedule,
@@ -45,6 +44,22 @@ from .scenarios import random_floored_pmf
 J_M_PROBE_SEED = 141_727
 J_M_PROBE_TRIALS = 6
 J_M_PROBE_FLOOR = 0.02
+
+
+class HorizonTooLong(ValueError):
+    """A horizon whose ledger and trace would not fit BATCH_BYTE_BUDGET."""
+
+
+def _day_bytes(n_evs: int, horizon: int) -> int:
+    """Peak bytes one simulated day holds in its ledger columns and its
+    trace lines: 256 plus 16 per slot for the system row, and per EV 640
+    plus 64 per slot.  Fitted with tracemalloc under CPython 3.11 on 1 to
+    4 EVs and 2 to 48 slots, with 13-character floats in the storage and
+    mismatch fields and a window event every day: the run and its trace
+    peaked at 600 to 10,100 B/day, 6 to 43% below this count.  The
+    ``_window_events`` counts, 24 B per slot, are freed before the trace
+    is formatted."""
+    return 256 + 16 * horizon + n_evs * (640 + 64 * horizon)
 
 
 def resolve_j_m(
@@ -232,32 +247,6 @@ def _match_report(
     return min(negative or safe_within or safe_beyond or within)[2] + 1
 
 
-@dataclass
-class AgentAccount:
-    utility: float = 0.0
-    ev_cost: float = 0.0
-    penalties: int = 0
-    missed: int = 0
-    days: int = 0
-
-    def average_utility(self) -> float:
-        return self.utility / self.days if self.days else 0.0
-
-
-@dataclass(frozen=True)
-class DayOutcome:
-    """What a day's settlement and trace take from its report profile alone;
-    the trace strings are formatted once per profile."""
-
-    reported: tuple[int, ...]
-    reserve_cost: float
-    beta: float
-    charge_gap: tuple[float, ...]  # per EV: valued expected minus realized charge
-    kept_cost: tuple[float, ...]  # per EV: its ev_cost on a day it leaves in time
-    mismatch: str
-    storage: tuple[str, ...]  # per EV
-
-
 TRACE_COLUMNS = (
     "day", "row", "ev", "true_delta", "reported", "storage", "mismatch",
     "reserve_cost", "beta", "p_da", "charge_gap", "penalty", "event",
@@ -267,28 +256,29 @@ TRACE_COLUMNS = (
 
 @dataclass
 class SimResult:
-    """Per-day columns plus aggregates for one simulated horizon.
+    """One simulated horizon's ledger: its per-day columns.
 
-    Day ``d`` realized the report profile ``outcomes[profile_days[d]]``;
-    the other per-day columns hold what varies within a profile.  The
-    columns are the run's ledger, and ``to_csv`` writes the trace from
-    them.
-    """
+    Day ``d`` realized the report profile ``profiles[profile_days[d]]``,
+    row ``profile_days[d]`` of ``rolled``, the one ``rollout`` of the
+    distinct profiles; the other per-day columns hold what varies within a
+    profile.  Every total is read off the columns, and ``to_csv`` is the
+    only code that formats the trace."""
 
     days: int
     seed: int
     solve: SolveResult
     p_da: list[float]
     j_m: float
-    accounts: list[AgentAccount]
-    outcomes: list[DayOutcome]  # one per distinct report profile
-    profile_days: np.ndarray  # (L,) index into outcomes
+    profiles: np.ndarray  # (P, n_evs) distinct report profiles
+    rolled: RolloutResult  # row k: profile k's realized day
+    profile_days: np.ndarray  # (L,) index into profiles
     true_days: np.ndarray  # (n_evs, L) true deadline slots
     utility_days: np.ndarray  # (n_evs, L) per-day utility
     beta_days: np.ndarray  # (L,)
     charge_gap_days: np.ndarray  # (n_evs, L)
     penalty_days: np.ndarray  # (n_evs, L) window fine, 0 without an event
     event_days: np.ndarray  # (n_evs, L) bool
+    missed_days: np.ndarray  # (n_evs, L) bool: reported past the true deadline
     payment_days: np.ndarray  # (n_evs, L) day-ahead transfer plus settlement
     ev_cost_days: np.ndarray  # (n_evs, L)
     diagnostics: dict = field(default_factory=dict)
@@ -298,15 +288,15 @@ class SimResult:
 
         A row's head, ``ev`` through ``charge_gap``, and its ``ev_cost``
         are fixed by its (profile, true deadline) pair, so they are
-        formatted once per pair.  Without a window event so is the whole
-        row; on an event day the day's penalty, payment and utility are
-        formatted around them."""
+        formatted once per pair, from the pair's first day.  Without a
+        window event so is the whole row; on an event day the day's
+        penalty, payment and utility are formatted around them."""
         p_da, out, fixed, plain = _fmt(self.p_da[i]), [], {}, {}
         keys = zip(self.profile_days.tolist(), self.true_days[i].tolist())
         events = self.event_days[i].tolist()
-        penalty, payment, cost, utility = (
-            a[i].tolist()
-            for a in (self.penalty_days, self.payment_days, self.ev_cost_days, self.utility_days)
+        gap, cost = self.charge_gap_days[i], self.ev_cost_days[i]
+        penalty, payment, utility = (
+            a[i].tolist() for a in (self.penalty_days, self.payment_days, self.utility_days)
         )
         for d, key in enumerate(keys):
             event = events[d]
@@ -314,10 +304,11 @@ class SimResult:
                 out.append(plain[key])
                 continue
             if key not in fixed:
-                o = self.outcomes[key[0]]
+                k = key[0]
+                storage = ";".join(map(_fmt, self.rolled.storage[k, i].tolist()))
                 head = (
-                    f"ev,{i + 1},{key[1]},{o.reported[i]},{o.storage[i]},,,,{p_da},"
-                    f"{_fmt(o.charge_gap[i])}"
+                    f"ev,{i + 1},{key[1]},{self.profiles[k, i]},{storage},,,,{p_da},"
+                    f"{_fmt(gap[d])}"
                 )
                 fixed[key] = head, _fmt(cost[d])
             head, cost_field = fixed[key]
@@ -331,14 +322,19 @@ class SimResult:
         return out
 
     def to_csv(self) -> str:
-        """The trace as CSV: per day one system row, then one row per EV,
-        written from the columns and the per-profile strings."""
+        """The trace as CSV: per day one system row, then one row per EV.
+        A profile's system row is formatted once, from its first day."""
+        _, first = np.unique(self.profile_days, return_index=True)
+        rolled = self.rolled
         system = [
-            f"system,,,,,{o.mismatch},{_fmt(o.reserve_cost)},{_fmt(o.beta)},,,,,,,"
-            for o in self.outcomes
+            f"system,,,,,{';'.join(map(_fmt, mismatch))},{_fmt(reserve)},{_fmt(beta)},,,,,,,"
+            for mismatch, reserve, beta in zip(
+                rolled.mismatch.tolist(), rolled.reserve_cost.tolist(),
+                self.beta_days[first].tolist(),
+            )
         ]
         columns = [[system[k] for k in self.profile_days.tolist()]]
-        columns += [self._ev_fields(i) for i in range(len(self.accounts))]
+        columns += [self._ev_fields(i) for i in range(len(self.true_days))]
         # each day's system row, then its EV rows: column j fills every
         # len(columns)-th line from line j
         lines = [""] * (self.days * len(columns))
@@ -421,34 +417,6 @@ def _report_days(
     return np.array(out, dtype=true_days.dtype)
 
 
-def _day_outcome(
-    reported: tuple[int, ...],
-    r: RolloutResult,
-    k: int,
-    da: DayAhead,
-    market: MarketModel,
-    j_m: float,
-) -> DayOutcome:
-    """The settlement and trace inputs of report profile ``reported``, row
-    ``k`` of ``r``, with the floats that ``settlement`` and ``ev_cost``
-    would compute for it."""
-    value = market.ev_energy_value
-    storage, terminal = r.storage[k], r.terminal[k]
-    reserve_cost = float(r.reserve_cost[k])
-    return DayOutcome(
-        reported=reported,
-        reserve_cost=reserve_cost,
-        beta=float(system_cost(market, da.generator_cost, reserve_cost, terminal)),
-        charge_gap=tuple(
-            float(value * (float(e) - float(h)))
-            for e, h in zip(da.expected.terminal_charge, terminal)
-        ),
-        kept_cost=tuple(ev_cost(t, t, storage[i], j_m, value) for i, t in enumerate(reported)),
-        mismatch=";".join(_fmt(float(m)) for m in r.mismatch[k]),
-        storage=tuple(";".join(_fmt(float(h)) for h in row) for row in storage),
-    )
-
-
 def _window_events(reports: np.ndarray, bid: DeadlineDistribution, windows: np.ndarray) -> np.ndarray:
     """Settlement's window test on every day at once, from running counts:
     row l-1 of ``counts`` is the record after day l's report."""
@@ -490,9 +458,15 @@ def run_horizon(
             raise ValueError(f"EV {i + 1}: fixed report slot {rule.slot} outside 1..{horizon}")
     window_schedule = window_schedule or WindowSchedule()
     penalty_schedule = penalty_schedule or PenaltySchedule()
+    n_evs = len(specs)
+    need = days * _day_bytes(n_evs, horizon)
+    if need > BATCH_BYTE_BUDGET:
+        raise HorizonTooLong(
+            f"{days} days of {n_evs} EVs on {horizon} slots would hold about {need} "
+            f"bytes of ledger and trace (limit {BATCH_BYTE_BUDGET})"
+        )
     penalty_schedule.penalty(days)  # fines grow with the day: the last must fit a float
     solver_config = solver_config or SolverConfig()
-    n_evs = len(specs)
     bids = tuple(s.day_ahead_bid for s in strategies)
 
     da = day_ahead(bids, solver_config, market, specs)
@@ -511,18 +485,20 @@ def run_horizon(
     # one rollout of the distinct report profiles; profile_days maps days to them
     profiles, profile_days = _profile_index(reports, horizon)
     rolled = rollout(solve.model, solve.policy, profiles)
-    outcomes = [
-        _day_outcome(row, rolled, k, da, market, j_m_value)
-        for k, row in enumerate(map(tuple, profiles.tolist()))
-    ]
+    # per profile, the floats settlement and ev_cost compute for its day
+    value = market.ev_energy_value
+    beta = system_cost(market, da.generator_cost, rolled.reserve_cost, rolled.terminal)
+    charge_gap = value * (da.expected.terminal_charge - rolled.terminal)
+    kept = np.array(
+        [
+            [ev_cost(t, t, path, j_m_value, value) for t, path in zip(row, paths)]
+            for row, paths in zip(profiles.tolist(), rolled.storage)
+        ]
+    )
 
     # settlement, every day at once
     shape = (n_evs, days)
-    charge_gap_days, kept_days = np.zeros(shape), np.zeros(shape)
-    for i in range(n_evs):
-        charge_gap_days[i] = np.array([o.charge_gap[i] for o in outcomes])[profile_days]
-        kept_days[i] = np.array([o.kept_cost[i] for o in outcomes])[profile_days]
-    missed = reports > true_days
+    missed_days = reports > true_days
     event_days = np.array(
         [_window_events(reports[i], bids[i], windows) for i in range(n_evs)], dtype=bool
     ).reshape(shape)
@@ -531,19 +507,10 @@ def run_horizon(
     penalty_days = np.zeros(shape)
     fines = penalty_schedule.penalties(hit + 1)
     penalty_days[:, hit] = np.where(event_days[:, hit], fines, 0.0)
-    ev_cost_days = np.where(missed, j_m_value, kept_days)
+    # (n_evs, L) C-contiguous: each EV's days are one row
+    charge_gap_days = np.take(charge_gap.T, profile_days, axis=1)
+    ev_cost_days = np.where(missed_days, j_m_value, np.take(kept.T, profile_days, axis=1))
     payment_days = np.array(p_da).reshape(n_evs, 1) + (charge_gap_days - penalty_days)
-    utility_days = payment_days - ev_cost_days
-    accounts = [
-        AgentAccount(
-            utility=_left_sum(utility_days[i]),
-            ev_cost=_left_sum(ev_cost_days[i]),
-            penalties=int(event_days[i].sum()),
-            missed=int(missed[i].sum()),
-            days=days,
-        )
-        for i in range(n_evs)
-    ]
 
     result = SimResult(
         days=days,
@@ -551,15 +518,16 @@ def run_horizon(
         solve=solve,
         p_da=p_da,
         j_m=j_m_value,
-        accounts=accounts,
-        outcomes=outcomes,
+        profiles=profiles,
+        rolled=rolled,
         profile_days=profile_days,
         true_days=true_days,
-        utility_days=utility_days,
-        beta_days=np.array([o.beta for o in outcomes])[profile_days],
+        utility_days=payment_days - ev_cost_days,
+        beta_days=beta[profile_days],
         charge_gap_days=charge_gap_days,
         penalty_days=penalty_days,
         event_days=event_days,
+        missed_days=missed_days,
         payment_days=payment_days,
         ev_cost_days=ev_cost_days,
     )
@@ -574,8 +542,8 @@ def _std(x: np.ndarray) -> float:
 def _diagnostics(res: SimResult) -> dict:
     last_q = res.days - res.days // 4
     per_ev = []
-    for i, acct in enumerate(res.accounts):
-        u = res.utility_days[i]
+    for i, u in enumerate(res.utility_days):
+        missed = int(res.missed_days[i].sum())
         per_ev.append(
             {
                 "avg_utility": float(u.mean()),
@@ -583,11 +551,11 @@ def _diagnostics(res: SimResult) -> dict:
                 "last_quartile_avg_utility": float(u[last_q:].mean())
                 if last_q < res.days
                 else float(u.mean()),
-                "avg_ev_cost": acct.ev_cost / acct.days,
+                "avg_ev_cost": _left_sum(res.ev_cost_days[i]) / res.days,
                 "avg_charge_gap": float(res.charge_gap_days[i].mean()),
-                "penalty_count": acct.penalties,
-                "missed_count": acct.missed,
-                "miss_rate": acct.missed / acct.days,
+                "penalty_count": int(res.event_days[i].sum()),
+                "missed_count": missed,
+                "miss_rate": missed / res.days,
             }
         )
     return {
@@ -695,8 +663,8 @@ def verify_theorem1(
                 "gap_over_truthful": gap,
                 "band": band,
                 "dsic_ok": dsic_ok,
-                "penalty_count": run.accounts[focal].penalties,
-                "missed_count": run.accounts[focal].missed,
+                "penalty_count": int(run.event_days[focal].sum()),
+                "missed_count": int(run.missed_days[focal].sum()),
             }
             all_ok = all_ok and dsic_ok
     report["all_ok"] = all_ok

@@ -51,7 +51,7 @@ from storemkt.mdp import (
     solve_dp,
 )
 from storemkt.mechanism import day_ahead
-from storemkt.presets import preset_config
+from storemkt.presets import preset_config, table1_config
 from storemkt.scenarios import random_floored_pmf, random_small_instance, random_tiny_instance
 from storemkt.simulate import J_M_PROBE_SEED, J_M_PROBE_TRIALS
 
@@ -566,6 +566,12 @@ def _rollout_bytes(n_evs, horizon):
     )
 
 
+def _probe_bytes(n_evs, horizon):
+    # per profile of a conditional-costs pass: its rollout, then the
+    # pass's own profile, id, weight, term and mask arrays
+    return _rollout_bytes(n_evs, horizon) + dispatch.PROBE_EV_BYTES * n_evs + dispatch.PROBE_BYTES
+
+
 def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
     s = setup_for("table1:n=4")
     res = solve_outer(s.params, s.solver, s.market, s.specs)
@@ -589,49 +595,60 @@ def test_oversized_batched_rollout_fails_before_it_allocates(monkeypatch):
     assert peak < 8 * count * n
     # the probe's support profiles need not fit one pass: they run in two,
     # to the one-pass bits
+    probe_need = count * _probe_bytes(n, horizon)
+    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", probe_need - 1)
     assert dispatch._conditional_costs(res.model, res.policy) == one_pass
     assert sizes == [count - 1, 1]
     # at the budget the pass runs, within its estimate, and so does the
     # probe's one pass with the support profiles it builds
-    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", need)
-    for run in (
-        lambda: real(res.model, res.policy, profiles),
-        lambda: dispatch._conditional_costs(res.model, res.policy),
+    for budget, run in (
+        (need, lambda: real(res.model, res.policy, profiles)),
+        (probe_need, lambda: dispatch._conditional_costs(res.model, res.policy)),
     ):
+        monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", budget)
         peak = _traced_peak(run)[1]
-        assert 8 * count * n < peak <= need
+        assert 8 * count * n < peak <= budget
     assert sizes == [count - 1, 1, count]
 
 
 def test_probe_rolls_out_in_passes_that_fit(monkeypatch):
-    # budgets below the 625 support profiles of four table1 EVs split the
+    # budgets below the 5**n support profiles of n table1 EVs split the
     # probe into passes; the terms still add in product order, so every
     # float is the one-pass float, and the peak follows the pass, not the
-    # product
-    s = setup_for("table1:n=4")
-    res = solve_outer(s.params, s.solver, s.market, s.specs)
-    count, per_profile = 5**4, _rollout_bytes(4, s.market.horizon)
-    one_pass, one_peak = _traced_peak(lambda: dispatch._conditional_costs(res.model, res.policy))
-    k_hat = estimate_lipschitz_K([res])
-    sizes = []
+    # product.  Four EVs are table1 n=4; five identical EVs are CI's probe
+    # run, which table1_config does not reach
+    five = table1_config(n=1)
+    five["evs"] = five["evs"] * 5
     real = mdp.rollout
-    monkeypatch.setattr(dispatch, "rollout", lambda *a: sizes.append(len(a[2])) or real(*a))
-    peaks = {}
-    for per_pass in (7, count // 2):
-        budget = per_pass * per_profile
-        monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", budget)
-        sizes.clear()
-        got, peaks[per_pass] = _traced_peak(
+    for s in (setup_for("table1:n=4"), load_setup(five)):
+        monkeypatch.undo()
+        res = solve_outer(s.params, s.solver, s.market, s.specs)
+        n = len(s.specs)
+        count, per_profile = 5**n, _probe_bytes(n, s.market.horizon)
+        one_pass, one_peak = _traced_peak(
             lambda: dispatch._conditional_costs(res.model, res.policy)
         )
-        assert got == one_pass  # bit-identical, not approximately
-        assert sizes == [per_pass] * (count // per_pass) + [count % per_pass]
-        assert estimate_lipschitz_K([res]) == k_hat
-    # at 7 profiles a pass's fixed allocations (array headers, the policy
-    # step's lists) outweigh its profiles, so the budget itself is checked
-    # at half the product, where the per-profile bytes dominate
-    assert peaks[7] < one_peak / 8
-    assert peaks[count // 2] <= (count // 2) * per_profile
+        k_hat = estimate_lipschitz_K([res])
+        sizes = []
+        monkeypatch.setattr(dispatch, "rollout", lambda *a: sizes.append(len(a[2])) or real(*a))
+        peaks = {}
+        for per_pass in (7, count // 4, count // 2):
+            budget = per_pass * per_profile
+            monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", budget)
+            sizes.clear()
+            got, peaks[per_pass] = _traced_peak(
+                lambda: dispatch._conditional_costs(res.model, res.policy)
+            )
+            assert got == one_pass  # bit-identical, not approximately
+            assert sizes == [per_pass] * (count // per_pass) + [count % per_pass]
+            assert estimate_lipschitz_K([res]) == k_hat
+        # at 7 profiles a pass's fixed allocations (array headers, the
+        # policy step's lists) outweigh its profiles, so the budget itself
+        # is checked at a quarter and half the product, where the
+        # per-profile bytes dominate
+        assert peaks[7] < one_peak / 8
+        for per_pass in (count // 4, count // 2):
+            assert peaks[per_pass] <= per_pass * per_profile
 
 
 def test_conditional_beta_rolls_out_in_passes_that_fit(monkeypatch):
@@ -644,7 +661,7 @@ def test_conditional_beta_rolls_out_in_passes_that_fit(monkeypatch):
     sizes = []
     real = mdp.rollout
     monkeypatch.setattr(dispatch, "rollout", lambda *a: sizes.append(len(a[2])) or real(*a))
-    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", 7 * _rollout_bytes(3, 5))
+    monkeypatch.setattr(mdp, "BATCH_BYTE_BUDGET", 7 * _probe_bytes(3, 5))
     got = [conditional_beta(res.model, res.policy, 0, t) for t in (1, 3, 5)]
     assert got == want  # bit-identical, not approximately
     assert sizes == [7, 7, 7, 4] * 3

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,58 @@ def test_overflowing_fine_fails_before_the_first_day(monkeypatch):
         schedule.penalty(6)
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_horizon_too_long_for_memory_fails_before_the_day_ahead(monkeypatch, capsys):
+    # 10^10 theorem1 days would need about 75 GiB for their deadlines
+    # alone: the horizon is refused by name before any solve or draw
+    def no_solve(*args):
+        raise AssertionError("the horizon must be refused before the day-ahead solve")
+
+    monkeypatch.setattr(simulate, "day_ahead", no_solve)
+    s = load_setup(preset_config("theorem1"))
+    days = 10**10
+
+    def run():
+        with pytest.raises(simulate.HorizonTooLong, match=f"{days} days of 1 EVs on 2 slots"):
+            run_horizon(s.market, s.specs, s.params, s.strategies, days, 0)
+
+    assert _traced_peak(run) < 64 * 1024
+    assert main(["simulate", "theorem1", "--days", str(days)]) == 2
+    assert "bytes of ledger and trace" in capsys.readouterr().err
+    # the longest horizon within the budget passes the check and reaches the solve
+    fits = simulate.BATCH_BYTE_BUDGET // simulate._day_bytes(1, 2)
+    with pytest.raises(AssertionError, match="refused before the day-ahead"):
+        run_horizon(s.market, s.specs, s.params, s.strategies, fits, 0)
+
+
+@pytest.mark.parametrize("preset", ["theorem1", "table1:n=2", "table1:n=4"])
+def test_a_day_of_ledger_and_trace_fits_its_byte_count(preset):
+    # a window event every day makes every EV row its own string: the
+    # traced peak of the run and its trace grows by at most _day_bytes a day
+    s = load_setup(preset_config(preset))
+    strategies = [BiddingStrategy(p, Fixed(1)) for p in s.params]
+
+    def peak(days):
+        def run():
+            run_horizon(
+                s.market, s.specs, s.params, strategies, days, 0,
+                s.window_schedule, s.penalty_schedule, s.solver, 100.0,
+            ).to_csv()
+
+        return _traced_peak(run)
+
+    per_day = (peak(6000) - peak(2000)) / 4000
+    assert 0 < per_day <= simulate._day_bytes(len(s.specs), s.market.horizon)
+
+
 def test_run_horizon_single_day_trace():
     s = example1_setup()
     res = run_horizon(
@@ -328,11 +381,11 @@ def test_run_horizon_single_day_trace():
     assert res.payment_days[0, 0] == pytest.approx(
         res.p_da[0] + res.charge_gap_days[0, 0] - res.penalty_days[0, 0], abs=1e-12
     )
-    o = res.outcomes[res.profile_days[0]]
-    assert o.reported[0] == res.true_days[0, 0]  # truthful rule
-    assert o.storage[0] in ("1;1", "1;0")
+    k = res.profile_days[0]
+    assert res.profiles[k, 0] == res.true_days[0, 0]  # truthful rule
     csv = res.to_csv()
     lines = csv.strip().split("\n")
+    assert lines[2].split(",")[5] in ("1;1", "1;0")  # the EV row's storage
     assert lines[0].startswith("day,row,ev,true_delta,reported,storage")
     assert len(lines) == 3
     assert [line.split(",")[:2] for line in lines[1:]] == [["1", "system"], ["1", "ev"]]
@@ -382,15 +435,14 @@ def test_truthful_long_run_is_clean():
         s.market, s.specs, s.params, s.strategies, days, 3,
         s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
     )
-    acct = res.accounts[0]
-    assert acct.penalties == 0
-    assert acct.missed == 0
+    assert int(res.event_days[0].sum()) == 0
+    assert int(res.missed_days[0].sum()) == 0
     gaps = res.charge_gap_days[0]
     band = 3.0 * float(np.std(gaps, ddof=1)) / math.sqrt(days)
     assert abs(float(gaps.mean())) <= band
     beta_band = 3.0 * float(np.std(res.beta_days, ddof=1)) / math.sqrt(days)
     assert abs(float(res.beta_days.mean()) - 1.9) <= beta_band
-    assert acct.average_utility() >= -1e-9
+    assert sum(res.utility_days[0].tolist()) / days >= -1e-9
 
 
 def test_fixed_rule_trips_the_window_daily():
@@ -402,8 +454,8 @@ def test_fixed_rule_trips_the_window_daily():
         s.market, s.specs, s.params, strategies, 6, 0,
         s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
     )
-    assert res.accounts[0].penalties == 5
-    assert res.accounts[0].missed == 0
+    assert int(res.event_days[0].sum()) == 5
+    assert int(res.missed_days[0].sum()) == 0
     assert res.event_days[0].tolist() == [False, True, True, True, True, True]
 
 
@@ -554,7 +606,7 @@ def test_theorem1_5000_day_bytes_are_frozen(name):
     )
     assert s.days == 5000
     if name == "fixed_1":
-        assert res.accounts[0].penalties == 4999
+        assert int(res.event_days[0].sum()) == 4999
     got = (
         hashlib.sha256(res.to_csv().encode()).hexdigest(),
         hashlib.sha256(to_json(res.diagnostics).encode()).hexdigest(),
@@ -595,7 +647,7 @@ def test_bid_sensitive_fleet_bytes_are_frozen():
         s.market, s.specs, s.params, s.strategies, 300, 5,
         s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
     )
-    assert len(res.outcomes) == 80 and len({o.storage for o in res.outcomes}) == 16
+    assert len(res.profiles) == 80 and len(np.unique(res.rolled.storage, axis=0)) == 16
     fwd = expected_outcome(res.solve.model, res.solve.policy)
     got = {
         "csv": hashlib.sha256(res.to_csv().encode()).hexdigest(),
@@ -620,12 +672,12 @@ def test_settlement_columns_match_the_per_day_settlement():
         s.market, s.specs, s.params, strategies, 300, 5,
         s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
     )
-    assert 0 < res.accounts[0].penalties < 300 and res.accounts[0].missed > 0
+    assert 0 < int(res.event_days[0].sum()) < 300 and int(res.missed_days[0].sum()) > 0
     solve = res.solve
     expected = expected_outcome(solve.model, solve.policy).terminal_charge[0]
     record = EmpiricalRecord(2)
     for d, k in enumerate(res.profile_days.tolist()):
-        reported = res.outcomes[k].reported[0]
+        reported = int(res.profiles[k, 0])
         record.update(reported)
         realized = reference.rollout(solve.model, solve.policy, [(reported,)])
         want = settlement(
@@ -635,6 +687,51 @@ def test_settlement_columns_match_the_per_day_settlement():
         got = (res.charge_gap_days[0, d], res.penalty_days[0, d], bool(res.event_days[0, d]))
         assert got == (want.charge_gap, want.penalty, want.event_triggered)
         assert res.payment_days[0, d] == total_payment(res.p_da[0], want)
+
+
+def test_only_the_trace_formats_strings(monkeypatch):
+    calls = []
+    real = simulate._fmt
+    monkeypatch.setattr(simulate, "_fmt", lambda x: calls.append(x) or real(x))
+    s = load_setup(preset_config("table1:n=2"))
+    res = run_horizon(
+        s.market, s.specs, s.params, s.strategies, 50, 0,
+        s.window_schedule, s.penalty_schedule, s.solver, 100.0,
+    )
+    assert calls == []
+    res.to_csv()
+    assert calls
+
+
+def test_missed_days_are_reports_past_the_true_deadline():
+    s = example1_setup()
+    strategies = (BiddingStrategy(s.params[0], Fixed(2)),)
+    res = run_horizon(
+        s.market, s.specs, s.params, strategies, 300, 5,
+        s.window_schedule, s.penalty_schedule, s.solver, s.j_m,
+    )
+    assert res.missed_days.dtype == bool and res.missed_days.any()
+    assert (res.missed_days == (res.profiles[res.profile_days].T > res.true_days)).all()
+
+
+def test_diagnostics_counts_are_the_column_sums():
+    # EV 1 always reports slot 1, which trips the window; EV 2
+    # histogram-matches an overbid, which misses deadlines
+    s = load_setup(preset_config("table1:n=2"))
+    strategies = (
+        BiddingStrategy(s.params[0], Fixed(1)),
+        dict(default_adversary_suite(s.params[1]))["overbid_shift_histmatch"],
+    )
+    res = run_horizon(
+        s.market, s.specs, s.params, strategies, 400, 3,
+        s.window_schedule, s.penalty_schedule, s.solver, 100.0,
+    )
+    for i, ev in enumerate(res.diagnostics["per_ev"]):
+        assert ev["penalty_count"] == int(res.event_days[i].sum())
+        assert ev["missed_count"] == int(res.missed_days[i].sum())
+        assert ev["miss_rate"] == ev["missed_count"] / res.days
+    assert res.diagnostics["per_ev"][1]["missed_count"] > 0
+    assert res.diagnostics["per_ev"][0]["penalty_count"] > 0
 
 
 def test_block_draw_replays_per_day_samples():
@@ -671,7 +768,7 @@ def test_day_loop_rolls_out_each_report_profile_once(monkeypatch):
         s.market, s.specs, s.params, strategies, 2000, 0,
         s.window_schedule, s.penalty_schedule, s.solver, 100.0,
     )
-    distinct = {res.outcomes[k].reported for k in res.profile_days.tolist()}
+    distinct = {tuple(res.profiles[k].tolist()) for k in res.profile_days.tolist()}
     assert len(distinct) > 1
     # one pass for the nominal path's profile, one for the days' profiles
     nominal = simulate._nominal_reports(tuple(b.day_ahead_bid for b in strategies))
