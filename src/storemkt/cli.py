@@ -101,16 +101,8 @@ def cmd_simulate(args) -> int:
     days = args.days if args.days is not None else setup.days
     seed = args.seed if args.seed is not None else setup.seeds[0]
     res = run_horizon(
-        setup.market,
-        setup.specs,
-        setup.params,
-        setup.strategies,
-        days,
-        seed,
-        setup.window_schedule,
-        setup.penalty_schedule,
-        setup.solver,
-        setup.j_m,
+        setup.market, setup.specs, setup.params, setup.strategies, days, seed,
+        setup.window_schedule, setup.penalty_schedule, setup.solver, setup.j_m,
     )
     _write(args.out, res.to_csv())
     diag_text = to_json(res.diagnostics)

@@ -371,17 +371,8 @@ def theorem1_suite() -> tuple[dict, dict]:
 
     def verify(adversaries, days: int) -> dict:
         return verify_theorem1(
-            setup.market,
-            setup.specs,
-            setup.params,
-            adversaries,
-            days,
-            setup.seeds,
-            0,
-            setup.window_schedule,
-            setup.penalty_schedule,
-            setup.solver,
-            setup.j_m,
+            setup.market, setup.specs, setup.params, adversaries, days, setup.seeds, 0,
+            setup.window_schedule, setup.penalty_schedule, setup.solver, setup.j_m,
         )
 
     report = verify(suite, setup.days)

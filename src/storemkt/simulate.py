@@ -11,10 +11,12 @@ report profile alone, and there are at most Tⁿ profiles.  So
 ``run_horizon`` works a whole horizon at once: it draws every deadline in
 one block, reads the stateless rules (truthful, fixed, early exit) from a
 per-slot table, rolls out each distinct report profile once, and runs the
-settlement's window test on every day from running report counts.  Only
-histogram matching, whose report depends on the record so far, steps
-through the days.  Every float is computed by the same operations as a
-day-by-day loop would use, so traces replay byte for byte.
+settlement's window test on every day from running report counts, in
+fixed blocks of days.  Only histogram matching, whose report depends on
+the record so far, steps through the days: one ``_match_days`` pass over
+the horizon on Python-int counts, with no per-day call, list or sort.
+Every float is computed by the same operations as a day-by-day loop would
+use, so traces replay byte for byte.
 
 Real-time rules never consume randomness, so two runs with the same seed
 see identical deadline draws regardless of strategy; paired comparisons
@@ -56,9 +58,10 @@ def _day_bytes(n_evs: int, horizon: int) -> int:
     plus 64 per slot.  Fitted with tracemalloc under CPython 3.11 on 1 to
     4 EVs and 2 to 48 slots, with 13-character floats in the storage and
     mismatch fields and a window event every day: the run and its trace
-    peaked at 600 to 10,100 B/day, 6 to 43% below this count.  The
-    ``_window_events`` counts, 24 B per slot, are freed before the trace
-    is formatted."""
+    peaked at 600 to 10,100 B/day, 6 to 43% below this count.  That fit
+    counted a window test over all days at once, 24 B per slot per day;
+    ``_window_events`` holds one block of ``EVENT_BLOCK_SLOTS`` slots at
+    a time, whatever the horizon, so the count is an upper bound."""
     return 256 + 16 * horizon + n_evs * (640 + 64 * horizon)
 
 
@@ -179,73 +182,86 @@ def realtime_report(
         return int(np.argmax(path[:true_deadline])) + 1
     if window_schedule is None:
         raise ValueError("histogram matching needs the window schedule")
-    target, bid_pmf = _match_pmfs(strategy)
-    return _match_report(
-        true_deadline, record.counts.tolist(), record.days, path.tolist(), target, bid_pmf,
-        window_schedule.window(l),
+    [report] = _match_days(
+        strategy, record.counts.tolist(), record.days, [true_deadline],
+        [window_schedule.window(l)], path.tolist(),
     )
+    return report
 
 
-def _match_pmfs(strategy: BiddingStrategy) -> tuple[list[float], list[float]]:
-    """Histogram matching's target pmf and day-ahead bid pmf."""
-    return list(strategy.match_target().pmf), list(strategy.day_ahead_bid.pmf)
+def _match_days(
+    strategy: BiddingStrategy, counts: list[int], days: int, true_days: list[int],
+    windows: list[float], path: list[float],
+) -> list[int]:
+    """Histogram matching's reports on a run of days: steer the running
+    report frequencies toward the strategy's target without tripping each
+    day's window on its bid.
 
-
-def _match_gaps(counts: list[int], days: int, bid_pmf: list[float]) -> list[float]:
-    """Per slot, the worst per-slot distance of the report frequencies to
-    the bid after one more report of that slot, from the counts over the
-    first ``days`` days.  The IEEE operations of ``max_frequency_gap`` on
-    ``counts`` plus each unit row, on Python ints and floats, so every gap
-    is bit-identical to the array form's."""
-    after = days + 1
-    kept = [abs(c / after - p) for c, p in zip(counts, bid_pmf)]
-    # one more report moves only its own slot: the others keep their
-    # distance, the worst of which is ``worst`` unless the slot holds it
-    *_, second, worst = [0.0, *sorted(kept)]
-    return [
-        max(abs((c + 1) / after - p), worst if k < worst else second)
-        for c, p, k in zip(counts, bid_pmf, kept)
-    ]
-
-
-def _match_report(
-    true_deadline: int,
-    counts: list[int],
-    days: int,
-    path: list[float],
-    target: list[float],
-    bid_pmf: list[float],
-    window: float,
-) -> int:
-    """Histogram matching's report: steer the running report frequencies
-    toward ``target`` without tripping today's ``window`` on the bid.
-
-    ``counts`` holds each slot's reports over the first ``days`` days.  A
-    slot's deficit is ``counts / max(days, 1) - target`` (the array form's
-    operations, so bit-identical to it) and its gap is ``_match_gaps``'s.
-    The report is the safe in-deadline slot with the most negative
-    deficit; else the safe in-deadline slot with the smallest gap; else
-    the safe slot past the deadline with the most negative deficit; else
-    the in-deadline slot with the smallest gap.  Ties go to the larger
-    planned charge, then the earlier slot.
+    ``counts`` holds each slot's reports over the first ``days`` days; day
+    j of the run has true deadline ``true_days[j]`` and window
+    ``windows[j]``, and its report is counted before the next day.  A
+    slot's deficit is ``c / max(days, 1) - target`` and its gap the worst
+    per-slot distance ``abs(c / (days + 1) - bid)`` after one more report
+    of that slot: the IEEE operations of ``max_frequency_gap`` on the
+    counts plus that slot's unit row, on Python ints and floats, so both
+    are bit-identical to the array form's.  The report is, in this order
+    of categories, the safe (gap < window) in-deadline slot with the most
+    negative deficit; else the safe in-deadline slot with the smallest
+    gap; else the safe slot past the deadline with the most negative
+    deficit (a miss costs less than the escalating window fine); else the
+    in-deadline slot with the smallest gap.  Ties go to the larger planned
+    charge ``path``, then the earlier slot.
     """
-    den = max(days, 1)
-    negative, safe_within, safe_beyond, within = [], [], [], []
-    gaps = _match_gaps(counts, days, bid_pmf)
-    for s, (c, q, gap, h) in enumerate(zip(counts, target, gaps, path)):
-        deficit = c / den - q
-        if s < true_deadline:
-            within.append((gap, -h, s))
+    target, bid_pmf = strategy.match_target().pmf, strategy.day_ahead_bid.pmf
+    counts = list(counts)
+    pmf = tuple(enumerate(bid_pmf))
+    # slots in tie-break order, so a strict < keeps the first of equal keys
+    slots = sorted(range(len(counts)), key=lambda s: (-path[s], s))
+    order = [(s, bid_pmf[s], target[s]) for s in slots]
+    out = []
+    for t, window in zip(true_days, windows):
+        after, den = days + 1, max(days, 1)
+        # one more report moves only its own slot: the others keep their
+        # distance, the worst of which is ``worst`` unless ``top`` holds it
+        # (then ``second``, equal to ``worst`` on a tie)
+        worst, second, top = 0.0, 0.0, -1
+        for s, p in pmf:
+            kept = abs(counts[s] / after - p)
+            if kept >= worst:
+                second, worst, top = worst, kept, s
+            elif kept > second:
+                second = kept
+        # each slot's first category and its key there: 0 safe in-deadline
+        # with a negative deficit, 1 safe in-deadline, 2 safe past the
+        # deadline, 3 in-deadline.  0 lies in 1 and 1 in 3, so the least
+        # (category, key) is the best of the first nonempty category
+        best, best_key, report = 4, 0.0, -1
+        for s, p, q in order:
+            c = counts[s]
+            gap = abs((c + 1) / after - p)
+            other = second if s == top else worst
+            if other > gap:
+                gap = other
             if gap < window:
-                safe_within.append((gap, -h, s))
-                if deficit < 0.0:
-                    negative.append((deficit, -h, s))
-        elif gap < window:
-            # every in-deadline report may trip the window; then miss the
-            # deadline rather than eat the (much larger) escalating penalty
-            safe_beyond.append((deficit, -h, s))
-    return min(negative or safe_within or safe_beyond or within)[2] + 1
+                deficit = c / den - q
+                if s >= t:
+                    category, key = 2, deficit
+                else:
+                    category, key = (0, deficit) if deficit < 0.0 else (1, gap)
+            elif s < t:
+                category, key = 3, gap
+            else:
+                continue
+            if category < best or category == best and key < best_key:
+                best, best_key, report = category, key, s
+        counts[report] += 1
+        days += 1
+        out.append(report + 1)
+    return out
 
+
+#: days per block of the trace text; each block is one string
+CSV_BLOCK_DAYS = 256
 
 TRACE_COLUMNS = (
     "day", "row", "ev", "true_delta", "reported", "storage", "mismatch",
@@ -283,47 +299,52 @@ class SimResult:
     ev_cost_days: np.ndarray  # (n_evs, L)
     diagnostics: dict = field(default_factory=dict)
 
-    def _ev_fields(self, i: int) -> list[str]:
-        """EV ``i``'s CSV fields after the day, per day.
+    def _ev_fields(self, i: int, days: slice, cache: dict) -> list[str]:
+        """EV ``i``'s CSV fields after the day, on ``days``.
 
         A row's head, ``ev`` through ``charge_gap``, and its ``ev_cost``
         are fixed by its (profile, true deadline) pair, so they are
-        formatted once per pair, from the pair's first day.  Without a
-        window event so is the whole row; on an event day the day's
-        penalty, payment and utility are formatted around them."""
-        p_da, out, fixed, plain = _fmt(self.p_da[i]), [], {}, {}
-        keys = zip(self.profile_days.tolist(), self.true_days[i].tolist())
-        events = self.event_days[i].tolist()
-        gap, cost = self.charge_gap_days[i], self.ev_cost_days[i]
+        formatted once per pair, from the pair's first day, into
+        ``cache``, which the calls for one trace share.  Without a window
+        event so is the whole row; on an event day the day's penalty,
+        payment and utility are formatted around them."""
+        out = []
+        keys = zip(self.profile_days[days].tolist(), self.true_days[i, days].tolist())
+        events = self.event_days[i, days].tolist()
+        gap, cost = self.charge_gap_days[i, days], self.ev_cost_days[i, days]
         penalty, payment, utility = (
-            a[i].tolist() for a in (self.penalty_days, self.payment_days, self.utility_days)
+            a[i, days].tolist() for a in (self.penalty_days, self.payment_days, self.utility_days)
         )
         for d, key in enumerate(keys):
             event = events[d]
-            if not event and key in plain:
-                out.append(plain[key])
-                continue
-            if key not in fixed:
+            row = cache.get(key)
+            if row is None:
                 k = key[0]
                 storage = ";".join(map(_fmt, self.rolled.storage[k, i].tolist()))
                 head = (
-                    f"ev,{i + 1},{key[1]},{self.profiles[k, i]},{storage},,,,{p_da},"
+                    f"ev,{i + 1},{key[1]},{self.profiles[k, i]},{storage},,,,{_fmt(self.p_da[i])},"
                     f"{_fmt(gap[d])}"
                 )
-                fixed[key] = head, _fmt(cost[d])
-            head, cost_field = fixed[key]
+                row = cache[key] = [head, _fmt(cost[d]), None]
+            elif not event and row[2] is not None:
+                out.append(row[2])
+                continue
             line = (
-                f"{head},{_fmt(penalty[d])},{'1' if event else '0'},{_fmt(payment[d])},"
-                f"{cost_field},{_fmt(utility[d])}"
+                f"{row[0]},{_fmt(penalty[d])},{'1' if event else '0'},{_fmt(payment[d])},"
+                f"{row[1]},{_fmt(utility[d])}"
             )
             if not event:
-                plain[key] = line
+                row[2] = line
             out.append(line)
         return out
 
     def to_csv(self) -> str:
         """The trace as CSV: per day one system row, then one row per EV.
-        A profile's system row is formatted once, from its first day."""
+
+        Each day's rows are formatted into one string, and the days into
+        one string per block of ``CSV_BLOCK_DAYS``: past the block being
+        formatted, a line is held in its block and in the text.  A
+        profile's system row is formatted once, from its first day."""
         _, first = np.unique(self.profile_days, return_index=True)
         rolled = self.rolled
         system = [
@@ -333,14 +354,20 @@ class SimResult:
                 self.beta_days[first].tolist(),
             )
         ]
-        columns = [[system[k] for k in self.profile_days.tolist()]]
-        columns += [self._ev_fields(i) for i in range(len(self.true_days))]
-        # each day's system row, then its EV rows: column j fills every
-        # len(columns)-th line from line j
-        lines = [""] * (self.days * len(columns))
-        for j, fields in enumerate(columns):
-            lines[j :: len(columns)] = [f"{d},{f}" for d, f in enumerate(fields, 1)]
-        return ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines) + "\n"
+        n_evs = len(self.true_days)
+        caches = [{} for _ in range(n_evs)]
+        out = [",".join(TRACE_COLUMNS) + "\n"]
+        for start in range(0, self.days, CSV_BLOCK_DAYS):
+            days = slice(start, min(start + CSV_BLOCK_DAYS, self.days))
+            profile_days = self.profile_days[days].tolist()
+            columns = [self._ev_fields(i, days, caches[i]) for i in range(n_evs)]
+            block = []
+            # a day: "{d},{system row}", then "{d},{EV row}" for each EV
+            for d, fields in enumerate(zip([system[k] for k in profile_days], *columns), start + 1):
+                sep = f"\n{d},"
+                block.append(f"{d},{sep.join(fields)}\n")
+            out.append("".join(block))
+        return "".join(out)
 
 
 def _fmt(x: float) -> str:
@@ -350,11 +377,7 @@ def _fmt(x: float) -> str:
 
 def _nominal_reports(params: Sequence[DeadlineDistribution]) -> tuple[int, ...]:
     """Latest believable departure per EV: the all-stay reference path."""
-    out = []
-    for dist in params:
-        latest = max(t for t in range(1, dist.horizon + 1) if dist.pmf[t - 1] > 0.0)
-        out.append(latest)
-    return tuple(out)
+    return tuple(max(t for t, p in enumerate(dist.pmf, 1) if p > 0.0) for dist in params)
 
 
 def _profile_index(reports: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -394,10 +417,14 @@ def _report_days(
     """One EV's reported slot on every day, given its true deadlines and
     each day's compliance window.
 
-    Histogram matching steps through the days on a list of running report
-    counts, updated in place; the day index is the day count before the
-    report.  What ``realtime_report`` would rebuild every day (the pmfs,
-    the planned path) is built once."""
+    Histogram matching is one ``_match_days`` pass over the whole horizon
+    from zero counts: per day, one loop over the slots for the worst and
+    second-worst kept distance, then one over the slots in a tie-break
+    order fixed for the run (larger planned charge first, then the
+    earlier slot) that keeps the least (category, key) and replaces it
+    only on a strict <.  That is the report of a ``min`` over each
+    category's (key, -charge, slot) tuples, with no per-day call, list or
+    sort."""
     horizon = len(planned)
     if not isinstance(strategy.rule, HistogramMatch):
         # every other rule is a function of the true deadline alone
@@ -406,26 +433,33 @@ def _report_days(
             [realtime_report(strategy, t, blank, 1, planned) for t in range(1, horizon + 1)]
         )
         return table[true_days - 1]
-    target, bid_pmf = _match_pmfs(strategy)
     path = np.asarray(planned, dtype=float).tolist()
-    counts = [0] * horizon
-    out = []
-    for day, (t, window) in enumerate(zip(true_days.tolist(), windows.tolist())):
-        report = _match_report(t, counts, day, path, target, bid_pmf, window)
-        counts[report - 1] += 1
-        out.append(report)
+    out = _match_days(strategy, [0] * horizon, 0, true_days.tolist(), windows.tolist(), path)
     return np.array(out, dtype=true_days.dtype)
 
 
+#: slots per block of the window test: its counts and float temporaries
+#: hold about 24 B per slot of a block, whatever the horizon's length
+EVENT_BLOCK_SLOTS = 1 << 16
+
+
 def _window_events(reports: np.ndarray, bid: DeadlineDistribution, windows: np.ndarray) -> np.ndarray:
-    """Settlement's window test on every day at once, from running counts:
-    row l-1 of ``counts`` is the record after day l's report."""
-    days = len(reports)
-    counts = np.zeros((days, bid.horizon), dtype=np.int64)
-    counts[np.arange(days), reports - 1] = 1
-    np.cumsum(counts, axis=0, out=counts)
-    l = np.arange(1, days + 1)[:, None]
-    return max_frequency_gap(counts, l, np.array(bid.pmf)) >= windows
+    """Settlement's window test on every day, from running counts: in
+    blocks of days, row j of a block's ``counts`` is the record after the
+    report of the block's day j, the counts carried from block to block.
+    ``max_frequency_gap`` is elementwise, so the blocks give the same
+    floats as one (days x T) pass."""
+    days, horizon = len(reports), bid.horizon
+    block = max(EVENT_BLOCK_SLOTS // horizon, 1)
+    pmf, slots = np.array(bid.pmf), np.arange(1, horizon + 1)
+    out, carried = np.empty(days, dtype=bool), np.zeros(horizon, dtype=np.int64)
+    for start in range(0, days, block):
+        part = slice(start, min(start + block, days))
+        counts = carried + np.cumsum(reports[part, None] == slots, axis=0, dtype=np.int64)
+        carried = counts[-1].copy()
+        l = np.arange(part.start + 1, part.stop + 1)[:, None]
+        out[part] = max_frequency_gap(counts, l, pmf) >= windows[part]
+    return out
 
 
 def run_horizon(

@@ -4,8 +4,9 @@ Each is a plain, loop-by-loop form of something the package computes in
 another way: the product-form transition kernel, the forward pass over
 report profiles one profile and one slot at a time, expectations and
 conditional costs by enumerating every deadline profile, the grouping of
-(state, action) pairs by charge sum, and the batched kernel's min over
-actions as one add-and-min per (charge sum, dispatch level).
+(state, action) pairs by charge sum, the batched kernel's min over
+actions as one add-and-min per (charge sum, dispatch level), and
+histogram matching's report as one day's candidate lists and tuple ``min``.
 """
 from __future__ import annotations
 
@@ -269,3 +270,55 @@ def min_over_actions(
                     np.minimum(dst, best[j][:, cols] + costs[k][b], out=dst)
             out[:, c0 + cols] = dst
     return out
+
+
+def match_gaps(counts: list[int], days: int, bid_pmf: list[float]) -> list[float]:
+    """Per slot, the worst per-slot distance of the report frequencies to
+    the bid after one more report of that slot, from the counts over the
+    first ``days`` days.  The IEEE operations of ``max_frequency_gap`` on
+    ``counts`` plus each unit row, on Python ints and floats, so every gap
+    is bit-identical to the array form's."""
+    after = days + 1
+    kept = [abs(c / after - p) for c, p in zip(counts, bid_pmf)]
+    # one more report moves only its own slot: the others keep their
+    # distance, the worst of which is ``worst`` unless the slot holds it
+    *_, second, worst = [0.0, *sorted(kept)]
+    return [
+        max(abs((c + 1) / after - p), worst if k < worst else second)
+        for c, p, k in zip(counts, bid_pmf, kept)
+    ]
+
+
+def match_report(
+    true_deadline: int,
+    counts: list[int],
+    days: int,
+    path: list[float],
+    target: list[float],
+    bid_pmf: list[float],
+    window: float,
+) -> int:
+    """One day of ``simulate._match_days``, with its rule spelled out as
+    four candidate lists and a ``min`` over (key, -planned charge, slot).
+
+    ``counts`` holds each slot's reports over the first ``days`` days.  A
+    slot's deficit is ``counts / max(days, 1) - target`` and its gap is
+    ``match_gaps``'s.  The report is the safe in-deadline slot with the
+    most negative deficit; else the safe in-deadline slot with the
+    smallest gap; else the safe slot past the deadline with the most
+    negative deficit; else the in-deadline slot with the smallest gap.
+    """
+    den = max(days, 1)
+    negative, safe_within, safe_beyond, within = [], [], [], []
+    gaps = match_gaps(counts, days, bid_pmf)
+    for s, (c, q, gap, h) in enumerate(zip(counts, target, gaps, path)):
+        deficit = c / den - q
+        if s < true_deadline:
+            within.append((gap, -h, s))
+            if gap < window:
+                safe_within.append((gap, -h, s))
+                if deficit < 0.0:
+                    negative.append((deficit, -h, s))
+        elif gap < window:
+            safe_beyond.append((deficit, -h, s))
+    return min(negative or safe_within or safe_beyond or within)[2] + 1

@@ -146,6 +146,23 @@ def _pmfs(horizon):
     return st.lists(st.integers(0, 9), min_size=horizon, max_size=horizon).map(normalize)
 
 
+class _Window:
+    """A window schedule whose window is ``value`` on every day."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def window(self, l):
+        return self.value
+
+
+def _match_strategy(target, bid_pmf):
+    return BiddingStrategy(
+        DeadlineDistribution(bid_pmf, floor=0.0),
+        HistogramMatch(DeadlineDistribution(target, floor=0.0)),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_scalar_match_report_equals_the_array_form(data):
@@ -167,9 +184,80 @@ def test_scalar_match_report_equals_the_array_form(data):
     # a window equal to a gap puts that slot on the strict-< boundary
     window = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(want_gaps)))
     want, _ = _array_match_report(true_deadline, counts, days, path, target, bid_pmf, window)
-    assert simulate._match_gaps(counts, days, bid_pmf) == want_gaps
-    got = simulate._match_report(true_deadline, counts, days, path, target, bid_pmf, window)
+    assert reference.match_gaps(counts, days, bid_pmf) == want_gaps
+    got = reference.match_report(true_deadline, counts, days, path, target, bid_pmf, window)
     assert got == want
+    # the package's one-day report, through the public rule
+    record = EmpiricalRecord(horizon, np.array(counts), days)
+    strategy = _match_strategy(target, bid_pmf)
+    assert realtime_report(strategy, true_deadline, record, days + 1, path, _Window(window)) == want
+
+
+@st.composite
+def match_runs(draw):
+    """A histogram-matching run from zero counts: pmfs with zero-mass
+    slots, planned charges with ties, true deadlines, a window schedule,
+    and per day a window choice: None for the schedule's window, a float,
+    or a slot index for exactly that slot's gap on that day (the strict-<
+    boundary)."""
+    horizon, days = draw(st.integers(2, 6)), draw(st.integers(1, 40))
+    target, bid_pmf = draw(_pmfs(horizon)), draw(_pmfs(horizon))
+    path = draw(st.lists(st.sampled_from([0.0, 5.0, 10.0]), min_size=horizon, max_size=horizon))
+    true_days = draw(st.lists(st.integers(1, horizon), min_size=days, max_size=days))
+    schedule = WindowSchedule(scale=draw(st.sampled_from([1.0, 1.5, 3.0])))
+    choice = st.one_of(st.none(), st.floats(0.0, 1.0), st.integers(0, horizon - 1))
+    choices = draw(st.lists(choice, min_size=days, max_size=days))
+    return target, bid_pmf, path, true_days, schedule, choices
+
+
+def check_match_days(run) -> None:
+    """``_report_days`` on a histogram-matching EV gives, day by day, the
+    report of the array form stepping an ``EmpiricalRecord`` and of the
+    scalar reference stepping a list of counts.  Days 0 and 1 share
+    ``max(days, 1)``; every run starts at day 0."""
+    target, bid_pmf, path, true_days, schedule, choices = run
+    horizon = len(path)
+    scheduled = schedule.windows(len(true_days)).tolist()
+    record, counts, windows, want = EmpiricalRecord(horizon), [0] * horizon, [], []
+    for day, (t, choice) in enumerate(zip(true_days, choices)):
+        before = record.counts.tolist()
+        _, gaps = _array_match_report(t, before, day, path, target, bid_pmf, 1.0)
+        if choice is None:
+            window = scheduled[day]
+        else:
+            window = gaps[choice] if isinstance(choice, int) else choice
+        report, _ = _array_match_report(t, before, day, path, target, bid_pmf, window)
+        assert reference.match_report(t, counts, day, path, target, bid_pmf, window) == report
+        record.update(report)
+        counts[report - 1] += 1
+        windows.append(window)
+        want.append(report)
+    got = simulate._report_days(
+        _match_strategy(target, bid_pmf), np.array(true_days), np.array(path), np.array(windows)
+    )
+    assert got.tolist() == want
+
+
+test_histogram_matching_days_equal_the_references = settings(max_examples=150, deadline=None)(
+    given(match_runs())(check_match_days)
+)
+
+
+def test_histogram_matching_days_on_a_48_slot_day():
+    rng = make_rng(48)
+    horizon, days = 48, 300
+    weights = rng.integers(0, 4, size=(2, horizon))  # a quarter of the slots carry no mass
+    target, bid_pmf = (w / w.sum() for w in weights)
+    path = rng.choice([0.0, 5.0, 10.0], size=horizon).tolist()
+    true_days = rng.integers(1, horizon + 1, size=days)
+    # every fifth day's window sits exactly on a gap, on a day with an
+    # early deadline, so that some days have no safe in-deadline slot
+    gap_days = np.arange(0, days, 5)
+    true_days[gap_days] = rng.integers(1, 4, size=len(gap_days))
+    choices = [int(rng.integers(horizon)) if d % 5 == 0 else None for d in range(days)]
+    true_days = true_days.tolist()
+    run = target.tolist(), bid_pmf.tolist(), path, true_days, WindowSchedule(), choices
+    check_match_days(run)
 
 
 def test_resolve_j_m():
@@ -364,6 +452,55 @@ def test_a_day_of_ledger_and_trace_fits_its_byte_count(preset):
 
     per_day = (peak(6000) - peak(2000)) / 4000
     assert 0 < per_day <= simulate._day_bytes(len(s.specs), s.market.horizon)
+
+
+def test_window_test_in_blocks_gives_the_one_pass_events(monkeypatch):
+    # blocks of a few days carry the counts between them: every event is
+    # the one (days x T) pass's, windows set exactly on a gap included
+    rng = make_rng(11)
+    bid = DeadlineDistribution((0.3, 0.0, 0.2, 0.5, 0.0), floor=0.0)
+    days = 500
+    reports = rng.integers(1, 6, size=days)
+    counts = np.cumsum(np.eye(5, dtype=np.int64)[reports - 1], axis=0)
+    gaps = max_frequency_gap(counts, np.arange(1, days + 1)[:, None], np.array(bid.pmf))
+    windows = WindowSchedule().windows(days)
+    windows[::3] = gaps[::3]  # the >= boundary
+    want = gaps >= windows
+    assert 0 < want.sum() < days
+    for slots in (1, 5, 35, 5 * days - 5, 5 * days, simulate.EVENT_BLOCK_SLOTS):
+        monkeypatch.setattr(simulate, "EVENT_BLOCK_SLOTS", slots)
+        assert simulate._window_events(reports, bid, windows).tolist() == want.tolist()
+
+
+def test_window_test_memory_is_flat_in_the_horizon():
+    # on a 48-slot day the test's counts and float temporaries live one
+    # block at a time: four times the days adds only the bool events
+    bid = DeadlineDistribution((1 / 48,) * 48)
+    rng = make_rng(48)
+
+    def peak(days):
+        reports = rng.integers(1, 49, size=days)
+        windows = WindowSchedule().windows(days)
+        return _traced_peak(lambda: simulate._window_events(reports, bid, windows))
+
+    assert peak(40_000) <= 1.1 * peak(10_000)
+
+
+@pytest.mark.parametrize("n_evs", [1, 4])
+def test_the_trace_peaks_under_three_times_its_text(n_evs):
+    # a window event every day from day 2 makes every EV row its own
+    # string; each line is held in its block and in the text, not a third
+    # time in per-column lists
+    s = load_setup(preset_config(f"table1:n={n_evs}"))
+    strategies = [BiddingStrategy(p, Fixed(1)) for p in s.params]
+    res = run_horizon(
+        s.market, s.specs, s.params, strategies, 3000, 0,
+        s.window_schedule, s.penalty_schedule, s.solver, 100.0,
+    )
+    assert res.event_days[:, 1:].all()
+    text = []
+    peak = _traced_peak(lambda: text.append(res.to_csv()))
+    assert peak < 3 * len(text[0])
 
 
 def test_run_horizon_single_day_trace():
