@@ -20,7 +20,7 @@ from pathlib import Path
 from .config import ConfigError, each_cause_once, emit, load_setup, parse, validate_config
 from .deadlines import make_rng
 from .dispatch import (
-    GridTooLarge,
+    BatchTooLarge,
     InfeasibleModel,
     SolverConfig,
     brute_force_oracle,
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return 2
-    except (GridTooLarge, RolloutBatchTooLarge, FineOverflow, HorizonTooLong) as exc:
+    except (BatchTooLarge, RolloutBatchTooLarge, FineOverflow, HorizonTooLong) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (InfeasibleModel, NoFeasibleContinuation) as exc:

@@ -295,9 +295,8 @@ def _build(raw) -> tuple[dict | None, RunSetup | None, list[str]]:
     solver = norm["solver"] = _merged("solver", raw, diags)
     n = len(diags)
     _numbers(solver, "solver", ("step",), diags)
-    for key in ("beam_width", "max_candidates"):
-        if not _is_int(solver.get(key)):
-            diags.append(f"solver.{key}: must be an integer")
+    if not _is_int(solver.get("beam_width")):
+        diags.append("solver.beam_width: must be an integer")
     caps = solver.get("caps")
     if caps is not None and not _num_list(caps, horizon):
         diags.append(f"solver.caps: need null or a list of {horizon} numbers")

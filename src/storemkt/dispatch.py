@@ -52,9 +52,10 @@ only up to rounding.  So when more than one plan lies within
 LUMP_TIE_TOL of the lumped minimum, those plans are re-priced with every
 EV in its own class, on the joint states, which pick the winner (ties to
 the smaller plan, as everywhere); a lone such plan is the joint-state
-argmin already.  Before each slot allocates, its bytes are bounded from
-the tails kept so far; past BATCH_BYTE_BUDGET the pass fails with
-``BatchTooLarge`` instead.  Every mode first estimates, from the specs
+argmin already.  The grid's plan count is not capped: before each slot
+allocates, its bytes are bounded from the tails kept so far, and past
+BATCH_BYTE_BUDGET the pass fails with ``BatchTooLarge`` instead, after
+the slots before it have run.  Every mode first estimates, from the specs
 alone, the joint-state tables, the (state, action) pair table and the
 successor tables that pricing and the winner's re-solve build, and fails
 the same way when those would not fit.
@@ -119,7 +120,6 @@ from .mdp import (
 )
 
 DEFAULT_STEP = 10.0
-DEFAULT_MAX_CANDIDATES = 2_000_000
 #: finite stand-in for +inf inside matrix products (0 * inf is nan; 0 * proxy is 0)
 INF_PROXY = 1e30
 INF_THRESHOLD = 1e20
@@ -184,13 +184,11 @@ PRUNE_PAIR_ELEMS = 2**18
 PRUNE_WORK = 8
 
 
-class GridTooLarge(ValueError):
-    """Exhaustive grid exceeds the configured candidate budget."""
-
-
-class BatchTooLarge(GridTooLarge):
+class BatchTooLarge(ValueError):
     """A slot of the exhaustive pass, or the joint-state tables of the
-    fleet, would hold more than BATCH_BYTE_BUDGET bytes."""
+    fleet, would hold more than BATCH_BYTE_BUDGET bytes.  It is the
+    search's only size refusal: the grid's plan count is not capped, so a
+    grid fails here, at the first slot that would not fit, or solves."""
 
 
 class InfeasibleModel(RuntimeError):
@@ -214,7 +212,6 @@ class SolverConfig:
     beam_width: int = 8
     caps: tuple[float, ...] | None = None
     candidates: tuple[tuple[float, ...], ...] | None = None
-    max_candidates: int = DEFAULT_MAX_CANDIDATES
 
     def __post_init__(self) -> None:
         if self.step <= 0:
@@ -223,8 +220,6 @@ class SolverConfig:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.beam_width < 1:
             raise ValueError("beam width must be >= 1")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
         if self.caps is not None and any(c < 0 for c in self.caps):
             raise ValueError("caps must be nonnegative")
         if self.candidates is not None:
@@ -752,12 +747,6 @@ def solve_outer(
         g_star = tuple(lt[k] for lt, k in zip(levels, row))
     else:
         levels = grid_levels(market, specs, config)
-        total = math.prod(len(lt) for lt in levels)
-        if total > config.max_candidates:
-            raise GridTooLarge(
-                f"exhaustive grid has {total} candidates "
-                f"(limit {config.max_candidates}); use beam search"
-            )
         # identical EVs price on occupancy counts
         lumped = len(set(zip(specs, bids))) < len(specs)
         if lumped:
@@ -766,7 +755,7 @@ def solve_outer(
         best = int(np.argmin(q))
         if q[best] >= INF_THRESHOLD:
             raise InfeasibleModel("every dispatch plan on the grid is infeasible")
-        evaluated = total
+        evaluated = math.prod(len(lt) for lt in levels)
         batched_q = float(q[best])
         near = rows[q <= batched_q + LUMP_TIE_TOL] if lumped else rows[best : best + 1]
         # lumped prices match product prices only up to rounding, so the

@@ -98,7 +98,6 @@ def example1_config(p: float = 0.19) -> dict:
             "beam_width": 8,
             "caps": None,
             "candidates": [[1.0, 0.0], [0.0, 1.0]],
-            "max_candidates": 2_000_000,
         },
         "simulation": {"days": 5000, "seeds": [0], "strategies": None},
     }
@@ -139,7 +138,6 @@ def table1_config(n: int = 4, profile: str = "A") -> dict:
             "beam_width": 8,
             "caps": None,
             "candidates": None,
-            "max_candidates": 2_000_000,
         },
         "simulation": {"days": 2000, "seeds": [0], "strategies": None},
     }

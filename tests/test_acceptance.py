@@ -156,6 +156,26 @@ def test_criterion_3_no_storage_baseline_band(capsys):
     assert 6.43 <= relaxation <= 6.55
 
 
+def test_no_storage_baseline_on_a_1_kwh_grid_lies_in_the_band():
+    # 390,108,000 plans, priced by the pruned pass within the byte budget
+    from storemkt.config import load_setup
+    from storemkt.presets import (
+        TABLE1_DEMAND,
+        TABLE1_GEN_RATES,
+        TABLE1_RESERVE_RATES,
+        preset_config,
+    )
+
+    setup = load_setup(preset_config("table1:n=0"))
+    res = solve_outer((), SolverConfig(step=1.0), setup.market, ())
+    grid_q, grid_g = _no_storage_grid_oracle(
+        TABLE1_DEMAND, TABLE1_GEN_RATES, TABLE1_RESERVE_RATES, 1.0
+    )
+    assert res.q_star == pytest.approx(grid_q, abs=1e-9)
+    assert tuple(res.g_star) == grid_g
+    assert 6.43 <= res.q_star <= 6.55
+
+
 def test_criterion_4_penetration_sweep_shape(capsys):
     t0 = time.perf_counter()
     report, _ = fig2_suite()

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from storemkt import mdp
+from storemkt import dispatch, mdp
 from storemkt.cli import main
 from storemkt.config import emit
 from storemkt.presets import preset_config
@@ -219,12 +219,10 @@ def test_infeasible_model_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("infeasible:")
 
 
-def test_grid_budget_exit_code(tmp_path, capsys):
-    cfg = preset_config("table1:n=0")
-    cfg["solver"]["max_candidates"] = 10
-    path = tmp_path / "huge.json"
-    path.write_text(emit(cfg))
-    assert main(["solve", str(path)]) == 2
+def test_grid_budget_exit_code(capsys, monkeypatch):
+    # a budget that admits the fleet's tables but not the first slot
+    monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", dispatch._space_bytes(()))
+    assert main(["solve", "table1:n=0"]) == 2
     assert "beam" in capsys.readouterr().err
 
 

@@ -228,7 +228,7 @@ def test_validation_and_loading_agree(node, value):
         ("evs", 0, {"capacity": 0.0, "levels": [0.0], "theta": {"pmf": [0.2] * 5}},
          "evs[0]: capacity must be positive"),
         ("solver", "caps", [-10.0] + [100.0] * 4, "solver: caps must be nonnegative"),
-        ("solver", "max_candidates", 0, "solver: max_candidates must be >= 1"),
+        ("solver", "beam_width", 0, "solver: beam width must be >= 1"),
         ("solver", "candidates", [[0.0] * 4],
          "solver.candidates[0]: dispatch length does not match horizon"),
         ("solver", "candidates", [[0.0, -1.0, 0.0, 0.0, 0.0]],
@@ -263,7 +263,7 @@ def test_top_level_follows_the_ev_spec_slack():
     [
         (("horizon",), "horizon: must be a positive integer"),
         (("solver", "beam_width"), "solver.beam_width: must be an integer"),
-        (("solver", "max_candidates"), "solver.max_candidates: must be an integer"),
+        (("mechanism", "j_m"), 'mechanism.j_m: must be "auto" or a positive number'),
         (("simulation", "days"), "simulation.days: must be a positive integer"),
         (("simulation", "seeds", 0), "simulation.seeds: must be a nonempty list of integers"),
         (("simulation", "strategies", 0, "rule", "slot"),
@@ -292,6 +292,7 @@ def test_booleans_are_not_integers(path, diag):
         (("simulation", "strategies", 0, "bid"), "simulation.strategies[0].bid: unknown key"),
         (("simulation", "strategies", 0, "rule", "target_pmf"),
          "simulation.strategies[0].rule.target_pmf: unknown key"),
+        (("solver", "max_candidates"), "solver.max_candidates: unknown key"),
     ],
 )
 def test_unknown_keys_fail_by_name(path, diag):

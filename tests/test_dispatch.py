@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storemkt import cli, costs, dispatch, experiments, mdp
-from storemkt.config import load_setup
+from storemkt.config import emit, load_setup
 from storemkt.costs import MarketModel, asym_lin_quad, linear
 from storemkt.deadlines import DeadlineDistribution, make_rng
 from storemkt.dispatch import (
@@ -21,7 +21,6 @@ from storemkt.dispatch import (
     INF_THRESHOLD,
     LUMP_TIE_TOL,
     BatchTooLarge,
-    GridTooLarge,
     InfeasibleModel,
     SolverConfig,
     _CostTables,
@@ -184,11 +183,21 @@ def test_q_star_minus():
         da.q_star_minus[1]
 
 
-def test_grid_too_large_suggests_beam():
+def test_grid_too_large_suggests_beam(monkeypatch):
+    # a budget that admits the fleet's tables but not the first slot
     t = setup_for("table1:n=0")
-    tight = SolverConfig(step=10.0, max_candidates=100)
-    with pytest.raises(GridTooLarge, match="beam"):
-        solve_outer(t.params, tight, t.market, t.specs)
+    monkeypatch.setattr(dispatch, "BATCH_BYTE_BUDGET", dispatch._space_bytes(t.specs))
+    with pytest.raises(BatchTooLarge, match="at slot 5.*use beam search"):
+        solve_outer(t.params, t.solver, t.market, t.specs)
+
+
+def test_three_million_plan_grid_solves_to_beams_plan():
+    # 3,058,776 plans: the pruned pass prices them within the byte budget
+    t = setup_for("table1:n=4,profile=B")
+    exact = solve_outer(t.params, SolverConfig(step=5.0), t.market, t.specs)
+    beam = solve_outer(t.params, SolverConfig(step=5.0, mode="beam"), t.market, t.specs)
+    assert exact.candidates_evaluated == 3_058_776
+    assert (exact.q_star, exact.g_star) == (beam.q_star, beam.g_star)
 
 
 def test_beam_matches_exhaustive_when_wide():
@@ -1024,6 +1033,10 @@ def test_count_space_only_prices_exhaustive_grids_with_repeats(monkeypatch):
 
 def _table1_like_evs(shared: bool, n: int = 7):
     """An n-EV table1-like fleet: one bid for all, or n different ones."""
+    return load_setup(_table1_like_config(shared, n))
+
+
+def _table1_like_config(shared: bool, n: int) -> dict:
     cfg = preset_config("table1:n=1")
     ev = cfg["evs"][0]
     pmf = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
@@ -1032,10 +1045,10 @@ def _table1_like_evs(shared: bool, n: int = 7):
         w = 0.0 if shared else k / 10
         theta = {"pmf": list((1 - w) * pmf + w / len(pmf)), "floor": 0.001}
         cfg["evs"].append(dict(ev, theta=theta))
-    return load_setup(cfg)
+    return cfg
 
 
-def test_oversized_exhaustive_pass_fails_by_name(monkeypatch):
+def test_oversized_exhaustive_pass_fails_by_name(monkeypatch, tmp_path, capsys):
     # each slot's bytes are bounded from the tails kept so far before the
     # slot allocates; a budget below the largest slot stops the pass there
     s = _table1_like_evs(shared=False, n=4)
@@ -1061,7 +1074,10 @@ def test_oversized_exhaustive_pass_fails_by_name(monkeypatch):
     with pytest.raises(BatchTooLarge, match=f"at slot {5 - worst}.*use beam search"):
         solve_outer(s.params, s.solver, s.market, s.specs)
     assert formed == [5, 4, 3, 2, 1][:worst]  # the slot past the budget never ran
-    assert issubclass(BatchTooLarge, GridTooLarge)  # the CLI exit code stays 2
+    path = tmp_path / "fleet.json"
+    path.write_text(emit(_table1_like_config(shared=False, n=4)))
+    assert cli.main(["solve", str(path)]) == 2
+    assert f"at slot {5 - worst}" in capsys.readouterr().err
 
 
 def test_oversized_joint_space_fails_by_name_in_every_mode(monkeypatch):
