@@ -40,10 +40,13 @@ shifts with a constant, so a tail whose values plus dispatch cost are
 beaten in every row by another tail's loses under every prefix.  After
 each slot t >= 2, every tail beaten by more than a margin is dropped and
 only the survivors run ahead into slot t-1: 45 to 81 of table1's 127,413
-four-EV plans reach slot 1.  The margin exceeds the worst rounding gap
-between two computed plan costs plus LUMP_TIE_TOL (see PRUNE_ROUNDING),
-and kept columns run exactly the full grid's operations, so the argmin,
-the near-tie set and every kept plan's bits are the full grid's.
+four-EV plans reach slot 1.  The filter sweeps the tails once, cheapest
+first: each tail still kept drops every later tail it beats, so a
+dropped tail is beaten by one that stays.  The margin exceeds the worst
+rounding gap between two computed plan costs plus LUMP_TIE_TOL (see
+PRUNE_ROUNDING), and kept columns run exactly the full grid's
+operations, so the argmin, the near-tie set and every kept plan's bits
+are the full grid's.
 ``SolveResult.candidates_evaluated`` still counts the whole grid.  When
 two or more EVs share a spec and a bid, that pass lumps them: it runs on
 their occupancy counts instead of the joint states, 35 rows instead of
@@ -172,15 +175,12 @@ LUMP_TIE_TOL = 1e-9
 #: For T = 5, n = 4, L = 2 the rounding term PRUNE_ROUNDING·k·S is about
 #: 1e-12·S.
 PRUNE_ROUNDING = 32 * 2.0**-53
-#: rows every pair of tails is first compared on, in the dominance filter
+#: rows the dominance filter first looks on for a tail that another can beat
 PROBE_ROWS = 8
-#: tails per block of the dominance filter
-PRUNE_BLOCK = 128
 #: values per chunk of the dominance filter's every-row comparisons
 PRUNE_PAIR_ELEMS = 2**18
 #: the dominance filter stops testing after this many comparisons per
-#: value of the layer and per pair of one block; the remaining tails are
-#: kept
+#: value of the layer; the tails not yet tested are kept
 PRUNE_WORK = 8
 
 
@@ -511,12 +511,13 @@ def _undominated(v: np.ndarray, tail_gen: np.ndarray, margin: float, high: float
     is above ``high`` (rows at INF_PROXY among them) a margin vanishes in
     rounding, so there d may instead exceed c's ``x`` by a relative
     margin/(2·high).  A column whose threshold lies below the least ``x``
-    of some row is kept untested.  The others are taken cheapest first
-    (fewest rows above ``high``, then the least sum), each tested against
-    the columns kept before it: on a few probe rows for every pair, on
-    every row for the pairs that pass.  Once the tests pass PRUNE_WORK
-    comparisons per value of the layer and per pair of one block, the
-    remaining columns are kept; keeping a column is always exact.
+    of some row can never be dropped.  The columns are swept cheapest
+    first (fewest rows above ``high``, then the least sum): each column
+    still kept drops every later droppable column it dominates, in one
+    comparison on every row.  A dropped column never drops another, so
+    each is dominated by a column that stays.  Once the sweep passes
+    PRUNE_WORK comparisons per value of the layer, the columns not yet
+    tested are kept; keeping a column is always exact.
     """
     stretch = 1.0 + margin / (2.0 * high)
 
@@ -535,44 +536,28 @@ def _undominated(v: np.ndarray, tail_gen: np.ndarray, margin: float, high: float
     x = v + tail_gen
     above = x > high
     thr = threshold(x, above)
-    maybe = (thr >= x.min(axis=1, keepdims=True)).all(axis=0)
-    if not maybe.any():
+    beatable = (thr >= x.min(axis=1, keepdims=True)).all(axis=0)
+    if not beatable.any():
         return np.arange(v.shape[1])
     order = np.lexsort((np.where(above, 0.0, x).sum(axis=0), above.sum(axis=0)))
-    maybe = maybe[order]
-    kept = ~maybe  # in ``order`` positions
-    targets = np.flatnonzero(maybe)
-    x_probe, thr_probe = x[probe][:, order], thr[probe][:, order]
-    work, budget = 0, PRUNE_WORK * (x.size + PRUNE_BLOCK**2)
-    pairs = max(PRUNE_PAIR_ELEMS // len(x), 1)
-    for lo in range(0, len(targets), PRUNE_BLOCK):
-        if work > budget:
-            kept[targets[lo:]] = True
+    # one column per row, in ``order``: a leader and its targets are rows
+    x = x.T[order]
+    thr = thr.T[order]
+    kept = np.ones(len(order), dtype=bool)
+    live = np.flatnonzero(beatable[order])  # droppable columns still kept
+    work, budget = 0, PRUNE_WORK * x.size
+    pairs = max(PRUNE_PAIR_ELEMS // x.shape[1], 1)
+    for lead in range(live[-1]):
+        if not kept[lead]:
+            continue
+        live = live[np.searchsorted(live, lead, side="right") :]
+        if not len(live) or work > budget:
             break
-        t = targets[lo : lo + PRUNE_BLOCK]
-        kept[t] = True
-        doms = np.flatnonzero(kept[: t[-1]])
-        for d0 in range(0, len(doms), PRUNE_BLOCK):
-            live = t[kept[t]]
-            if not len(live):
-                break
-            d = doms[d0 : d0 + PRUNE_BLOCK]
-            hit = (x_probe[:, d, None] <= thr_probe[:, None, live]).all(axis=0)
-            hit &= d[:, None] < live
-            work += len(probe) * len(d) * len(live)
-            # each target against its first candidate left, on every row
-            while work <= budget:
-                js = np.flatnonzero(hit.any(axis=0))
-                if not len(js):
-                    break
-                first = hit[:, js].argmax(axis=0)
-                hit[first, js] = False
-                for p0 in range(0, len(js), pairs):
-                    j, i = js[p0 : p0 + pairs], first[p0 : p0 + pairs]
-                    full = (x[:, order[d[i]]] <= thr[:, order[live[j]]]).all(axis=0)
-                    kept[live[j[full]]] = False
-                    hit[:, j[full]] = False
-                work += len(x) * len(js)
+        chunks = range(0, len(live), pairs)
+        beaten = np.concatenate([(x[lead] <= thr[live[p : p + pairs]]).all(axis=1) for p in chunks])
+        kept[live[beaten]] = False
+        live = live[~beaten]
+        work += x.shape[1] * len(beaten)
     return np.sort(order[kept])
 
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storemkt import cli, costs, dispatch, experiments, mdp
@@ -197,6 +197,23 @@ def test_three_million_plan_grid_solves_to_beams_plan():
     exact = solve_outer(t.params, SolverConfig(step=5.0), t.market, t.specs)
     beam = solve_outer(t.params, SolverConfig(step=5.0, mode="beam"), t.market, t.specs)
     assert exact.candidates_evaluated == 3_058_776
+    assert (exact.q_star, exact.g_star) == (beam.q_star, beam.g_star)
+
+
+@pytest.mark.parametrize(
+    "preset, step, plans",
+    [
+        ("table1:n=4,profile=B", 2.5, 81_396_480),
+        ("table1:n=4,profile=B", 1.0, 6_962_155_200),
+        ("table1:n=1", 1.0, 957_168_000),
+    ],
+)
+def test_fine_grids_solve_to_beams_plan(preset, step, plans):
+    # the dominance sweep keeps these passes far inside the byte budget
+    t = setup_for(preset)
+    exact = solve_outer(t.params, SolverConfig(step=step), t.market, t.specs)
+    beam = solve_outer(t.params, SolverConfig(step=step, mode="beam"), t.market, t.specs)
+    assert exact.candidates_evaluated == plans
     assert (exact.q_star, exact.g_star) == (beam.q_star, beam.g_star)
 
 
@@ -1249,6 +1266,66 @@ def test_pruned_pass_matches_the_full_grid():
     assert kept["all ties"][0] == kept["all ties"][1]
 
 
+#: layer values: exact ties, INF_PROXY rows and values above the property
+#: test's ``high`` of 10, some of them within its relative stretch of
+#: 1.0125 of each other but not within its square
+_LAYER_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 15.0, 15.1, 15.2, 30.0, INF_PROXY])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rows: st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 1.0]),
+                st.lists(_LAYER_VALUES, min_size=rows, max_size=rows),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    ),
+    st.sampled_from([0, 1, 10**9]),
+    st.booleans(),
+)
+# the second column beats the third, and the first beats the second but
+# not the third: the second is dropped, so it may not drop the third
+@example([(0.0, [0.0, 15.2]), (0.0, [0.5, 15.1]), (0.0, [1.0, 15.0])], 10**9, False)
+def test_undominated_drops_only_columns_a_kept_earlier_column_beats(columns, work, diagonal):
+    # each column is (dispatch cost, values by row); a budget of 0 stops
+    # the sweep after its first leader, 10**9 never
+    tail_gen = np.array([gen for gen, _ in columns])
+    v = np.array([values for _, values in columns]).T
+    width = len(columns)
+    if diagonal:  # every column beats the rest by far in a row of its own
+        v = np.vstack([v, np.full((max(width - len(v), 0), width), 30.0)])
+        v[np.arange(width), np.arange(width)] = -100.0
+    margin, high = 0.25, 10.0
+    with mock.patch.object(dispatch, "PRUNE_WORK", work):
+        kept = dispatch._undominated(v, tail_gen, margin, high)
+    x = v + tail_gen
+    above = x > high
+    thr = np.where(above, x * (1.0 + margin / (2.0 * high)), x - margin)
+    order = np.lexsort((np.where(above, 0.0, x).sum(axis=0), above.sum(axis=0)))
+    rank = np.argsort(order)
+
+    def beats(d: int, c: int) -> bool:
+        return rank[d] < rank[c] and bool(np.all(x[:, d] <= thr[:, c]))
+
+    dropped = set(range(width)) - set(kept)
+    assert np.all(np.diff(kept) > 0) and set(kept) <= set(range(width))
+    assert order[0] in kept
+    for c in dropped:
+        assert any(beats(d, c) for d in kept), c
+    beatable = (thr >= x.min(axis=1, keepdims=True)).all(axis=0)
+    assert not (diagonal and beatable.any())
+    if not beatable.any():
+        assert np.array_equal(kept, np.arange(width))
+    if work == 0:  # the first leader's drops only
+        assert dropped == {c for c in range(width) if beats(order[0], c)}
+    if work == 10**9:  # a full sweep: no kept column beats a later kept one
+        assert not any(beats(d, c) for d in kept for c in kept)
+
+
 def test_layer_byte_bound_holds_on_the_pass(monkeypatch):
     # the bound checked before each slot covers what the pass then holds
     bounds = []
@@ -1258,17 +1335,19 @@ def test_layer_byte_bound_holds_on_the_pass(monkeypatch):
     levels = grid_levels(s.market, s.specs, s.solver)
     windowed = _windowed(s.market, s.specs, s.params, levels, 10.0)
     ties = _mixed_setup(3, [0, 2, 0], rates=1e-9)
-    table1 = _table1_fleet(4)
-    for market, space, specs in (
-        (windowed, CountSpace(s.specs, s.params), s.specs),
-        (ties.market, CountSpace(ties.specs, ties.params), ties.specs),
-        (table1.market, CountSpace(table1.specs, table1.params), table1.specs),
+    table1, fine = _table1_fleet(4), _table1_fleet(4, "B")
+    for market, space, specs, step in (
+        (windowed, CountSpace(s.specs, s.params), s.specs, 10.0),
+        (ties.market, CountSpace(ties.specs, ties.params), ties.specs, 10.0),
+        (table1.market, CountSpace(table1.specs, table1.params), table1.specs, 10.0),
+        # 81,396,480 plans: the filter's sweep on wide layers
+        (fine.market, CountSpace(fine.specs, fine.params), fine.specs, 2.5),
     ):
         space.action_groups, space.initial_groups  # the space's own tables
         bounds.clear()
         tracemalloc.start()
         try:
-            _price_grid(market, space, specs, grid_levels(market, specs, SolverConfig()))
+            _price_grid(market, space, specs, grid_levels(market, specs, SolverConfig(step)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
